@@ -28,13 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import duality, fringes, optics, weak
-from .errors import (
-    DegenerateProfile,
-    DualitySimError,
-    EmptyBin,
-    ZeroIntensity,
-    ZeroProbabilityPostselection,
-)
+from .errors import DualitySimError
 from .qubit import StateParams
 
 _ANGLE_RE = re.compile(
@@ -56,6 +50,8 @@ SWEEP_COLUMNS = [
     "p_V",
 ]
 MEASURED_COLUMNS = ["V_cond_V_measured", "P_cond_H_measured", "sum_cond_squares_measured"]
+# Parsed names that no --config file may set: every other flag can.
+_NOT_CONFIGURABLE = {"command", "func", "config", "json"}
 
 
 class UsageError(Exception):
@@ -120,44 +116,11 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _measure_row(
-    params: StateParams,
-    l: int,
-    grid: optics.GridSpec,
-    photons: float | None,
-    readout_sigma: float,
-    seed: int,
-    row_index: int,
-) -> tuple[float, float]:
-    """(V measured, P measured) through the image pipeline; NaN if a port
-    is dark."""
-    syn = optics.synthesize_ports(params, l=l, grid=grid)
-    v_vis = math.nan
-    p_pred = math.nan
-    noise_v = optics.NoiseModel(photons, readout_sigma, seed=_child_seed(seed, row_index, 0))
-    noise_h = optics.NoiseModel(photons, readout_sigma, seed=_child_seed(seed, row_index, 1))
-    try:
-        image = optics.render_image(syn.v_fields, noise_v)
-        profile = fringes.port_profile(image, grid)
-        v_vis, _ = fringes.fringe_visibility(profile, l)
-    except (DegenerateProfile, EmptyBin):
-        pass
-    try:
-        image = optics.render_image(syn.h_fields, noise_h)
-        profile = fringes.port_profile(image, grid)
-        p_pred = fringes.predictability_from_profile(profile, l)
-    except (DegenerateProfile, EmptyBin, ZeroIntensity):
-        pass
-    return v_vis, p_pred
-
-
-def _child_seed(seed: int, *tags: int) -> int:
-    # Stable per-row/per-port seeds so sweep outputs are reproducible
-    # regardless of evaluation order.
-    value = seed & 0xFFFFFFFF
-    for tag in tags:
-        value = (value * 1000003 + tag + 1) & 0xFFFFFFFF
-    return value
+def _seed(args: argparse.Namespace, config: dict) -> int:
+    seed = int(_resolve(args, config, "seed", 0))
+    if seed < 0:
+        raise UsageError("--seed must be >= 0")
+    return seed
 
 
 def cmd_sweep(args: argparse.Namespace, config: dict) -> int:
@@ -173,7 +136,7 @@ def cmd_sweep(args: argparse.Namespace, config: dict) -> int:
         raise UsageError("--samples must be at least 2")
     if not (math.isfinite(start) and math.isfinite(end)):
         raise UsageError("sweep range must be finite")
-    seed = int(_resolve(args, config, "seed", 0))
+    seed = _seed(args, config)
     grid_n = int(_resolve(args, config, "grid", 512))
     l = int(_resolve(args, config, "l", optics.DEFAULT_OAM))
     photons_raw = _resolve(args, config, "photons", None)
@@ -187,39 +150,28 @@ def cmd_sweep(args: argparse.Namespace, config: dict) -> int:
     alphas = values if swept == "alpha" else np.full(samples, fixed)
 
     v_cond = duality.conditional_visibility_v(thetas, alphas)
-    p_cond = np.ones(samples)
+    sum_cond = duality.conditional_sum_of_squares(thetas, alphas)
     v_avg, p_avg = duality.closed_form_averaged(thetas, alphas)
+    sum_avg = duality.averaged_sum_of_squares(thetas, alphas)
     p_h, p_v = duality.postselection_probabilities(thetas, alphas)
+    rows = [
+        [thetas[i], alphas[i], v_cond[i], 1.0, sum_cond[i], v_avg[i], p_avg[i],
+         sum_avg[i], p_h[i], p_v[i]]
+        for i in range(samples)
+    ]
 
     columns = list(SWEEP_COLUMNS)
     grid = optics.GridSpec(width=grid_n, height=grid_n)
-    measured: list[tuple[float, float]] = []
     if pipeline:
         columns += MEASURED_COLUMNS
-        for i in range(samples):
-            params = StateParams(float(thetas[i]), float(alphas[i]))
-            measured.append(
-                _measure_row(params, l, grid, photons, readout_sigma, seed, i)
+        for i, row in enumerate(rows):
+            syn = optics.synthesize_ports(
+                StateParams(float(thetas[i]), float(alphas[i])), l=l, grid=grid
             )
-
-    rows = []
-    for i in range(samples):
-        row = [
-            thetas[i],
-            alphas[i],
-            v_cond[i],
-            p_cond[i],
-            v_cond[i] ** 2 + 1.0,
-            v_avg[i],
-            p_avg[i],
-            v_avg[i] ** 2 + p_avg[i] ** 2,
-            p_h[i],
-            p_v[i],
-        ]
-        if pipeline:
-            v_m, p_m = measured[i]
-            row += [v_m, p_m, v_m**2 + p_m**2]
-        rows.append(row)
+            m = fringes.measure_ports(syn, photons, readout_sigma, seed, row=i)
+            row += [m.visibility, m.predictability, m.sum_of_squares]
+            # Free this row's fields and frames before the next row renders.
+            del syn, m
 
     out_base.parent.mkdir(parents=True, exist_ok=True)
     csv_path = out_base.with_suffix(".csv")
@@ -252,7 +204,7 @@ def cmd_sweep(args: argparse.Namespace, config: dict) -> int:
 
 def cmd_render(args: argparse.Namespace, config: dict) -> int:
     calibrated = bool(_resolve(args, config, "calibrated", False))
-    seed = int(_resolve(args, config, "seed", 0))
+    seed = _seed(args, config)
     grid_n = int(_resolve(args, config, "grid", 512))
     l = int(_resolve(args, config, "l", optics.DEFAULT_OAM))
     readout_sigma = float(_resolve(args, config, "readout_sigma", 0.0))
@@ -275,47 +227,17 @@ def cmd_render(args: argparse.Namespace, config: dict) -> int:
     syn = optics.synthesize_ports(
         params, l=l, grid=grid, path_phase=path_phase, flip_impurity=impurity
     )
-    noise_h = optics.NoiseModel(photons, readout_sigma, seed=_child_seed(seed, 0))
-    noise_v = optics.NoiseModel(photons, readout_sigma, seed=_child_seed(seed, 1))
-    h_image = optics.render_image(syn.h_fields, noise_h)
-    v_image = optics.render_image(syn.v_fields, noise_v)
+    m = fringes.measure_ports(syn, photons, readout_sigma, seed)
+    v_analytic, p_analytic = fringes.analytic_ports(syn)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    optics.write_pfm(out_dir / "h_port.pfm", h_image)
-    optics.write_pfm(out_dir / "v_port.pfm", v_image)
-    optics.write_pgm16(out_dir / "h_port.pgm", h_image)
-    optics.write_pgm16(out_dir / "v_port.pgm", v_image)
-
-    h_profile = fringes.port_profile(h_image, grid)
-    v_profile = fringes.port_profile(v_image, grid)
-    fringes.profile_to_csv(h_profile, out_dir / "h_profile.csv")
-    fringes.profile_to_csv(v_profile, out_dir / "v_profile.csv")
-
-    visibility_measured, vis_uncertainty = fringes.fringe_visibility(v_profile, l)
-    if impurity > 0.0:
-        # Predictability from the +l/-l attribution frames of the H port
-        # (the arm-blocking measurement), rendered with the same camera.
-        plus_fields, minus_fields = syn.h_attribution_fields()
-        plus = optics.render_image(
-            plus_fields, optics.NoiseModel(photons, readout_sigma, _child_seed(seed, 2))
-        )
-        minus = optics.render_image(
-            minus_fields, optics.NoiseModel(photons, readout_sigma, _child_seed(seed, 3))
-        )
-        predictability_measured = fringes.predictability_from_images(plus, minus)
-    else:
-        try:
-            predictability_measured = fringes.predictability_from_profile(h_profile, l)
-        except (DegenerateProfile, ZeroIntensity):
-            predictability_measured = math.nan
-
-    try:
-        v_analytic, p_analytic = duality.closed_form_conditional(params)
-    except ZeroProbabilityPostselection:
-        v_analytic, p_analytic = math.nan, 1.0
-    if impurity > 0.0:
-        v_analytic *= math.sqrt(1.0 - impurity**2)
-        p_analytic = 1.0 - 2.0 * impurity**2
+    for port, image, profile in (
+        ("h", m.h_image, m.h_profile),
+        ("v", m.v_image, m.v_profile),
+    ):
+        optics.write_pfm(out_dir / f"{port}_port.pfm", image)
+        optics.write_pgm16(out_dir / f"{port}_port.pgm", image)
+        fringes.profile_to_csv(profile, out_dir / f"{port}_profile.csv")
 
     params_info = {
         "theta": params.theta,
@@ -328,22 +250,21 @@ def cmd_render(args: argparse.Namespace, config: dict) -> int:
         "readout_sigma": readout_sigma,
         "seed": seed,
     }
-    sum_measured = visibility_measured**2 + predictability_measured**2
     fringes.analysis_report_json(
         out_dir / "report.json",
-        visibility=visibility_measured,
-        uncertainty=vis_uncertainty,
-        predictability=predictability_measured,
+        visibility=m.visibility,
+        uncertainty=m.uncertainty,
+        predictability=m.predictability,
         method="fit",
         params=params_info,
         extra={
-            "V_measured": visibility_measured,
-            "P_measured": predictability_measured,
-            "sum_squares": sum_measured,
+            "V_measured": m.visibility,
+            "P_measured": m.predictability,
+            "sum_squares": m.sum_of_squares,
             "V_analytic": v_analytic,
             "P_analytic": p_analytic,
             "sum_squares_analytic": v_analytic**2 + p_analytic**2,
-            "petal_count": fringes.count_petals(v_profile),
+            "petal_count": m.petal_count,
         },
     )
     optics.write_metadata(
@@ -359,7 +280,7 @@ def cmd_render(args: argparse.Namespace, config: dict) -> int:
     else:
         print(
             f"wrote images and report to {out_dir} "
-            f"(V={visibility_measured:.4f}, P={predictability_measured:.4f})"
+            f"(V={m.visibility:.4f}, P={m.predictability:.4f})"
         )
     return 0
 
@@ -537,6 +458,14 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         if not isinstance(config, dict):
             print("error: config file must hold a JSON object", file=sys.stderr)
+            return 1
+        unknown = sorted(set(config) - (set(vars(args)) - _NOT_CONFIGURABLE))
+        if unknown:
+            print(
+                f"error: config {args.config}: unknown key(s) for {args.command}: "
+                + ", ".join(unknown),
+                file=sys.stderr,
+            )
             return 1
     try:
         return args.func(args, config)

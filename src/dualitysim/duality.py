@@ -138,8 +138,10 @@ def closed_form_conditional(
 ) -> tuple[float, float]:
     """(V given |V><V|, P given |H><H|) in closed form.
 
-    P given |H><H| is identically 1: the horizontal output contains a
-    single OAM mode whenever it contains anything at all.
+    The scalar form of ``conditional_visibility_v``.  P given |H><H| is
+    identically 1: the horizontal output contains a single OAM mode
+    whenever it contains anything at all.  A ``p_min`` below ``P_MIN``
+    gives NaN, not a value, for probabilities between the two.
 
     Raises:
         ZeroProbabilityPostselection: when the vertical postselection
@@ -151,8 +153,7 @@ def closed_form_conditional(
         raise ZeroProbabilityPostselection(
             f"vertical postselection probability {p_v:.3e} below {p_min:.1e}"
         )
-    num = abs(np.sin(params.theta) * np.sin(params.alpha / 2))
-    return float(num / p_v), 1.0
+    return conditional_visibility_v(params.theta, params.alpha), 1.0
 
 
 def closed_form_averaged(theta, alpha):

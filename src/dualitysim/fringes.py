@@ -26,8 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import duality, optics
 from .errors import DegenerateProfile, EmptyBin, ZeroIntensity
-from .optics import DEFAULT_ANNULUS, FieldImage, GridSpec
+from .optics import DEFAULT_ANNULUS, FieldImage, GridSpec, PortSynthesis
 
 INTENSITY_EPS = 1e-300  # floor below which a total intensity is "zero"
 
@@ -62,14 +63,16 @@ def azimuthal_profile(
     """Bin pixel intensities of an annulus into angular windows.
 
     ``center`` is (x, y) in pixel coordinates and the radii are in
-    pixels.  ``window_degrees`` must divide 360 evenly.  Each bin holds
-    the mean intensity of the pixels whose center falls inside the
-    annulus and the window; a window without any pixels raises
-    ``EmptyBin``.
+    pixels.  ``window_degrees`` must be positive and divide 360 evenly.
+    Each bin holds the mean intensity of the pixels whose center falls
+    inside the annulus and the window; a window without any pixels
+    raises ``EmptyBin``.
     """
     image = np.asarray(image, dtype=float)
     if image.ndim != 2:
         raise ValueError("expected a 2-D intensity image")
+    if not window_degrees > 0:
+        raise ValueError(f"window of {window_degrees} deg is not positive")
     n_bins = 360.0 / window_degrees
     if abs(n_bins - round(n_bins)) > 1e-9:
         raise ValueError(f"window of {window_degrees} deg does not tile 360 deg")
@@ -78,17 +81,19 @@ def azimuthal_profile(
         raise ValueError("need 0 <= r_min < r_max")
 
     cx, cy = center
-    ys, xs = np.indices(image.shape)
-    dx = xs - cx
-    dy = ys - cy
+    # One row of x offsets and one column of y offsets; only the
+    # comparisons and the gathers below span the whole frame.
+    dx = np.arange(image.shape[1]) - cx
+    dy = np.arange(image.shape[0])[:, None] - cy
     radius = np.hypot(dx, dy)
     mask = (radius >= r_min) & (radius < r_max)
     if not mask.any():
         raise EmptyBin("annulus contains no pixels")
 
-    angles = np.degrees(np.arctan2(dy[mask], dx[mask]))
+    rows, cols = np.nonzero(mask)
+    angles = np.degrees(np.arctan2(dy[rows, 0], dx[cols]))
     bin_index = np.floor(angles / window_degrees + 0.5).astype(int) % n_bins
-    samples = image[mask]
+    samples = image[rows, cols]
 
     counts = np.bincount(bin_index, minlength=n_bins)
     if (counts == 0).any():
@@ -287,6 +292,94 @@ def count_petals(profile: AzimuthalProfile) -> int:
     rolled = np.roll(above, -start)
     rising = np.sum(rolled[1:] & ~rolled[:-1]) + int(rolled[0])
     return int(rising)
+
+
+@dataclass
+class PortMeasurement:
+    """Camera frames of both output ports and the measures they give.
+
+    ``visibility`` and its 1-sigma ``uncertainty`` come from the V port,
+    ``predictability`` from the H port; each is NaN when its port is dark
+    or its profile degenerate.
+    """
+
+    v_image: np.ndarray
+    h_image: np.ndarray
+    v_profile: AzimuthalProfile
+    h_profile: AzimuthalProfile
+    visibility: float
+    uncertainty: float
+    predictability: float
+
+    @property
+    def sum_of_squares(self) -> float:
+        return self.visibility**2 + self.predictability**2
+
+    @property
+    def petal_count(self) -> int:
+        return count_petals(self.v_profile)
+
+
+def measure_ports(
+    synthesis: PortSynthesis,
+    photons: float | None,
+    readout_sigma: float,
+    seed: int,
+    row: int = 0,
+) -> PortMeasurement:
+    """Render both ports of ``synthesis`` and measure V and P on them.
+
+    V is fitted on the V-port profile.  P comes from the H-port profile
+    or, for a nonzero flip impurity, from the H port's +l and -l frames,
+    as an arm-by-arm acquisition records them.  Frame ``port`` (0 V,
+    1 H, 2 H +l, 3 H -l) draws its noise from
+    ``SeedSequence(seed, spawn_key=(row, port))``.  ``EmptyBin`` depends
+    on the grid alone and propagates.
+    """
+
+    def render(fields: list[FieldImage], port: int) -> np.ndarray:
+        seeds = np.random.SeedSequence(seed, spawn_key=(row, port))
+        return optics.render_image(fields, optics.NoiseModel(photons, readout_sigma, seeds))
+
+    l, grid = synthesis.l, synthesis.grid
+    v_image = render(synthesis.v_fields, 0)
+    v_profile = port_profile(v_image, grid)
+    h_image = render(synthesis.h_fields, 1)
+    h_profile = port_profile(h_image, grid)
+    try:
+        visibility, uncertainty = fringe_visibility(v_profile, l)
+    except DegenerateProfile:
+        visibility = uncertainty = math.nan
+    try:
+        if synthesis.h_impurity is not None:
+            # The unflipped impurity light is the H port's only +l content.
+            predictability = predictability_from_images(
+                render([synthesis.h_impurity], 2), render([synthesis.h_main], 3)
+            )
+        else:
+            predictability = predictability_from_profile(h_profile, l)
+    except (DegenerateProfile, ZeroIntensity):
+        predictability = math.nan
+    return PortMeasurement(
+        v_image, h_image, v_profile, h_profile, visibility, uncertainty, predictability
+    )
+
+
+def analytic_ports(synthesis: PortSynthesis) -> tuple[float, float]:
+    """Closed-form (V, P) that ``measure_ports`` estimates; NaN for a dark port.
+
+    The impurity light adds to the V port in intensity, scaling the
+    contrast by sqrt(1 - eps^2); the H-port mode powers give |1 - 2 eps^2|.
+    """
+    params = synthesis.params
+    visibility = duality.conditional_visibility_v(params.theta, params.alpha)
+    try:
+        predictability = predictability_from_arm_powers(
+            synthesis.h_plus_power, synthesis.h_minus_power
+        )
+    except ZeroIntensity:
+        predictability = math.nan
+    return visibility * math.sqrt(1.0 - synthesis.flip_impurity**2), predictability
 
 
 def profile_to_csv(profile: AzimuthalProfile, path: str | Path) -> None:

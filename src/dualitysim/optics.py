@@ -105,7 +105,6 @@ class FieldImage:
 
     data: np.ndarray
     grid: GridSpec
-    port: str = ""
 
     def power(self) -> float:
         """Total power sum |amplitude|^2 * pixel area."""
@@ -124,12 +123,13 @@ class NoiseModel:
     counts.  ``None`` (or infinity) renders the exact intensity with no
     noise.  ``readout_sigma`` is the standard deviation of the additive
     readout noise in photon counts; negative pixel values are clamped to
-    zero.  Identical seed and inputs give bit-identical images.
+    zero.  ``seed`` is anything ``numpy.random.default_rng`` accepts;
+    identical seed and inputs give bit-identical images.
     """
 
     photon_budget: float | None = None
     readout_sigma: float = 0.0
-    seed: int = 0
+    seed: int | np.random.SeedSequence = 0
 
     def __post_init__(self) -> None:
         if self.photon_budget is not None and not self.photon_budget >= 0:
@@ -156,7 +156,7 @@ def _mode_data(l: int, grid: GridSpec) -> np.ndarray:
 
 def oam_mode(l: int, grid: GridSpec = GridSpec()) -> FieldImage:
     """Unit-power vortex mode of charge ``l`` (Gaussian for l = 0)."""
-    return FieldImage(data=_mode_data(int(l), grid).copy(), grid=grid, port="")
+    return FieldImage(data=_mode_data(int(l), grid).copy(), grid=grid)
 
 
 @dataclass
@@ -192,16 +192,6 @@ class PortSynthesis:
     def v_fields(self) -> list[FieldImage]:
         return [self.v_main] + ([self.v_impurity] if self.v_impurity else [])
 
-    def h_attribution_fields(self) -> tuple[list[FieldImage], list[FieldImage]]:
-        """H-port field lists attributable to (+l, -l).
-
-        These are the frames an arm-by-arm acquisition would record; the
-        -l frame is the flipped lower-arm light, the +l frame the
-        handedness impurity (empty for an ideal flip).
-        """
-        plus = [self.h_impurity] if self.h_impurity else []
-        return plus, [self.h_main]
-
 
 def synthesize_ports(
     params: StateParams,
@@ -230,17 +220,17 @@ def synthesize_ports(
         grid=grid,
         flip_impurity=eps,
         # H output: lower-arm light only, handedness flipped.
-        h_main=FieldImage(b * flip * phase * u_minus, grid, port="H"),
+        h_main=FieldImage(b * flip * phase * u_minus, grid),
         # V output: upper arm interferes with the flipped lower-arm light.
-        v_main=FieldImage(a * u_plus + c * flip * phase * u_minus, grid, port="V"),
+        v_main=FieldImage(a * u_plus + c * flip * phase * u_minus, grid),
     )
     out.h_minus_power = b**2 * flip**2
     out.h_plus_power = b**2 * eps**2
     out.v_plus_power = a**2
     out.v_minus_power = c**2 * flip**2
     if eps > 0.0:
-        out.h_impurity = FieldImage(b * eps * u_plus, grid, port="H/impurity")
-        out.v_impurity = FieldImage(c * eps * u_plus, grid, port="V/impurity")
+        out.h_impurity = FieldImage(b * eps * u_plus, grid)
+        out.v_impurity = FieldImage(c * eps * u_plus, grid)
         out.v_plus_power = a**2 + c**2 * eps**2
     return out
 
@@ -261,28 +251,15 @@ def simulate_interferometer(
     return syn.h_main, syn.v_main
 
 
-def _coherent_groups(fields: list[FieldImage]) -> list[np.ndarray]:
-    """Sum amplitudes per port label; distinct labels add in intensity."""
-    groups: dict[str, np.ndarray] = {}
-    for f in fields:
-        if f.port in groups:
-            groups[f.port] = groups[f.port] + f.data
-        else:
-            groups[f.port] = f.data.astype(complex)
-    return list(groups.values())
-
-
 def render_image(
     fields: FieldImage | list[FieldImage],
     noise: NoiseModel = NoiseModel(),
-    coherent: bool = True,
 ) -> np.ndarray:
-    """Camera intensity image of one or more fields.
+    """Camera intensity image of one or more mutually incoherent fields.
 
-    With ``coherent=True`` (default) all given fields belonging to the
-    same port label are summed in amplitude before squaring; fields with
-    different labels add in intensity.  With ``coherent=False`` every
-    field adds in intensity.
+    Every field adds to the image in intensity; a coherent superposition
+    has to be one ``FieldImage`` already, as the port fields of
+    ``synthesize_ports`` are.
 
     Noiseless rendering returns the exact summed |amplitude|^2.  With a
     finite photon budget the intensity is scaled to expected counts
@@ -298,10 +275,9 @@ def render_image(
         if f.grid != grid:
             raise ValueError("all fields must share one GridSpec")
 
-    amplitude_groups = _coherent_groups(fields) if coherent else [f.data for f in fields]
     intensity = np.zeros((grid.height, grid.width), dtype=float)
-    for amps in amplitude_groups:
-        intensity += np.abs(amps) ** 2
+    for f in fields:
+        intensity += np.abs(f.data) ** 2
 
     if noise.noiseless:
         if noise.readout_sigma == 0.0:

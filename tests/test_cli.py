@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from dualitysim import GridSpec, StateParams, synthesize_ports
 from dualitysim.cli import UsageError, main, parse_angle
+from dualitysim.fringes import measure_ports
 
 
 def read_csv(path):
@@ -135,6 +137,36 @@ class TestSweepCommand:
     def test_missing_config_is_usage_error(self, tmp_path):
         assert main(["sweep", "--config", str(tmp_path / "nope.json")]) == 1
 
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"photon": 1e3, "samples": 7}))
+        out = tmp_path / "sweep_g"
+        assert main(["sweep", "--out", str(out), "--config", str(config)]) == 1
+        assert "photon" in capsys.readouterr().err
+        assert not out.with_suffix(".csv").exists()
+
+    def test_empty_bin_grid_is_runtime_error(self, tmp_path, capsys):
+        code = main(["sweep", "--samples", "3", "--photons", "inf", "--grid", "32",
+                     "--out", str(tmp_path / "sweep_h")])
+        assert code == 2
+        assert "has no pixels" in capsys.readouterr().err
+
+    def test_measure_ports_reproduces_noisy_rows(self, tmp_path):
+        out = tmp_path / "sweep_i"
+        assert main(["sweep", "--samples", "4", "--photons", "2e5", "--readout-sigma", "2",
+                     "--grid", "64", "--seed", "9", "--out", str(out)]) == 0
+        payload = json.loads(out.with_suffix(".json").read_text())
+        names = payload["columns"]
+        for i, row in enumerate(payload["rows"]):
+            value = dict(zip(names, row))
+            syn = synthesize_ports(StateParams(value["theta"], value["alpha"]),
+                                   grid=GridSpec(64, 64))
+            m = measure_ports(syn, 2e5, 2.0, 9, row=i)
+            np.testing.assert_array_equal(
+                [m.visibility, m.predictability],
+                [value["V_cond_V_measured"], value["P_cond_H_measured"]],
+            )
+
 
 class TestRenderCommand:
     def test_noiseless_correlated_point(self, tmp_path):
@@ -168,6 +200,30 @@ class TestRenderCommand:
 
     def test_missing_angles_is_usage_error(self, tmp_path):
         assert main(["render", "--out", str(tmp_path / "x")]) == 1
+
+    def test_dark_v_port_reads_nan(self, tmp_path):
+        out = tmp_path / "render4"
+        assert main(["render", "--theta", "pi", "--alpha", "0", "--photons", "1e5",
+                     "--grid", "64", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert math.isnan(report["V_measured"])
+        assert report["P_measured"] == pytest.approx(1.0, abs=1e-3)
+
+    def test_dark_h_port_with_impurity_reads_nan(self, tmp_path):
+        out = tmp_path / "render5"
+        assert main(["render", "--theta", "0", "--alpha", "0", "--impurity", "0.1",
+                     "--grid", "64", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert math.isnan(report["P_measured"])
+        assert math.isnan(report["P_analytic"])
+
+    def test_impurity_predictability_is_absolute(self, tmp_path):
+        out = tmp_path / "render6"
+        assert main(["render", "--theta", "1", "--alpha", "1", "--impurity", "0.8",
+                     "--grid", "64", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["P_analytic"] == pytest.approx(0.28, abs=1e-12)
+        assert report["P_measured"] == pytest.approx(report["P_analytic"], abs=1e-12)
 
     def test_render_byte_identical(self, tmp_path):
         args = ["render", "--theta", "pi/2", "--alpha", "pi/2", "--grid", "128",
@@ -245,3 +301,8 @@ class TestTopLevel:
 
     def test_unknown_command_is_usage_error(self):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("command", [["sweep"], ["render", "--theta", "1", "--alpha", "1"]])
+    def test_negative_seed_is_usage_error(self, command, tmp_path, capsys):
+        assert main(command + ["--seed", "-1", "--out", str(tmp_path / "x")]) == 1
+        assert "--seed" in capsys.readouterr().err

@@ -81,6 +81,12 @@ class TestAzimuthalProfile:
         with pytest.raises(ValueError):
             azimuthal_profile(image, GRID.beam_center, 32, 160, window_degrees=7.0)
 
+    @pytest.mark.parametrize("window", [0.0, -3.0])
+    def test_window_must_be_positive(self, window):
+        image = np.ones((64, 64))
+        with pytest.raises(ValueError, match="not positive"):
+            azimuthal_profile(image, (31.5, 31.5), 8, 30, window_degrees=window)
+
     def test_empty_bin_raises(self):
         image = np.ones((64, 64))
         with pytest.raises(EmptyBin):

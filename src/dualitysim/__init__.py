@@ -49,7 +49,6 @@ from .optics import (
 from .qubit import (
     BASIS_LABELS,
     StateParams,
-    density_matrix,
     partial_trace_env,
     postselect_env,
     projector_bloch,
@@ -96,7 +95,6 @@ __all__ = [
     "closed_form_conditional",
     "conditional_duality",
     "count_petals",
-    "density_matrix",
     "fringe_visibility",
     "gaussian_wavefunction",
     "oam_mode",

@@ -380,9 +380,9 @@ def _resolve(args: argparse.Namespace, config: dict, key: str, default):
     return default
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_camera(parser: argparse.ArgumentParser) -> None:
+    """Flags of the image pipeline, which only sweep and render run."""
     parser.add_argument("--seed", type=int, default=None, help="base RNG seed")
-    parser.add_argument("--out", default=None, help="output path or directory")
     parser.add_argument("--grid", type=int, default=None, metavar="N",
                         help="camera resolution (N x N pixels)")
     parser.add_argument("--photons", default=None, metavar="B",
@@ -390,6 +390,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--readout-sigma", dest="readout_sigma", type=float,
                         default=None, metavar="S", help="readout noise (counts)")
     parser.add_argument("--l", type=int, default=None, help="OAM charge (default 3)")
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--out", default=None, help="output path or directory")
     parser.add_argument("--json", action="store_true",
                         help="print a machine-readable summary to stdout")
     parser.add_argument("--config", default=None,
@@ -414,6 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="number of samples (default 181, i.e. 2-degree steps)")
     p_sweep.add_argument("--pipeline", action="store_true",
                          help="also measure each row through the image pipeline")
+    _add_camera(p_sweep)
     _add_common(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -426,6 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="handedness-flip impurity amplitude (default 0)")
     p_render.add_argument("--path-phase", dest="path_phase", default=None,
                           help="relative interferometer path phase (default 0)")
+    _add_camera(p_render)
     _add_common(p_render)
     p_render.set_defaults(func=cmd_render)
 

@@ -24,8 +24,8 @@ Closed forms (in the preparation angles theta, alpha):
     P averaged     = sin^2(theta/2) cos^2(alpha/2)
                      + |cos^2(theta/2) - sin^2(theta/2) sin^2(alpha/2)|
 
-All closed forms are validated against the density-matrix pipeline in the
-test suite.
+All closed forms are validated against the amplitude-matrix routines of
+``qubit`` and against the brute-force oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -40,11 +40,9 @@ from .qubit import (
     SIGMA_Y,
     SIGMA_Z,
     StateParams,
-    density_matrix,
+    amplitude_matrix,
     partial_trace_env,
     postselect_env,
-    projector_h,
-    projector_v,
     state_vector,
 )
 
@@ -82,7 +80,7 @@ def predictability(rho: np.ndarray) -> float:
 
 def unconditional_duality(params: StateParams) -> DualityReport:
     """Measures of the reduced OAM state, environment ignored."""
-    rho = partial_trace_env(density_matrix(state_vector(params)))
+    rho = partial_trace_env(state_vector(params))
     return DualityReport(
         visibility=visibility(rho),
         predictability=predictability(rho),
@@ -95,10 +93,9 @@ def conditional_duality(
     params: StateParams,
     projector: np.ndarray,
     label: str = "projector",
-    p_min: float = P_MIN,
 ) -> DualityReport:
     """Measures of the OAM state conditioned on one polarization outcome."""
-    rho, probability = postselect_env(state_vector(params), projector, p_min=p_min)
+    rho, probability = postselect_env(state_vector(params), projector)
     return DualityReport(
         visibility=visibility(rho),
         predictability=predictability(rho),
@@ -133,25 +130,22 @@ def conditional_visibility_v(theta, alpha):
     return out
 
 
-def closed_form_conditional(
-    params: StateParams, p_min: float = P_MIN
-) -> tuple[float, float]:
+def closed_form_conditional(params: StateParams) -> tuple[float, float]:
     """(V given |V><V|, P given |H><H|) in closed form.
 
     The scalar form of ``conditional_visibility_v``.  P given |H><H| is
     identically 1: the horizontal output contains a single OAM mode
-    whenever it contains anything at all.  A ``p_min`` below ``P_MIN``
-    gives NaN, not a value, for probabilities between the two.
+    whenever it contains anything at all.
 
     Raises:
         ZeroProbabilityPostselection: when the vertical postselection
             probability (the denominator of the visibility) is below
-            ``p_min``.
+            ``P_MIN``.
     """
     _, p_v = postselection_probabilities(params.theta, params.alpha)
-    if p_v < p_min:
+    if p_v < P_MIN:
         raise ZeroProbabilityPostselection(
-            f"vertical postselection probability {p_v:.3e} below {p_min:.1e}"
+            f"vertical postselection probability {p_v:.3e} below {P_MIN:.1e}"
         )
     return conditional_visibility_v(params.theta, params.alpha), 1.0
 
@@ -169,26 +163,19 @@ def closed_form_averaged(theta, alpha):
     return v_bar, p_bar
 
 
-def averaged_duality(params: StateParams, p_min: float = P_MIN) -> DualityReport:
+def averaged_duality(params: StateParams) -> DualityReport:
     """Probability-weighted measures over the complete {H, V} postselection.
 
-    A branch whose postselection probability vanishes carries no ensemble
-    members and contributes zero to each sum, so the averages are total
-    functions of the preparation angles.
+    The branch left by |k><k| is the column A[:, k] of the amplitude
+    matrix; its unnormalized state has trace p_k, so its measures are
+    already the probability-weighted ones.  A dark branch contributes
+    zero, and the averages are total functions of the preparation angles.
     """
-    psi = state_vector(params)
-    v_sum = 0.0
-    p_sum = 0.0
-    for proj in (projector_h(), projector_v()):
-        try:
-            rho, prob = postselect_env(psi, proj, p_min=p_min)
-        except ZeroProbabilityPostselection:
-            continue
-        v_sum += prob * visibility(rho)
-        p_sum += prob * predictability(rho)
+    amps = amplitude_matrix(state_vector(params))
+    branches = [np.outer(col, col.conj()) for col in amps.T]
     return DualityReport(
-        visibility=v_sum,
-        predictability=p_sum,
+        visibility=sum(visibility(rho) for rho in branches),
+        predictability=sum(predictability(rho) for rho in branches),
         probability=1.0,
         label="averaged",
     )

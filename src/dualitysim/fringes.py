@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import duality, optics
-from .errors import DegenerateProfile, EmptyBin, ZeroIntensity
+from .errors import P_MIN, DegenerateProfile, EmptyBin, ZeroIntensity
 from .optics import DEFAULT_ANNULUS, FieldImage, GridSpec, PortSynthesis
 
 INTENSITY_EPS = 1e-300  # floor below which a total intensity is "zero"
@@ -300,7 +300,7 @@ class PortMeasurement:
 
     ``visibility`` and its 1-sigma ``uncertainty`` come from the V port,
     ``predictability`` from the H port; each is NaN when its port is dark
-    or its profile degenerate.
+    or its profile degenerate, and ``petal_count`` is 0 when V is NaN.
     """
 
     v_image: np.ndarray
@@ -317,7 +317,7 @@ class PortMeasurement:
 
     @property
     def petal_count(self) -> int:
-        return count_petals(self.v_profile)
+        return 0 if math.isnan(self.visibility) else count_petals(self.v_profile)
 
 
 def measure_ports(
@@ -331,7 +331,10 @@ def measure_ports(
 
     V is fitted on the V-port profile.  P comes from the H-port profile
     or, for a nonzero flip impurity, from the H port's +l and -l frames,
-    as an arm-by-arm acquisition records them.  Frame ``port`` (0 V,
+    as an arm-by-arm acquisition records them.  A port whose profile mean
+    is below ``P_MIN`` times the sum of both ports' profile means is dark:
+    its measure is NaN without a fit, so round-off light reads as
+    undefined, not as a value.  Frame ``port`` (0 V,
     1 H, 2 H +l, 3 H -l) draws its noise from
     ``SeedSequence(seed, spawn_key=(row, port))``.  ``EmptyBin`` depends
     on the grid alone and propagates.
@@ -346,20 +349,25 @@ def measure_ports(
     v_profile = port_profile(v_image, grid)
     h_image = render(synthesis.h_fields, 1)
     h_profile = port_profile(h_image, grid)
-    try:
-        visibility, uncertainty = fringe_visibility(v_profile, l)
-    except DegenerateProfile:
-        visibility = uncertainty = math.nan
-    try:
-        if synthesis.h_impurity is not None:
-            # The unflipped impurity light is the H port's only +l content.
-            predictability = predictability_from_images(
-                render([synthesis.h_impurity], 2), render([synthesis.h_main], 3)
-            )
-        else:
-            predictability = predictability_from_profile(h_profile, l)
-    except (DegenerateProfile, ZeroIntensity):
-        predictability = math.nan
+    v_mean, h_mean = v_profile.values.mean(), h_profile.values.mean()
+    floor = P_MIN * (v_mean + h_mean)
+    visibility = uncertainty = predictability = math.nan
+    if v_mean >= floor:
+        try:
+            visibility, uncertainty = fringe_visibility(v_profile, l)
+        except DegenerateProfile:
+            pass
+    if h_mean >= floor:
+        try:
+            if synthesis.h_impurity is not None:
+                # The unflipped impurity light is the H port's only +l content.
+                predictability = predictability_from_images(
+                    render([synthesis.h_impurity], 2), render([synthesis.h_main], 3)
+                )
+            else:
+                predictability = predictability_from_profile(h_profile, l)
+        except (DegenerateProfile, ZeroIntensity):
+            pass
     return PortMeasurement(
         v_image, h_image, v_profile, h_profile, visibility, uncertainty, predictability
     )

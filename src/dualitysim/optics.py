@@ -48,6 +48,8 @@ from .qubit import StateParams
 
 DEFAULT_OAM = 3
 DEFAULT_ANNULUS = (0.5, 2.5)  # radii in beam-waist units enclosing the ring
+# Largest mean numpy's Generator.poisson accepts (its own bound, ~9.22e18).
+POISSON_LAM_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -264,7 +266,9 @@ def render_image(
     Noiseless rendering returns the exact summed |amplitude|^2.  With a
     finite photon budget the intensity is scaled to expected counts
     (budget x power), Poisson-sampled per pixel, readout noise is added,
-    and the result is clamped at zero.
+    and the result is clamped at zero.  A budget that puts more expected
+    counts in one pixel than the Poisson sampler accepts raises
+    ``ValueError``.
     """
     if isinstance(fields, FieldImage):
         fields = [fields]
@@ -287,6 +291,12 @@ def render_image(
         return np.clip(noisy, 0.0, None)
 
     expected_counts = intensity * grid.pixel_area * noise.photon_budget
+    peak = float(expected_counts.max())
+    if peak > POISSON_LAM_MAX:
+        raise ValueError(
+            f"photon budget {noise.photon_budget:g} puts {peak:.3g} expected counts "
+            f"in one pixel, above the Poisson sampler's limit of {POISSON_LAM_MAX:.3g}"
+        )
     rng = np.random.default_rng(noise.seed)
     counts = rng.poisson(expected_counts).astype(float)
     if noise.readout_sigma > 0.0:

@@ -9,10 +9,13 @@ in the package uses one fixed product-basis ordering:
 
 i.e. OAM is the slow (first) tensor factor and polarization the fast one.
 
-States are plain numpy arrays: pure states as complex 4-vectors, mixed
-states as 4x4 (or, reduced, 2x2) complex density matrices.  The density
-matrix path is deliberately kept alongside the faster amplitude
-manipulations so the two can cross-check each other.
+The prepared state is pure, so every routine takes its complex 4-vector
+psi and works on the 2x2 amplitude matrix A[oam, pol] = psi.reshape(2, 2):
+the reduced OAM state is A A^dagger and the branch left by a polarization
+projector P is A P^T A^dagger.  Only the reduced and conditional OAM
+states are 2x2 density matrices.  The independent cross-check is the
+brute-force oracle of the test suite, which builds the full 4x4 density
+matrix term by term and shares no code with this module.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import P_MIN, ZeroProbabilityPostselection
+from .errors import NORM_ATOL, P_MIN, ZeroProbabilityPostselection
 
 BASIS_LABELS = ("|l,H>", "|l,V>", "|-l,H>", "|-l,V>")
 
@@ -31,7 +34,6 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
-NORM_ATOL = 1e-12
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
 PSD_EIGVAL_FLOOR = -1e-10
@@ -79,26 +81,21 @@ def state_vector(params: StateParams) -> np.ndarray:
     )
 
 
-def density_matrix(state: np.ndarray) -> np.ndarray:
-    """Density matrix of ``state`` (passes 4x4 inputs through unchanged)."""
-    state = np.asarray(state, dtype=complex)
-    if state.ndim == 1:
-        return np.outer(state, state.conj())
-    if state.shape == (4, 4):
-        return state
-    raise ValueError(f"expected a 4-vector or 4x4 matrix, got shape {state.shape}")
+def amplitude_matrix(state: np.ndarray) -> np.ndarray:
+    """Amplitude matrix A[oam, pol] of a pure 4-vector."""
+    psi = np.asarray(state, dtype=complex)
+    if psi.shape != (4,):
+        raise ValueError(f"expected a pure-state 4-vector, got shape {psi.shape}")
+    return psi.reshape(2, 2)
 
 
 def validate_pure_state(psi: np.ndarray, atol: float = NORM_ATOL) -> None:
-    psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (4,):
-        raise ValueError(f"pure state must be a 4-vector, got shape {psi.shape}")
-    norm = np.linalg.norm(psi)
+    norm = np.linalg.norm(amplitude_matrix(psi))
     if abs(norm - 1.0) > atol:
         raise ValueError(f"pure state norm {norm!r} deviates from 1 beyond {atol}")
 
 
-def validate_density_matrix(rho: np.ndarray) -> None:
+def validate_mixed_state(rho: np.ndarray) -> None:
     """Check hermiticity, unit trace and positive semidefiniteness."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
@@ -113,16 +110,9 @@ def validate_density_matrix(rho: np.ndarray) -> None:
 
 
 def partial_trace_env(state: np.ndarray) -> np.ndarray:
-    """Reduced 2x2 OAM state after tracing out polarization.
-
-    Accepts either a pure 4-vector or a 4x4 density matrix.
-    """
-    state = np.asarray(state, dtype=complex)
-    if state.ndim == 1:
-        amps = state.reshape(2, 2)  # [oam, pol]
-        return amps @ amps.conj().T
-    rho = density_matrix(state).reshape(2, 2, 2, 2)
-    return np.einsum("ikjk->ij", rho)
+    """Reduced 2x2 OAM state A A^dagger after tracing out polarization."""
+    amps = amplitude_matrix(state)
+    return amps @ amps.conj().T
 
 
 def projector_h() -> np.ndarray:
@@ -166,27 +156,22 @@ def validate_projector(proj: np.ndarray, atol: float = 1e-12) -> None:
         raise ValueError("projector is not idempotent within tolerance")
 
 
-def postselect_env(
-    state: np.ndarray,
-    projector: np.ndarray,
-    p_min: float = P_MIN,
-) -> tuple[np.ndarray, float]:
+def postselect_env(state: np.ndarray, projector: np.ndarray) -> tuple[np.ndarray, float]:
     """Conditional OAM state after projecting the polarization qubit.
 
-    Computes Tr_pol[(1 (x) proj) rho] and its trace p, returning the
+    Computes the unnormalized branch A P^T A^dagger (equal to
+    Tr_pol[(1 (x) P) |psi><psi|]) and its trace p, returning the
     normalized 2x2 conditional state together with p.
 
     Raises:
-        ZeroProbabilityPostselection: if p < p_min, in which case the
+        ZeroProbabilityPostselection: if p < P_MIN, in which case the
             conditional state is undefined.
     """
-    rho = density_matrix(np.asarray(state, dtype=complex))
-    proj = np.asarray(projector, dtype=complex)
-    sandwiched = (np.kron(IDENTITY, proj) @ rho).reshape(2, 2, 2, 2)
-    reduced = np.einsum("ikjk->ij", sandwiched)
+    amps = amplitude_matrix(state)
+    reduced = amps @ np.asarray(projector, dtype=complex).T @ amps.conj().T
     probability = float(reduced.trace().real)
-    if probability < p_min:
+    if probability < P_MIN:
         raise ZeroProbabilityPostselection(
-            f"postselection probability {probability:.3e} below {p_min:.1e}"
+            f"postselection probability {probability:.3e} below {P_MIN:.1e}"
         )
     return reduced / probability, probability

@@ -32,12 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import P_MIN, InvalidCoupling, ZeroProbabilityPostselection
+from .errors import NORM_ATOL, P_MIN, InvalidCoupling, ZeroProbabilityPostselection
 
 WEAKNESS_WARN_THRESHOLD = 0.1
 """Warn when the pointer deflection |(phi/2) psi(x0)/psi0| exceeds this."""
-
-NORM_ATOL = 1e-12
 
 
 def normalized(psi: np.ndarray) -> np.ndarray:
@@ -136,9 +134,7 @@ def apply_sliver(psi: np.ndarray, coupling: SliverCoupling) -> JointState:
     return JointState(h=h, v=v)
 
 
-def postselect_zero_momentum(
-    joint: JointState, p_min: float = P_MIN
-) -> tuple[np.ndarray, float]:
+def postselect_zero_momentum(joint: JointState) -> tuple[np.ndarray, float]:
     """Project on the uniform transverse mode; return (pointer, probability).
 
     The vertical channel is read out through its zero-frequency (p = 0)
@@ -152,9 +148,9 @@ def postselect_zero_momentum(
             zero-momentum component (e.g. an odd-parity profile).
     """
     s_v = zero_frequency_amplitude(joint.v)
-    if abs(s_v) < p_min:
+    if abs(s_v) < P_MIN:
         raise ZeroProbabilityPostselection(
-            f"zero-momentum amplitude {abs(s_v):.3e} below {p_min:.1e}"
+            f"zero-momentum amplitude {abs(s_v):.3e} below {P_MIN:.1e}"
         )
     s_h = complex(joint.h.sum())
     pointer = np.array([s_h, s_v], dtype=complex)
@@ -202,18 +198,13 @@ def true_ratio(psi: np.ndarray) -> np.ndarray:
     return psi / zero_frequency_amplitude(psi)
 
 
-def reconstruct_profile(
-    psi: np.ndarray,
-    phi: float,
-    mode: str = "linearized",
-    p_min: float = P_MIN,
-) -> np.ndarray:
+def reconstruct_profile(psi: np.ndarray, phi: float, mode: str = "linearized") -> np.ndarray:
     """Scan the sliver over every grid point and reconstruct psi/psi0."""
     psi = np.asarray(psi, dtype=complex)
     out = np.empty(len(psi), dtype=complex)
     for x0 in range(len(psi)):
         joint = apply_sliver(psi, SliverCoupling(x0=x0, phi=phi, mode=mode))
-        pointer, _ = postselect_zero_momentum(joint, p_min=p_min)
+        pointer, _ = postselect_zero_momentum(joint)
         out[x0] = reconstruct_weak_value(pointer, phi)
     return out
 

@@ -151,6 +151,16 @@ class TestSweepCommand:
         assert code == 2
         assert "has no pixels" in capsys.readouterr().err
 
+    def test_noiseless_dark_h_port_reads_nan(self, tmp_path):
+        # p_H is 0 at theta = 0 and ~1.5e-32 (round-off) at theta = 2 pi.
+        out = tmp_path / "sweep_j"
+        assert main(["sweep", "--samples", "3", "--photons", "inf", "--grid", "64",
+                     "--out", str(out)]) == 0
+        header, rows = read_csv(out.with_suffix(".csv"))
+        p_measured = col(header, rows, "P_cond_H_measured")
+        assert np.isnan(p_measured[[0, 2]]).all()
+        assert p_measured[1] == pytest.approx(1.0, abs=1e-6)
+
     def test_measure_ports_reproduces_noisy_rows(self, tmp_path):
         out = tmp_path / "sweep_i"
         assert main(["sweep", "--samples", "4", "--photons", "2e5", "--readout-sigma", "2",
@@ -208,6 +218,22 @@ class TestRenderCommand:
         report = json.loads((out / "report.json").read_text())
         assert math.isnan(report["V_measured"])
         assert report["P_measured"] == pytest.approx(1.0, abs=1e-3)
+
+    def test_noiseless_dark_v_port_reads_nan(self, tmp_path):
+        out = tmp_path / "render6"
+        assert main(["render", "--theta", "pi", "--alpha", "0",
+                     "--grid", "64", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert math.isnan(report["V_measured"])
+        assert report["petal_count"] == 0
+        assert report["P_measured"] == pytest.approx(1.0, abs=1e-6)
+
+    def test_photon_budget_beyond_sampler_range_is_runtime_error(self, tmp_path, capsys):
+        assert main(["render", "--theta", "1", "--alpha", "1", "--grid", "64",
+                     "--photons", "1e25", "--out", str(tmp_path / "render7")]) == 2
+        err = capsys.readouterr().err
+        assert "photon budget 1e+25" in err
+        assert "Poisson sampler's limit" in err
 
     def test_dark_h_port_with_impurity_reads_nan(self, tmp_path):
         out = tmp_path / "render5"
@@ -281,6 +307,19 @@ class TestWeakCommand:
         code = main(["weak", "--psi", f"file:{bad}", "--out", str(tmp_path / "w")])
         assert code == 1
         assert ":2:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--grid", "--seed", "--photons",
+                                      "--readout-sigma", "--l"])
+    def test_image_flags_are_usage_errors(self, flag, tmp_path):
+        assert main(["weak", "--n", "16", flag, "8",
+                     "--out", str(tmp_path / "w")]) == 1
+
+    def test_image_config_key_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"grid": 8, "n": 16}))
+        assert main(["weak", "--config", str(config), "--out", str(tmp_path / "w")]) == 1
+        assert "grid" in capsys.readouterr().err
+        assert not (tmp_path / "w_summary.json").exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["weak", "--psi", "gaussian:24", "--n", "128", "--phi", "0.05"]

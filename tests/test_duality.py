@@ -77,7 +77,7 @@ class TestUnconditional:
 
     def test_closed_form_identity_on_grid(self):
         # V^2 + P^2 = sin^2(alpha/2) sin^2(theta) + cos^2(theta), with the
-        # measures taken through the density-matrix pipeline.
+        # measures taken through the amplitude-matrix pipeline.
         for theta in GRID:
             for alpha in GRID[::4]:
                 rep = unconditional_duality(StateParams(theta, alpha))

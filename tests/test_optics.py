@@ -15,7 +15,7 @@ from dualitysim import (
     simulate_interferometer,
     synthesize_ports,
 )
-from dualitysim.optics import write_metadata, write_pfm, write_pgm16
+from dualitysim.optics import POISSON_LAM_MAX, write_metadata, write_pfm, write_pgm16
 
 GRID = GridSpec(width=256, height=256)
 FULL = GridSpec()
@@ -213,6 +213,18 @@ class TestRenderImage:
         b = oam_mode(3, GridSpec(width=128, height=128))
         with pytest.raises(ValueError):
             render_image([a, b])
+
+    def test_budget_beyond_poisson_range_is_rejected(self):
+        # The bound is numpy's own: its sampler takes it and nothing above.
+        rng = np.random.default_rng(0)
+        rng.poisson(POISSON_LAM_MAX)
+        with pytest.raises(ValueError):
+            rng.poisson(np.nextafter(POISSON_LAM_MAX, np.inf))
+        _, v = simulate_interferometer(StateParams(np.pi / 2, np.pi / 2), 3, GRID)
+        peak = v.intensity().max() * GRID.pixel_area
+        assert render_image(v, NoiseModel(9.2e18 / peak, seed=1)).max() > 0
+        with pytest.raises(ValueError, match=r"photon budget 1e\+25 .* Poisson"):
+            render_image(v, NoiseModel(1e25, seed=1))
 
     def test_noise_model_validation(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,6 @@ import pytest
 from dualitysim import (
     StateParams,
     ZeroProbabilityPostselection,
-    density_matrix,
     partial_trace_env,
     postselect_env,
     projector_bloch,
@@ -20,7 +19,7 @@ from dualitysim.qubit import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    validate_density_matrix,
+    validate_mixed_state,
     validate_projector,
     validate_pure_state,
 )
@@ -124,19 +123,19 @@ class TestPartialTrace:
                 atol=1e-13,
             )
 
-    def test_accepts_density_matrix_input(self):
+    def test_rejects_input_that_is_not_a_pure_4_vector(self):
         psi = state_vector(StateParams(1.0, 2.0))
-        np.testing.assert_allclose(
-            partial_trace_env(density_matrix(psi)),
-            partial_trace_env(psi),
-            atol=1e-14,
-        )
+        for bad in (np.outer(psi, psi.conj()), psi[:3]):
+            with pytest.raises(ValueError, match="4-vector"):
+                partial_trace_env(bad)
+            with pytest.raises(ValueError, match="4-vector"):
+                postselect_env(bad, projector_h())
 
     def test_reduced_state_is_valid(self):
         rng = np.random.default_rng(6)
         for theta, alpha in rng.uniform(0, 2 * np.pi, size=(20, 2)):
             rho = partial_trace_env(state_vector(StateParams(theta, alpha)))
-            validate_density_matrix(rho)
+            validate_mixed_state(rho)
 
     def test_basis_order_independence(self):
         # Swapping the tensor factors and tracing the other side must give
@@ -223,12 +222,12 @@ class TestPostselection:
 
     def test_conditional_state_is_valid(self):
         rho, _ = postselect_env(state_vector(StateParams(2.0, 1.0)), projector_v())
-        validate_density_matrix(rho)
+        validate_mixed_state(rho)
 
     def test_p_min_threshold_is_respected(self):
         psi = state_vector(StateParams(1e-9, 0.0))  # tiny |-l,H> amplitude
         with pytest.raises(ZeroProbabilityPostselection):
-            postselect_env(psi, projector_h(), p_min=1e-12)
+            postselect_env(psi, projector_h())
 
 
 class TestValidators:
@@ -237,9 +236,9 @@ class TestValidators:
             validate_pure_state(np.array([1.0, 0, 0, 1.0]))
 
     def test_density_matrix_checks(self):
-        validate_density_matrix(np.eye(4) / 4)
+        validate_mixed_state(np.eye(4) / 4)
         with pytest.raises(ValueError):
-            validate_density_matrix(np.eye(4))  # trace 4
+            validate_mixed_state(np.eye(4))  # trace 4
         bad = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
         with pytest.raises(ValueError):
-            validate_density_matrix(bad)
+            validate_mixed_state(bad)

@@ -54,14 +54,15 @@ MEASURED_COLUMNS = ["V_cond_V_measured", "P_cond_H_measured", "sum_cond_squares_
 _NOT_CONFIGURABLE = {"command", "func", "config", "json"}
 
 
-class UsageError(Exception):
-    """Invalid command line or configuration; exits with code 1."""
+class UsageError(argparse.ArgumentTypeError):
+    """Invalid command line or configuration; exits with code 1.
+
+    Raised by a flag's ``type``, it becomes an argparse error naming the flag.
+    """
 
 
 def parse_angle(text: str) -> float:
     """Angle in radians from a decimal or a pi literal like ``pi/12``."""
-    if isinstance(text, (int, float)):
-        return float(text)
     match = _ANGLE_RE.match(text)
     if match:
         value = math.pi
@@ -81,19 +82,29 @@ def parse_angle(text: str) -> float:
         raise UsageError(f"cannot parse angle {text!r}") from None
 
 
-def _parse_photons(text: str | float | None) -> float | None:
-    if text is None:
+def parse_angles(text: str) -> list[float]:
+    """Comma-separated angles, at least one."""
+    angles = [parse_angle(part) for part in text.split(",") if part.strip()]
+    if not angles:
+        raise UsageError("need at least one angle")
+    return angles
+
+
+def nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise UsageError(f"must be >= 0, got {value}")
+    return value
+
+
+def _parse_photons(text: str | None) -> float | None:
+    """Photon budget of ``--photons``; None (noiseless) when unset or infinite."""
+    if text is None or text.strip().lower() == "none":
         return None
-    if isinstance(text, (int, float)):
+    try:
         value = float(text)
-    else:
-        lowered = text.strip().lower()
-        if lowered in ("inf", "infinity", "none"):
-            return None
-        try:
-            value = float(lowered)
-        except ValueError:
-            raise UsageError(f"cannot parse photon budget {text!r}") from None
+    except ValueError:
+        raise UsageError(f"cannot parse photon budget {text!r}") from None
     if math.isinf(value):
         return None
     if value < 0:
@@ -116,34 +127,16 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _seed(args: argparse.Namespace, config: dict) -> int:
-    seed = int(_resolve(args, config, "seed", 0))
-    if seed < 0:
-        raise UsageError("--seed must be >= 0")
-    return seed
-
-
-def cmd_sweep(args: argparse.Namespace, config: dict) -> int:
-    swept = _resolve(args, config, "sweep", "theta")
-    if swept not in ("theta", "alpha"):
-        raise UsageError(f"--sweep must be theta or alpha, got {swept!r}")
-    default_fixed = "pi/12" if swept == "theta" else "pi/2"
-    fixed = parse_angle(_resolve(args, config, "fixed", default_fixed))
-    start = parse_angle(_resolve(args, config, "start", "0"))
-    end = parse_angle(_resolve(args, config, "end", "2pi"))
-    samples = int(_resolve(args, config, "samples", 181))
+def cmd_sweep(args: argparse.Namespace) -> int:
+    swept, samples, start, end, fixed = args.sweep, args.samples, args.start, args.end, args.fixed
+    if fixed is None:
+        fixed = math.pi / 12 if swept == "theta" else math.pi / 2
     if samples < 2:
         raise UsageError("--samples must be at least 2")
     if not (math.isfinite(start) and math.isfinite(end)):
         raise UsageError("sweep range must be finite")
-    seed = _seed(args, config)
-    grid_n = int(_resolve(args, config, "grid", 512))
-    l = int(_resolve(args, config, "l", optics.DEFAULT_OAM))
-    photons_raw = _resolve(args, config, "photons", None)
-    readout_sigma = float(_resolve(args, config, "readout_sigma", 0.0))
-    pipeline = bool(_resolve(args, config, "pipeline", False)) or photons_raw is not None
-    photons = _parse_photons(photons_raw)
-    out_base = Path(_resolve(args, config, "out", "sweep"))
+    photons = _parse_photons(args.photons)
+    pipeline = args.pipeline or args.photons is not None
 
     values = np.linspace(start, end, samples)
     thetas = values if swept == "theta" else np.full(samples, fixed)
@@ -161,21 +154,21 @@ def cmd_sweep(args: argparse.Namespace, config: dict) -> int:
     ]
 
     columns = list(SWEEP_COLUMNS)
-    grid = optics.GridSpec(width=grid_n, height=grid_n)
+    grid = optics.GridSpec(width=args.grid, height=args.grid)
     if pipeline:
         columns += MEASURED_COLUMNS
         for i, row in enumerate(rows):
             syn = optics.synthesize_ports(
-                StateParams(float(thetas[i]), float(alphas[i])), l=l, grid=grid
+                StateParams(float(thetas[i]), float(alphas[i])), l=args.l, grid=grid
             )
-            m = fringes.measure_ports(syn, photons, readout_sigma, seed, row=i)
+            m = fringes.measure_ports(syn, photons, args.readout_sigma, args.seed, row=i)
             row += [m.visibility, m.predictability, m.sum_of_squares]
             # Free this row's fields and frames before the next row renders.
             del syn, m
 
-    out_base.parent.mkdir(parents=True, exist_ok=True)
-    csv_path = out_base.with_suffix(".csv")
-    json_path = out_base.with_suffix(".json")
+    args.out.parent.mkdir(parents=True, exist_ok=True)
+    csv_path = args.out.with_suffix(".csv")
+    json_path = args.out.with_suffix(".json")
     _write_csv(csv_path, columns, rows)
     payload = {
         "columns": columns,
@@ -186,48 +179,44 @@ def cmd_sweep(args: argparse.Namespace, config: dict) -> int:
             "start": start,
             "end": end,
             "samples": samples,
-            "seed": seed,
-            "grid": grid_n,
-            "oam_charge": l,
+            "seed": args.seed,
+            "grid": args.grid,
+            "oam_charge": args.l,
             "photon_budget": photons,
-            "readout_sigma": readout_sigma,
+            "readout_sigma": args.readout_sigma,
             "pipeline": pipeline,
         },
     }
     _write_json(json_path, payload)
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(payload["config"], sort_keys=True))
     else:
         print(f"wrote {csv_path} and {json_path} ({samples} rows)")
     return 0
 
 
-def cmd_render(args: argparse.Namespace, config: dict) -> int:
-    calibrated = bool(_resolve(args, config, "calibrated", False))
-    seed = _seed(args, config)
-    grid_n = int(_resolve(args, config, "grid", 512))
-    l = int(_resolve(args, config, "l", optics.DEFAULT_OAM))
-    readout_sigma = float(_resolve(args, config, "readout_sigma", 0.0))
-    path_phase = parse_angle(_resolve(args, config, "path_phase", "0"))
-    out_dir = Path(_resolve(args, config, "out", "render_out"))
-
-    if calibrated:
+def cmd_render(args: argparse.Namespace) -> int:
+    if args.calibrated:
+        conflicts = [f"--{name}" for name in ("theta", "alpha", "impurity")
+                     if getattr(args, name) is not None]
+        if conflicts:
+            raise UsageError("--calibrated sets theta, alpha and impurity itself; "
+                             f"it conflicts with {', '.join(conflicts)}")
         params, impurity = optics.calibrated_operating_point()
-        photons = _parse_photons(_resolve(args, config, "photons", 1e6))
+        photons = 1e6 if args.photons is None else _parse_photons(args.photons)
     else:
-        theta_raw = _resolve(args, config, "theta", None)
-        alpha_raw = _resolve(args, config, "alpha", None)
-        if theta_raw is None or alpha_raw is None:
+        if args.theta is None or args.alpha is None:
             raise UsageError("render needs --theta and --alpha (or --calibrated)")
-        params = StateParams(parse_angle(theta_raw), parse_angle(alpha_raw))
-        impurity = float(_resolve(args, config, "impurity", 0.0))
-        photons = _parse_photons(_resolve(args, config, "photons", None))
+        params = StateParams(args.theta, args.alpha)
+        impurity = 0.0 if args.impurity is None else args.impurity
+        photons = _parse_photons(args.photons)
+    l, path_phase, out_dir = args.l, args.path_phase, args.out
 
-    grid = optics.GridSpec(width=grid_n, height=grid_n)
+    grid = optics.GridSpec(width=args.grid, height=args.grid)
     syn = optics.synthesize_ports(
         params, l=l, grid=grid, path_phase=path_phase, flip_impurity=impurity
     )
-    m = fringes.measure_ports(syn, photons, readout_sigma, seed)
+    m = fringes.measure_ports(syn, photons, args.readout_sigma, args.seed)
     v_analytic, p_analytic = fringes.analytic_ports(syn)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -245,10 +234,10 @@ def cmd_render(args: argparse.Namespace, config: dict) -> int:
         "oam_charge": l,
         "flip_impurity": impurity,
         "path_phase": path_phase,
-        "grid": grid_n,
+        "grid": args.grid,
         "photon_budget": photons,
-        "readout_sigma": readout_sigma,
-        "seed": seed,
+        "readout_sigma": args.readout_sigma,
+        "seed": args.seed,
     }
     fringes.analysis_report_json(
         out_dir / "report.json",
@@ -272,10 +261,10 @@ def cmd_render(args: argparse.Namespace, config: dict) -> int:
         params,
         l,
         grid,
-        optics.NoiseModel(photons, readout_sigma, seed),
+        optics.NoiseModel(photons, args.readout_sigma, args.seed),
         extra={"flip_impurity": impurity, "path_phase": path_phase},
     )
-    if getattr(args, "json", False):
+    if args.json:
         print((out_dir / "report.json").read_text(), end="")
     else:
         print(
@@ -320,24 +309,16 @@ def _load_psi(spec: str, n: int) -> np.ndarray:
     raise UsageError(f"unknown wavefunction spec {spec!r}")
 
 
-def cmd_weak(args: argparse.Namespace, config: dict) -> int:
-    spec = _resolve(args, config, "psi", "gaussian:32")
-    n = int(_resolve(args, config, "n", 256))
-    mode = _resolve(args, config, "mode", "linearized")
-    phi_raw = _resolve(args, config, "phi", "0.1")
-    out_base = Path(_resolve(args, config, "out", "weak"))
-    phis = [parse_angle(part) for part in str(phi_raw).split(",") if part.strip()]
-    if not phis:
-        raise UsageError("need at least one --phi value")
-
-    psi = _load_psi(spec, n)
+def cmd_weak(args: argparse.Namespace) -> int:
+    phis, out_base = args.phi, args.out
+    psi = _load_psi(args.psi, args.n)
     truth = weak.true_ratio(psi)
     x = np.arange(len(psi))
 
     out_base.parent.mkdir(parents=True, exist_ok=True)
     max_errors: dict[str, float] = {}
     for phi in phis:
-        recon = weak.reconstruct_profile(psi, phi, mode=mode)
+        recon = weak.reconstruct_profile(psi, phi, mode=args.mode)
         errors = np.abs(recon - truth)
         key = format(phi, ".6g")
         max_errors[key] = float(errors.max())
@@ -357,47 +338,39 @@ def cmd_weak(args: argparse.Namespace, config: dict) -> int:
             np.array(phis), np.array([max_errors[format(p, '.6g')] for p in phis])
         )
     summary = {
-        "psi": spec,
+        "psi": args.psi,
         "n": len(psi),
-        "mode": mode,
+        "mode": args.mode,
         "max_abs_error": max_errors,
         "convergence_order": order,
     }
     _write_json(Path(f"{out_base}_summary.json"), summary)
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(summary, sort_keys=True))
     else:
         print(f"wrote reconstruction for {len(phis)} coupling(s) to {out_base}_*.csv")
     return 0
 
 
-def _resolve(args: argparse.Namespace, config: dict, key: str, default):
-    value = getattr(args, key, None)
-    if value is not None and value is not False:
-        return value
-    if key in config:
-        return config[key]
-    return default
-
-
 def _add_camera(parser: argparse.ArgumentParser) -> None:
     """Flags of the image pipeline, which only sweep and render run."""
-    parser.add_argument("--seed", type=int, default=None, help="base RNG seed")
-    parser.add_argument("--grid", type=int, default=None, metavar="N",
+    parser.add_argument("--seed", type=nonnegative_int, default=0, help="base RNG seed")
+    parser.add_argument("--grid", type=int, default=512, metavar="N",
                         help="camera resolution (N x N pixels)")
     parser.add_argument("--photons", default=None, metavar="B",
                         help="photon budget per unit power ('inf' for noiseless)")
-    parser.add_argument("--readout-sigma", dest="readout_sigma", type=float,
-                        default=None, metavar="S", help="readout noise (counts)")
-    parser.add_argument("--l", type=int, default=None, help="OAM charge (default 3)")
+    parser.add_argument("--readout-sigma", type=float, default=0.0, metavar="S",
+                        help="readout noise (counts)")
+    parser.add_argument("--l", type=int, default=optics.DEFAULT_OAM, help="OAM charge")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--out", default=None, help="output path or directory")
+def _add_common(parser: argparse.ArgumentParser, out: str) -> None:
+    parser.add_argument("--out", type=Path, default=out, help="output path or directory")
     parser.add_argument("--json", action="store_true",
                         help="print a machine-readable summary to stdout")
     parser.add_argument("--config", default=None,
-                        help="JSON file with defaults for any flag of this subcommand")
+                        help="JSON file with values for any flag of this subcommand; "
+                             "flags on the command line win")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -406,81 +379,97 @@ def build_parser() -> argparse.ArgumentParser:
         description="Conditional wave-particle duality simulator and analysis tools",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = {"formatter_class": argparse.ArgumentDefaultsHelpFormatter}
 
-    p_sweep = sub.add_parser("sweep", help="parameter sweep of duality measures")
-    p_sweep.add_argument("--sweep", choices=("theta", "alpha"), default=None,
-                         help="which preparation angle to sweep (default theta)")
-    p_sweep.add_argument("--fixed", default=None,
-                         help="value of the non-swept angle (pi literals allowed)")
-    p_sweep.add_argument("--start", default=None, help="sweep start (default 0)")
-    p_sweep.add_argument("--end", default=None, help="sweep end (default 2pi)")
-    p_sweep.add_argument("--samples", type=int, default=None,
-                         help="number of samples (default 181, i.e. 2-degree steps)")
-    p_sweep.add_argument("--pipeline", action="store_true",
-                         help="also measure each row through the image pipeline")
+    p_sweep = sub.add_parser("sweep", help="parameter sweep of duality measures", **defaults)
+    p_sweep.add_argument("--sweep", choices=("theta", "alpha"), default="theta",
+                         help="which preparation angle to sweep")
+    p_sweep.add_argument("--fixed", type=parse_angle, default=None,
+                         help="value of the non-swept angle (pi literals allowed); "
+                              "pi/12 when sweeping theta, pi/2 when sweeping alpha")
+    p_sweep.add_argument("--start", type=parse_angle, default="0", help="sweep start")
+    p_sweep.add_argument("--end", type=parse_angle, default="2pi", help="sweep end")
+    p_sweep.add_argument("--samples", type=int, default=181,
+                         help="number of samples (181 is 2-degree steps)")
+    p_sweep.add_argument("--pipeline", action=argparse.BooleanOptionalAction, default=False,
+                         help="also measure each row through the image pipeline "
+                              "(implied by --photons)")
     _add_camera(p_sweep)
-    _add_common(p_sweep)
+    _add_common(p_sweep, "sweep")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_render = sub.add_parser("render", help="synthesize and analyze port images")
-    p_render.add_argument("--theta", default=None, help="preparation angle theta")
-    p_render.add_argument("--alpha", default=None, help="preparation angle alpha")
-    p_render.add_argument("--calibrated", action="store_true",
-                          help="use the documented calibration operating point")
+    p_render = sub.add_parser("render", help="synthesize and analyze port images", **defaults)
+    p_render.add_argument("--theta", type=parse_angle, default=None,
+                          help="preparation angle theta")
+    p_render.add_argument("--alpha", type=parse_angle, default=None,
+                          help="preparation angle alpha")
+    p_render.add_argument("--calibrated", action=argparse.BooleanOptionalAction,
+                          default=False,
+                          help="use the documented calibration operating point "
+                               "(its own theta, alpha and impurity; photons 1e6)")
     p_render.add_argument("--impurity", type=float, default=None,
-                          help="handedness-flip impurity amplitude (default 0)")
-    p_render.add_argument("--path-phase", dest="path_phase", default=None,
-                          help="relative interferometer path phase (default 0)")
+                          help="handedness-flip impurity amplitude; 0 when not set")
+    p_render.add_argument("--path-phase", type=parse_angle, default="0",
+                          help="relative interferometer path phase")
     _add_camera(p_render)
-    _add_common(p_render)
+    _add_common(p_render, "render_out")
     p_render.set_defaults(func=cmd_render)
 
-    p_weak = sub.add_parser("weak", help="weak-value wavefunction reconstruction")
-    p_weak.add_argument("--psi", default=None,
+    p_weak = sub.add_parser("weak", help="weak-value wavefunction reconstruction", **defaults)
+    p_weak.add_argument("--psi", default="gaussian:32",
                         help="profile: gaussian:SIGMA | uniform | file:PATH")
-    p_weak.add_argument("--n", type=int, default=None,
-                        help="grid points for built-in profiles (default 256)")
-    p_weak.add_argument("--phi", default=None,
-                        help="coupling angle(s), comma separated (default 0.1)")
-    p_weak.add_argument("--mode", choices=("linearized", "exact"), default=None,
-                        help="coupling model (default linearized)")
-    _add_common(p_weak)
+    p_weak.add_argument("--n", type=int, default=256,
+                        help="grid points for built-in profiles")
+    p_weak.add_argument("--phi", type=parse_angles, default="0.1",
+                        help="coupling angle(s), comma separated")
+    p_weak.add_argument("--mode", choices=("linearized", "exact"), default="linearized",
+                        help="coupling model")
+    _add_common(p_weak, "weak")
     p_weak.set_defaults(func=cmd_weak)
     return parser
 
 
+def _config_flags(args: argparse.Namespace) -> list[str]:
+    """The ``--config`` file of ``args`` spelled as command-line flags.
+
+    A key ``read_out`` becomes ``--read-out=VALUE``, ``true``/``false``
+    become ``--read-out``/``--no-read-out`` and ``null`` is skipped, so
+    argparse checks a config value exactly as it checks a flag.
+    """
+    try:
+        config = json.loads(Path(args.config).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot load config {args.config}: {exc}") from None
+    if not isinstance(config, dict):
+        raise UsageError("config file must hold a JSON object")
+    unknown = sorted(set(config) - (set(vars(args)) - _NOT_CONFIGURABLE))
+    if unknown:
+        raise UsageError(f"config {args.config}: unknown key(s) for {args.command}: "
+                         + ", ".join(unknown))
+    flags = []
+    for key, value in config.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(value, bool):
+            flags.append(flag if value else "--no-" + flag[2:])
+        elif value is not None:
+            flags.append(f"{flag}={value if isinstance(value, str) else json.dumps(value)}")
+    return flags
+
+
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            # Config flags come first, so the command line's own flags win.
+            args = parser.parse_args([args.command, *_config_flags(args), *argv[1:]])
+        return args.func(args)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    config: dict = {}
-    if getattr(args, "config", None):
-        try:
-            config = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot load config {args.config}: {exc}", file=sys.stderr)
-            return 1
-        if not isinstance(config, dict):
-            print("error: config file must hold a JSON object", file=sys.stderr)
-            return 1
-        unknown = sorted(set(config) - (set(vars(args)) - _NOT_CONFIGURABLE))
-        if unknown:
-            print(
-                f"error: config {args.config}: unknown key(s) for {args.command}: "
-                + ", ".join(unknown),
-                file=sys.stderr,
-            )
-            return 1
-    try:
-        return args.func(args, config)
-    except UsageError as exc:
+    except (UsageError, DualitySimError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DualitySimError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, UsageError) else 2
 
 
 if __name__ == "__main__":

@@ -216,26 +216,6 @@ def fringe_visibility(
     return visibility, uncertainty
 
 
-def mode_powers_from_profile(profile: AzimuthalProfile, l: int) -> tuple[float, float]:
-    """(weaker, stronger) mode powers of a coherent +l/-l superposition.
-
-    For a single coherent field a u(+l) + b u(-l) the azimuthal profile
-    determines {|a|^2, |b|^2} up to exchange: the baseline is
-    proportional to |a|^2 + |b|^2 and the fringe amplitude to 2|a||b|.
-    Returned in arbitrary units proportional to optical power.
-    """
-    coeffs, _ = _harmonic_fit(profile, l)
-    c0 = float(coeffs[0])
-    if c0 <= 0.0:
-        raise DegenerateProfile(f"fitted baseline {c0!r} is not positive")
-    amplitude = math.hypot(coeffs[1], coeffs[2]) / _window_attenuation(
-        l, profile.window_degrees
-    )
-    amplitude = min(amplitude, c0)
-    split = math.sqrt(c0**2 - amplitude**2)
-    return 0.5 * (c0 - split), 0.5 * (c0 + split)
-
-
 def predictability_from_arm_powers(i_plus: float, i_minus: float) -> float:
     """|I+ - I-| / (I+ + I-) for two mode-attributable powers."""
     if i_plus < 0.0 or i_minus < 0.0:
@@ -267,12 +247,13 @@ def predictability_from_images(
 def predictability_from_profile(profile: AzimuthalProfile, l: int) -> float:
     """Predictability of a coherent port inferred from its own profile.
 
-    Uses the +l/-l power split of ``mode_powers_from_profile``; equal to
-    sqrt(1 - V^2) for fringe visibility V.  A fringeless single-mode port
-    gives 1, balanced petals give 0.
+    A coherent field a u(+l) + b u(-l) has fringe visibility
+    V = 2|a||b| / (|a|^2 + |b|^2), so its mode powers give
+    P = ||a|^2 - |b|^2| / (|a|^2 + |b|^2) = sqrt(1 - V^2), with V from
+    ``fringe_visibility``.  A fringeless port gives 1, balanced petals 0.
     """
-    weak, strong = mode_powers_from_profile(profile, l)
-    return predictability_from_arm_powers(weak, strong)
+    visibility, _ = fringe_visibility(profile, l)
+    return math.sqrt(1.0 - visibility**2)
 
 
 def count_petals(profile: AzimuthalProfile) -> int:

@@ -159,19 +159,28 @@ def validate_projector(proj: np.ndarray, atol: float = 1e-12) -> None:
 def postselect_env(state: np.ndarray, projector: np.ndarray) -> tuple[np.ndarray, float]:
     """Conditional OAM state after projecting the polarization qubit.
 
-    Computes the unnormalized branch A P^T A^dagger (equal to
-    Tr_pol[(1 (x) P) |psi><psi|]) and its trace p, returning the
-    normalized 2x2 conditional state together with p.
+    For a rank-1 projector P = k k^dagger, as every projector built here
+    is, the branch A P^T A^dagger (= Tr_pol[(1 (x) P) |psi><psi|]) is
+    b b^dagger with b = A conj(k), read off P's brightest column as
+    A conj(P[:, j]) = k_j b.  Returns b b^dagger / |b|^2, pure to
+    round-off even for a faint branch, and p = |b|^2.
 
     Raises:
+        ValueError: if the trace of the projector is not 1.
         ZeroProbabilityPostselection: if p < P_MIN, in which case the
             conditional state is undefined.
     """
     amps = amplitude_matrix(state)
-    reduced = amps @ np.asarray(projector, dtype=complex).T @ amps.conj().T
-    probability = float(reduced.trace().real)
+    proj = np.asarray(projector, dtype=complex)
+    weights = proj.diagonal().real
+    if abs(weights.sum() - 1.0) > TRACE_ATOL:
+        raise ValueError(f"projector trace {weights.sum()!r} is not 1; need a rank-1 projector")
+    j = int(weights.argmax())
+    branch = amps @ proj[:, j].conj()
+    norm_sq = float(np.vdot(branch, branch).real)
+    probability = norm_sq / float(weights[j])
     if probability < P_MIN:
         raise ZeroProbabilityPostselection(
             f"postselection probability {probability:.3e} below {P_MIN:.1e}"
         )
-    return reduced / probability, probability
+    return branch[:, None] * branch.conj() / norm_sq, probability

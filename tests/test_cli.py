@@ -251,6 +251,28 @@ class TestRenderCommand:
         assert report["P_analytic"] == pytest.approx(0.28, abs=1e-12)
         assert report["P_measured"] == pytest.approx(report["P_analytic"], abs=1e-12)
 
+    @pytest.mark.parametrize("flag", ["--theta", "--alpha", "--impurity"])
+    def test_calibrated_conflicts_with_the_flags_it_sets(self, flag, tmp_path, capsys):
+        out = tmp_path / "render8"
+        assert main(["render", "--calibrated", flag, "0.3", "--grid", "64",
+                     "--out", str(out)]) == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_calibrated_conflict_from_config_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"calibrated": True, "impurity": 0.5}))
+        out = tmp_path / "render9"
+        assert main(["render", "--config", str(config), "--grid", "64",
+                     "--out", str(out)]) == 1
+        assert "--impurity" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_oam_charge_is_named(self, tmp_path, capsys):
+        assert main(["render", "--theta", "pi", "--alpha", "0", "--l", "0",
+                     "--grid", "64", "--out", str(tmp_path / "render10")]) == 2
+        assert "petal analysis needs |l| >= 1" in capsys.readouterr().err
+
     def test_render_byte_identical(self, tmp_path):
         args = ["render", "--theta", "pi/2", "--alpha", "pi/2", "--grid", "128",
                 "--photons", "1e5", "--readout-sigma", "2", "--seed", "3"]
@@ -331,12 +353,132 @@ class TestWeakCommand:
         ).read_bytes()
 
 
+def output_files(directory):
+    return {
+        path.relative_to(directory).as_posix(): path.read_bytes()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file()
+    }
+
+
+def flag_argv(key, value):
+    flag = "--" + key.replace("_", "-")
+    if isinstance(value, bool):
+        return [flag if value else "--no-" + flag[2:]]
+    return [flag, value if isinstance(value, str) else json.dumps(value)]
+
+
+SWEEP_BASE = {"samples": "5", "grid": "64", "out": "res"}
+RENDER_BASE = {"theta": "1", "alpha": "2", "grid": "64", "out": "res"}
+WEAK_BASE = {"psi": "gaussian:8", "n": "32", "phi": "0.1", "out": "res"}
+
+# (command, base flags, key, value, a config value that the flag must beat)
+CONFIG_CASES = [
+    ("sweep", SWEEP_BASE, "sweep", "alpha", "theta"),
+    ("sweep", SWEEP_BASE, "fixed", "pi/3", 0.5),
+    ("sweep", SWEEP_BASE, "start", 0.5, "0"),
+    ("sweep", SWEEP_BASE, "end", "pi", 6),
+    ("sweep", SWEEP_BASE, "samples", 4, 6),
+    ("sweep", SWEEP_BASE, "pipeline", True, False),
+    ("sweep", SWEEP_BASE, "pipeline", False, True),
+    ("sweep", SWEEP_BASE, "seed", 3, 4),
+    ("sweep", SWEEP_BASE, "grid", 96, 128),
+    ("sweep", SWEEP_BASE, "photons", 1e4, "inf"),
+    ("sweep", SWEEP_BASE, "readout_sigma", 1.5, 0),
+    ("sweep", SWEEP_BASE, "l", 2, 4),
+    ("sweep", SWEEP_BASE, "out", "res", "other"),
+    ("render", RENDER_BASE, "theta", "pi/3", 2),
+    ("render", RENDER_BASE, "alpha", 0.5, "pi"),
+    ("render", {"grid": "64", "out": "res"}, "calibrated", True, False),
+    ("render", RENDER_BASE, "impurity", 0.2, 0.5),
+    ("render", RENDER_BASE, "path_phase", "pi/4", 0),
+    ("render", RENDER_BASE, "seed", 3, 4),
+    ("render", RENDER_BASE, "grid", 96, 128),
+    ("render", RENDER_BASE, "photons", 1e5, 1e4),
+    ("render", RENDER_BASE, "readout_sigma", 1.5, 0),
+    ("render", RENDER_BASE, "l", 2, 4),
+    ("render", RENDER_BASE, "out", "res", "other"),
+    ("weak", WEAK_BASE, "psi", "uniform", "gaussian:6"),
+    ("weak", WEAK_BASE, "n", 48, 40),
+    ("weak", WEAK_BASE, "phi", "0.1,0.05", 0.2),
+    ("weak", WEAK_BASE, "mode", "exact", "linearized"),
+    ("weak", WEAK_BASE, "out", "res", "other"),
+]
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize(
+        "command,base,key,value,loser",
+        CONFIG_CASES,
+        ids=[f"{c[0]}-{c[2]}-{c[3]}" for c in CONFIG_CASES],
+    )
+    def test_config_value_matches_flag_and_flag_wins(
+        self, command, base, key, value, loser, tmp_path, monkeypatch
+    ):
+        argv = [command]
+        for name, text in base.items():
+            if name != key:
+                argv += flag_argv(name, text)
+
+        def run(name, config, extra):
+            if config is not None:
+                path = tmp_path / f"{name}.json"
+                path.write_text(json.dumps(config))
+                extra = extra + ["--config", str(path)]
+            run_dir = tmp_path / name
+            run_dir.mkdir()
+            monkeypatch.chdir(run_dir)
+            return main(argv + extra), output_files(run_dir)
+
+        from_flag = run("flag", None, flag_argv(key, value))
+        assert from_flag[0] == 0 and from_flag[1]
+        assert run("config", {key: value}, []) == from_flag
+        assert run("override", {key: loser}, flag_argv(key, value)) == from_flag
+        assert run("loser", {key: loser}, []) != from_flag
+
+    @pytest.mark.parametrize(
+        "command,config,flag",
+        [
+            ("sweep", {"samples": [7]}, "--samples"),
+            ("sweep", {"samples": 7.9}, "--samples"),
+            ("render", {"grid": "abc"}, "--grid"),
+            ("weak", {"mode": "bogus"}, "--mode"),
+            ("sweep", {"pipeline": "yes"}, "--pipeline"),
+        ],
+    )
+    def test_bad_value_is_usage_error(self, command, config, flag, tmp_path, monkeypatch,
+                                      capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        assert main([command, "--config", str(path)]) == 1
+        assert flag in capsys.readouterr().err
+        assert not any(run_dir.iterdir())
+
+    def test_null_value_keeps_the_default(self, tmp_path, monkeypatch):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"samples": None}))
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", "--config", str(path), "--out", "res"]) == 0
+        _, rows = read_csv(tmp_path / "res.csv")
+        assert rows.shape[0] == 181
+
+
 class TestTopLevel:
     def test_no_command_is_usage_error(self):
         assert main([]) == 1
 
     def test_help_exits_cleanly(self):
         assert main(["--help"]) == 0
+
+    def test_help_shows_defaults(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")
+        assert main(["sweep", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert "(default: 181)" in out
+        assert "--no-pipeline" in out
 
     def test_unknown_command_is_usage_error(self):
         assert main(["frobnicate"]) == 1

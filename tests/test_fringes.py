@@ -23,7 +23,6 @@ from dualitysim.fringes import (
     AzimuthalProfile,
     analysis_report_json,
     azimuthal_profile,
-    mode_powers_from_profile,
     port_profile,
     profile_to_csv,
 )
@@ -257,16 +256,6 @@ class TestPredictability:
         _, v = simulate_interferometer(StateParams(np.pi / 2, np.pi), 3, GRID)
         prof = port_profile(v.intensity(), GRID)
         assert predictability_from_profile(prof, 3) == pytest.approx(0.0, abs=0.05)
-
-    def test_mode_powers_recover_amplitudes(self):
-        params = StateParams(np.pi / 2, np.pi / 2)
-        _, v = simulate_interferometer(params, 3, GRID)
-        prof = port_profile(v.intensity(), GRID)
-        weak_p, strong_p = mode_powers_from_profile(prof, 3)
-        a_sq = np.cos(params.theta / 2) ** 2
-        c_sq = (np.sin(params.theta / 2) * np.sin(params.alpha / 2)) ** 2
-        ratio = weak_p / strong_p
-        assert ratio == pytest.approx(min(a_sq, c_sq) / max(a_sq, c_sq), abs=1e-3)
 
 
 class TestExports:

@@ -1,4 +1,4 @@
-"""Property tests of the state algebra and the duality bounds.
+"""Property tests of the state algebra, the duality bounds and the camera.
 
 Angles range over several periods and projectors over the whole Bloch
 sphere.  Examples are derandomized, so every run checks the same cases.
@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from dualitysim import (
     P_MIN,
+    GridSpec,
     StateParams,
     ZeroProbabilityPostselection,
     averaged_duality,
@@ -19,9 +20,12 @@ from dualitysim import (
     conditional_duality,
     postselect_env,
     projector_bloch,
+    projector_from_ket,
     state_vector,
+    synthesize_ports,
 )
 from dualitysim.duality import conditional_sum_of_squares, postselection_probabilities
+from dualitysim.fringes import measure_ports
 
 from oracles import brute_density, brute_postselect
 
@@ -62,6 +66,31 @@ def test_conditional_measures_obey_the_bound(theta, alpha, polar, azimuth):
 
 
 @PROPERTY
+@given(
+    st.floats(min_value=1e-6, max_value=1e-3),
+    ANGLE,
+    st.floats(min_value=1e-7, max_value=1e-4),
+    AZIMUTH,
+    AZIMUTH,
+)
+def test_faint_branch_stays_within_the_bound(offset, alpha, eps, direction, phase):
+    # Near theta = pi the ket (sin(alpha/2), -cos(alpha/2)) almost cancels
+    # the -l branch, so p falls to ~1e-8..1e-14 and the conditional state
+    # must stay pure to round-off rather than to round-off / p.
+    ket = np.array([
+        math.sin(alpha / 2) + eps * math.cos(direction),
+        -math.cos(alpha / 2) + eps * math.sin(direction) * np.exp(1j * phase),
+    ])
+    try:
+        report = conditional_duality(
+            StateParams(math.pi - offset, alpha), projector_from_ket(ket)
+        )
+    except ZeroProbabilityPostselection:
+        return
+    assert report.sum_of_squares <= 1.0 + 1e-12
+
+
+@PROPERTY
 @given(ANGLE, ANGLE)
 def test_averaged_duality_matches_closed_form(theta, alpha):
     report = averaged_duality(StateParams(theta, alpha))
@@ -80,3 +109,46 @@ def test_mixed_postselection_sum_lies_between_one_and_two(theta, alpha):
         assert math.isnan(total)
     else:
         assert 1.0 <= total <= 2.0 + 1e-9
+
+
+@PROPERTY
+@given(ANGLE, ANGLE, AZIMUTH)
+def test_fitted_visibility_does_not_depend_on_path_phase(theta, alpha, phase):
+    # The path phase turns the petals; pixelation of the turned pattern
+    # moves the fitted V by a few 1e-3 at 128^2, and by far more at 64^2.
+    grid = GridSpec(128, 128)
+    v_zero, v_phase = (
+        measure_ports(
+            synthesize_ports(StateParams(theta, alpha), grid=grid, path_phase=path_phase),
+            None, 0.0, 0,
+        ).visibility
+        for path_phase in (0.0, phase)
+    )
+    if math.isnan(v_zero):
+        assert math.isnan(v_phase)
+    else:
+        assert abs(v_phase - v_zero) <= 5e-3
+
+
+@PROPERTY
+@given(
+    ANGLE,
+    ANGLE,
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=0, max_value=10_000),
+    st.floats(min_value=1e2, max_value=1e7),
+    st.floats(min_value=0.0, max_value=5.0),
+)
+def test_seeded_rendering_is_bit_identical(theta, alpha, seed, row, photons, readout_sigma):
+    # A flip impurity makes measure_ports render all four frames.
+    syn = synthesize_ports(StateParams(theta, alpha), grid=GridSpec(64, 64), flip_impurity=0.1)
+    first, second = (measure_ports(syn, photons, readout_sigma, seed, row=row) for _ in range(2))
+    for name in ("v_image", "h_image"):
+        np.testing.assert_array_equal(getattr(first, name), getattr(second, name))
+    for name in ("v_profile", "h_profile"):
+        np.testing.assert_array_equal(getattr(first, name).values, getattr(second, name).values)
+        np.testing.assert_array_equal(getattr(first, name).stderr, getattr(second, name).stderr)
+    np.testing.assert_array_equal(
+        [first.visibility, first.uncertainty, first.predictability],
+        [second.visibility, second.uncertainty, second.predictability],
+    )

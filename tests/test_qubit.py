@@ -224,6 +224,12 @@ class TestPostselection:
         rho, _ = postselect_env(state_vector(StateParams(2.0, 1.0)), projector_v())
         validate_mixed_state(rho)
 
+    def test_rejects_projector_whose_trace_is_not_one(self):
+        psi = state_vector(StateParams(1.0, 2.0))
+        for bad in (np.eye(2), 0.5 * projector_h()):
+            with pytest.raises(ValueError, match="trace"):
+                postselect_env(psi, bad)
+
     def test_p_min_threshold_is_respected(self):
         psi = state_vector(StateParams(1e-9, 0.0))  # tiny |-l,H> amplitude
         with pytest.raises(ZeroProbabilityPostselection):

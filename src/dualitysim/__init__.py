@@ -47,7 +47,6 @@ from .optics import (
     synthesize_ports,
 )
 from .qubit import (
-    BASIS_LABELS,
     StateParams,
     partial_trace_env,
     postselect_env,
@@ -72,7 +71,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AzimuthalProfile",
-    "BASIS_LABELS",
     "DEFAULT_OAM",
     "DegenerateProfile",
     "DualityReport",

@@ -37,18 +37,8 @@ _ANGLE_RE = re.compile(
     re.IGNORECASE,
 )
 
-SWEEP_COLUMNS = [
-    "theta",
-    "alpha",
-    "V_cond_V",
-    "P_cond_H",
-    "sum_cond_squares",
-    "V_avg",
-    "P_avg",
-    "sum_avg_squares",
-    "p_H",
-    "p_V",
-]
+SWEEP_COLUMNS = ["theta", "alpha", "V_cond_V", "P_cond_H", "sum_cond_squares",
+                 "V_avg", "P_avg", "sum_avg_squares", "p_H", "p_V"]
 MEASURED_COLUMNS = ["V_cond_V_measured", "P_cond_H_measured", "sum_cond_squares_measured"]
 # Parsed names that no --config file may set: every other flag can.
 _NOT_CONFIGURABLE = {"command", "func", "config", "json"}
@@ -62,7 +52,7 @@ class UsageError(argparse.ArgumentTypeError):
 
 
 def parse_angle(text: str) -> float:
-    """Angle in radians from a decimal or a pi literal like ``pi/12``."""
+    """Finite angle in radians from a decimal or a pi literal like ``pi/12``."""
     match = _ANGLE_RE.match(text)
     if match:
         value = math.pi
@@ -77,9 +67,12 @@ def parse_angle(text: str) -> float:
             value = -value
         return value
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise UsageError(f"cannot parse angle {text!r}") from None
+    if not math.isfinite(value):
+        raise UsageError(f"angle must be finite, got {text!r}")
+    return value
 
 
 def parse_angles(text: str) -> list[float]:
@@ -90,11 +83,16 @@ def parse_angles(text: str) -> list[float]:
     return angles
 
 
-def nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise UsageError(f"must be >= 0, got {value}")
-    return value
+def at_least(minimum: float, convert=int):
+    """Flag type: a finite ``convert(text)`` that is at least ``minimum``."""
+    def parse(text: str):
+        value = convert(text)
+        if not (math.isfinite(value) and value >= minimum):
+            raise UsageError(f"must be finite and at least {minimum}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names the type in its errors
+    return parse
 
 
 def _parse_photons(text: str | None) -> float | None:
@@ -112,14 +110,10 @@ def _parse_photons(text: str | None) -> float | None:
     return value
 
 
-def _fmt(value: float) -> str:
-    return format(value, ".17g")
-
-
 def _write_csv(path: Path, columns: list[str], rows: list[list[float]]) -> None:
     lines = [",".join(columns)]
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(format(v, ".17g") for v in row))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -131,10 +125,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     swept, samples, start, end, fixed = args.sweep, args.samples, args.start, args.end, args.fixed
     if fixed is None:
         fixed = math.pi / 12 if swept == "theta" else math.pi / 2
-    if samples < 2:
-        raise UsageError("--samples must be at least 2")
-    if not (math.isfinite(start) and math.isfinite(end)):
-        raise UsageError("sweep range must be finite")
     photons = _parse_photons(args.photons)
     pipeline = args.pipeline or args.photons is not None
 
@@ -354,13 +344,13 @@ def cmd_weak(args: argparse.Namespace) -> int:
 
 def _add_camera(parser: argparse.ArgumentParser) -> None:
     """Flags of the image pipeline, which only sweep and render run."""
-    parser.add_argument("--seed", type=nonnegative_int, default=0, help="base RNG seed")
-    parser.add_argument("--grid", type=int, default=512, metavar="N",
-                        help="camera resolution (N x N pixels)")
+    parser.add_argument("--seed", type=at_least(0), default=0, help="base RNG seed")
+    parser.add_argument("--grid", type=at_least(16), default=512, metavar="N",
+                        help="camera resolution (N x N pixels, N >= 16)")
     parser.add_argument("--photons", default=None, metavar="B",
                         help="photon budget per unit power ('inf' for noiseless)")
-    parser.add_argument("--readout-sigma", type=float, default=0.0, metavar="S",
-                        help="readout noise (counts)")
+    parser.add_argument("--readout-sigma", type=at_least(0.0, float), default=0.0,
+                        metavar="S", help="readout noise (counts)")
     parser.add_argument("--l", type=int, default=optics.DEFAULT_OAM, help="OAM charge")
 
 
@@ -389,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "pi/12 when sweeping theta, pi/2 when sweeping alpha")
     p_sweep.add_argument("--start", type=parse_angle, default="0", help="sweep start")
     p_sweep.add_argument("--end", type=parse_angle, default="2pi", help="sweep end")
-    p_sweep.add_argument("--samples", type=int, default=181,
+    p_sweep.add_argument("--samples", type=at_least(2), default=181,
                          help="number of samples (181 is 2-degree steps)")
     p_sweep.add_argument("--pipeline", action=argparse.BooleanOptionalAction, default=False,
                          help="also measure each row through the image pipeline "
@@ -418,8 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_weak = sub.add_parser("weak", help="weak-value wavefunction reconstruction", **defaults)
     p_weak.add_argument("--psi", default="gaussian:32",
                         help="profile: gaussian:SIGMA | uniform | file:PATH")
-    p_weak.add_argument("--n", type=int, default=256,
-                        help="grid points for built-in profiles")
+    p_weak.add_argument("--n", type=at_least(2), default=256,
+                        help="grid points for built-in profiles (at least 2)")
     p_weak.add_argument("--phi", type=parse_angles, default="0.1",
                         help="coupling angle(s), comma separated")
     p_weak.add_argument("--mode", choices=("linearized", "exact"), default="linearized",

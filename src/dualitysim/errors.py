@@ -3,9 +3,6 @@
 P_MIN = 1e-12
 """Smallest postselection probability (or amplitude) treated as physical."""
 
-NORM_ATOL = 1e-12
-"""Largest deviation from unit norm accepted for a pure state or wavefunction."""
-
 
 class DualitySimError(Exception):
     """Base class for all errors raised by this package."""

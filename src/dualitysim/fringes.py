@@ -8,8 +8,8 @@ pattern of a +l/-l superposition modulates that profile as
     I(phi) = c0 + c1 cos(2 |l| phi + delta)
 
 and the fringe visibility is |c1| / c0.  Averaging over a finite angular
-window attenuates the modulation by sinc(|l| * window); both estimators
-below correct for that factor, so their output refers to the continuous
+window attenuates the modulation by sinc(|l| * window); the fit below
+corrects for that factor, so its output refers to the continuous
 pattern rather than to the binned one.
 
 Angular windows are centered on multiples of the window width (the first
@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cache, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +55,74 @@ class AzimuthalProfile:
         return len(self.values)
 
 
+@dataclass(frozen=True)
+class AnnulusPlan:
+    """Pixels of an annulus and their angular windows on one frame shape.
+
+    ``pixels`` are flat indices into the frame in ``np.nonzero`` order,
+    ``bins`` the window of each pixel and ``counts`` the pixels per
+    window.  The arrays are read-only; build plans with ``annulus_plan``.
+    """
+
+    pixels: np.ndarray
+    bins: np.ndarray
+    counts: np.ndarray
+    window_degrees: float
+
+    def window_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-window sums of one value per annulus pixel."""
+        return np.bincount(self.bins, weights=values, minlength=len(self.counts))
+
+    def profile(self, sums: np.ndarray, sq_sums: np.ndarray) -> AzimuthalProfile:
+        """Profile from per-window sums of the pixel values and of their squares."""
+        means = sums / self.counts
+        variances = np.clip(sq_sums / self.counts - means**2, 0.0, None)
+        return AzimuthalProfile(
+            angles_deg=np.arange(len(self.counts)) * self.window_degrees,
+            values=means,
+            stderr=np.sqrt(variances / self.counts),
+            window_degrees=self.window_degrees,
+            counts=self.counts,
+        )
+
+
+@lru_cache(maxsize=8)
+def annulus_plan(
+    shape: tuple[int, int],
+    center: tuple[float, float],
+    r_min: float,
+    r_max: float,
+    window_degrees: float,
+) -> AnnulusPlan:
+    """Plan of the pixels whose center lies in the annulus, cached per geometry.
+
+    Raises ``EmptyBin`` when a window holds no pixels, as an empty annulus
+    does.
+    """
+    n_bins = int(round(360.0 / window_degrees))
+    cx, cy = center
+    # One row of x offsets and one column of y offsets; only the
+    # comparisons below span the whole frame.
+    dx = np.arange(shape[1]) - cx
+    dy = np.arange(shape[0])[:, None] - cy
+    radius = np.hypot(dx, dy)
+    mask = (radius >= r_min) & (radius < r_max)
+    rows, cols = np.nonzero(mask)
+    angles = np.degrees(np.arctan2(dy[rows, 0], dx[cols]))
+    bins = np.floor(angles / window_degrees + 0.5).astype(int) % n_bins
+    counts = np.bincount(bins, minlength=n_bins)
+    if (counts == 0).any():
+        empty = int(np.argmax(counts == 0))
+        raise EmptyBin(
+            f"angular window at {empty * window_degrees:.1f} deg has no pixels; "
+            "widen the annulus or the window"
+        )
+    pixels = rows * shape[1] + cols
+    for array in (pixels, bins, counts):
+        array.setflags(write=False)
+    return AnnulusPlan(pixels, bins, counts, window_degrees)
+
+
 def azimuthal_profile(
     image: np.ndarray,
     center: tuple[float, float],
@@ -76,44 +146,12 @@ def azimuthal_profile(
     n_bins = 360.0 / window_degrees
     if abs(n_bins - round(n_bins)) > 1e-9:
         raise ValueError(f"window of {window_degrees} deg does not tile 360 deg")
-    n_bins = int(round(n_bins))
     if not 0 <= r_min < r_max:
         raise ValueError("need 0 <= r_min < r_max")
 
-    cx, cy = center
-    # One row of x offsets and one column of y offsets; only the
-    # comparisons and the gathers below span the whole frame.
-    dx = np.arange(image.shape[1]) - cx
-    dy = np.arange(image.shape[0])[:, None] - cy
-    radius = np.hypot(dx, dy)
-    mask = (radius >= r_min) & (radius < r_max)
-    if not mask.any():
-        raise EmptyBin("annulus contains no pixels")
-
-    rows, cols = np.nonzero(mask)
-    angles = np.degrees(np.arctan2(dy[rows, 0], dx[cols]))
-    bin_index = np.floor(angles / window_degrees + 0.5).astype(int) % n_bins
-    samples = image[rows, cols]
-
-    counts = np.bincount(bin_index, minlength=n_bins)
-    if (counts == 0).any():
-        empty = int(np.argmax(counts == 0))
-        raise EmptyBin(
-            f"angular window at {empty * window_degrees:.1f} deg has no pixels; "
-            "widen the annulus or the window"
-        )
-    sums = np.bincount(bin_index, weights=samples, minlength=n_bins)
-    sq_sums = np.bincount(bin_index, weights=samples**2, minlength=n_bins)
-    means = sums / counts
-    variances = np.clip(sq_sums / counts - means**2, 0.0, None)
-    stderr = np.sqrt(variances / counts)
-    return AzimuthalProfile(
-        angles_deg=np.arange(n_bins) * window_degrees,
-        values=means,
-        stderr=stderr,
-        window_degrees=window_degrees,
-        counts=counts,
-    )
+    plan = annulus_plan(image.shape, tuple(center), r_min, r_max, float(window_degrees))
+    samples = image.take(plan.pixels)
+    return plan.profile(plan.window_sums(samples), plan.window_sums(samples**2))
 
 
 def port_profile(
@@ -123,14 +161,8 @@ def port_profile(
     window_degrees: float = 3.0,
 ) -> AzimuthalProfile:
     """Azimuthal profile with the annulus given in beam-waist units."""
-    r_min, r_max = annulus
-    return azimuthal_profile(
-        image,
-        center=grid.beam_center,
-        r_min=grid.waist_to_pixels(r_min),
-        r_max=grid.waist_to_pixels(r_max),
-        window_degrees=window_degrees,
-    )
+    r_min, r_max = (grid.waist_to_pixels(r) for r in annulus)
+    return azimuthal_profile(image, grid.beam_center, r_min, r_max, window_degrees)
 
 
 def _window_attenuation(l: int, window_degrees: float) -> float:
@@ -160,13 +192,10 @@ def fringe_visibility(
 ) -> tuple[float, float]:
     """Fringe visibility of a petal profile and its 1-sigma uncertainty.
 
-    ``method="fit"`` performs a least-squares fit of
-    c0 + c1 cos(2|l| phi + delta) and returns |c1| / c0 (window
-    attenuation removed), clamped to [0, 1], with the uncertainty
-    propagated from the fit residuals.  ``method="extrema"`` returns
-    (max - min) / (max + min) of the profile with the same window
-    correction; it is simpler but biased upward by noise and reads low
-    when the petal crests fall between bin centers.
+    A least-squares fit of c0 + c1 cos(2|l| phi + delta) gives
+    |c1| / c0 (window attenuation removed), clamped to [0, 1], with the
+    uncertainty propagated from the fit residuals.  ``method`` must be
+    ``"fit"``, the only estimator.
 
     Raises:
         DegenerateProfile: for an all-zero profile or a non-positive
@@ -174,31 +203,11 @@ def fringe_visibility(
     """
     if abs(l) < 1:
         raise ValueError("petal analysis needs |l| >= 1")
-    values = profile.values
-    if not np.any(values > 0.0):
+    if not np.any(profile.values > 0.0):
         raise DegenerateProfile("profile carries no intensity")
-    attenuation = _window_attenuation(l, profile.window_degrees)
-
-    if method == "extrema":
-        top = float(values.max())
-        bottom = float(values.min())
-        if top + bottom <= 0.0:
-            raise DegenerateProfile("profile extrema sum to zero")
-        raw = (top - bottom) / (top + bottom)
-        visibility = min(raw / attenuation, 1.0)
-        err_top = float(profile.stderr[int(np.argmax(values))])
-        err_bottom = float(profile.stderr[int(np.argmin(values))])
-        # Propagate the two bin uncertainties through (max-min)/(max+min).
-        denom = (top + bottom) ** 2
-        uncertainty = (
-            2.0
-            * math.hypot(bottom * err_top, top * err_bottom)
-            / denom
-            / attenuation
-        )
-        return visibility, uncertainty
     if method != "fit":
         raise ValueError(f"unknown method {method!r}")
+    attenuation = _window_attenuation(l, profile.window_degrees)
 
     coeffs, covariance = _harmonic_fit(profile, l)
     c0, a, b = coeffs
@@ -275,22 +284,58 @@ def count_petals(profile: AzimuthalProfile) -> int:
     return int(rising)
 
 
+# The 10 pairs i <= j of the four mode terms, and the multiplicity of
+# each pair product in the square of a weighted sum of the terms.
+_PAIRS = np.triu_indices(4)
+_PAIR_MULTIPLICITY = np.where(_PAIRS[0] == _PAIRS[1], 1.0, 2.0)
+
+
+@lru_cache(maxsize=8)
+def _mode_moments(l: int, grid: GridSpec) -> tuple[AnnulusPlan, np.ndarray, np.ndarray]:
+    """Plan of ``port_profile``'s annulus and per-window sums over it of the
+    mode terms |u+|^2, |u-|^2, Re(u+ conj(u-)) and Im(u+ conj(u-)) (4 rows)
+    and of their pair products times multiplicity (10 rows, for the stderr)."""
+    radii = (grid.waist_to_pixels(r) for r in DEFAULT_ANNULUS)
+    plan = annulus_plan((grid.height, grid.width), grid.beam_center, *radii, 3.0)
+    u_plus, u_minus = (optics._mode_data(m, grid).take(plan.pixels) for m in (l, -l))
+    cross = u_plus * u_minus.conj()
+    terms = np.stack([np.abs(u_plus) ** 2, np.abs(u_minus) ** 2, cross.real, cross.imag])
+    sums = np.stack([plan.window_sums(term) for term in terms])
+    pair_sums = np.stack([
+        plan.window_sums(m * terms[i] * terms[j]) for i, j, m in zip(*_PAIRS, _PAIR_MULTIPLICITY)
+    ])
+    return plan, sums, pair_sums
+
+
+def moment_profile(synthesis: PortSynthesis, port: str) -> AzimuthalProfile:
+    """``port_profile`` of the noiseless ``port`` ("v" or "h") without a frame.
+
+    It equals the profile of the rendered frame up to float round-off.
+    """
+    plan, sums, pair_sums = _mode_moments(synthesis.l, synthesis.grid)
+    w = synthesis.intensity_weights(port)
+    return plan.profile(w @ sums, (w[_PAIRS[0]] * w[_PAIRS[1]]) @ pair_sums)
+
+
 @dataclass
 class PortMeasurement:
-    """Camera frames of both output ports and the measures they give.
+    """Profiles of both output ports and the measures they give.
 
     ``visibility`` and its 1-sigma ``uncertainty`` come from the V port,
     ``predictability`` from the H port; each is NaN when its port is dark
     or its profile degenerate, and ``petal_count`` is 0 when V is NaN.
+    ``v_image`` and ``h_image`` are ``frame(0)`` and ``frame(1)``, each
+    rendered on first access.
     """
 
-    v_image: np.ndarray
-    h_image: np.ndarray
     v_profile: AzimuthalProfile
     h_profile: AzimuthalProfile
     visibility: float
     uncertainty: float
     predictability: float
+    frame: Callable[[int], np.ndarray]
+    v_image = property(lambda self: self.frame(0))
+    h_image = property(lambda self: self.frame(1))
 
     @property
     def sum_of_squares(self) -> float:
@@ -308,28 +353,31 @@ def measure_ports(
     seed: int,
     row: int = 0,
 ) -> PortMeasurement:
-    """Render both ports of ``synthesis`` and measure V and P on them.
+    """Measure V and P on the two ports of ``synthesis``.
 
     V is fitted on the V-port profile.  P comes from the H-port profile
     or, for a nonzero flip impurity, from the H port's +l and -l frames,
     as an arm-by-arm acquisition records them.  A port whose profile mean
     is below ``P_MIN`` times the sum of both ports' profile means is dark:
     its measure is NaN without a fit, so round-off light reads as
-    undefined, not as a value.  Frame ``port`` (0 V,
-    1 H, 2 H +l, 3 H -l) draws its noise from
-    ``SeedSequence(seed, spawn_key=(row, port))``.  ``EmptyBin`` depends
-    on the grid alone and propagates.
+    undefined, not as a value.  Frame ``port`` (0 V, 1 H, 2 H +l, 3 H -l)
+    draws its noise from ``SeedSequence(seed, spawn_key=(row, port))``.
+    Without photon or readout noise the profiles come from
+    ``moment_profile``, and the V and H frames are rendered only when
+    read.  ``EmptyBin`` depends on the grid alone and propagates.
     """
 
     def render(fields: list[FieldImage], port: int) -> np.ndarray:
         seeds = np.random.SeedSequence(seed, spawn_key=(row, port))
         return optics.render_image(fields, optics.NoiseModel(photons, readout_sigma, seeds))
 
+    frame = cache(lambda port: render(synthesis.h_fields if port else synthesis.v_fields, port))
+
     l, grid = synthesis.l, synthesis.grid
-    v_image = render(synthesis.v_fields, 0)
-    v_profile = port_profile(v_image, grid)
-    h_image = render(synthesis.h_fields, 1)
-    h_profile = port_profile(h_image, grid)
+    if (photons is None or photons == math.inf) and readout_sigma == 0.0:
+        v_profile, h_profile = moment_profile(synthesis, "v"), moment_profile(synthesis, "h")
+    else:
+        v_profile, h_profile = port_profile(frame(0), grid), port_profile(frame(1), grid)
     v_mean, h_mean = v_profile.values.mean(), h_profile.values.mean()
     floor = P_MIN * (v_mean + h_mean)
     visibility = uncertainty = predictability = math.nan
@@ -349,9 +397,7 @@ def measure_ports(
                 predictability = predictability_from_profile(h_profile, l)
         except (DegenerateProfile, ZeroIntensity):
             pass
-    return PortMeasurement(
-        v_image, h_image, v_profile, h_profile, visibility, uncertainty, predictability
-    )
+    return PortMeasurement(v_profile, h_profile, visibility, uncertainty, predictability, frame)
 
 
 def analytic_ports(synthesis: PortSynthesis) -> tuple[float, float]:

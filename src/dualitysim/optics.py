@@ -39,7 +39,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -165,10 +165,12 @@ def oam_mode(l: int, grid: GridSpec = GridSpec()) -> FieldImage:
 class PortSynthesis:
     """Interferometer outputs with per-handedness bookkeeping.
 
-    ``h_main``/``v_main`` are the coherent fields of the two ports; the
-    ``*_impurity`` entries hold the unflipped lower-arm light (present
-    only for a nonzero impurity) which adds to the images in intensity,
-    not amplitude.  The ``*_plus_power``/``*_minus_power`` values give
+    ``h_amplitudes``/``v_amplitudes`` hold each port as (p, m, e) on the
+    cached modes u+ = u(+l) and u- = u(-l): the coherent field p u+ + m u-
+    and the unflipped lower-arm light e u+, which adds to the images in
+    intensity, not amplitude.  Their fields ``h_main``/``v_main`` and
+    ``h_impurity``/``v_impurity`` (None for a zero impurity) are built on
+    first access.  The ``*_plus_power``/``*_minus_power`` values give
     the optical power attributable to the +l and -l modes in each port,
     i.e. what an arm-blocking power measurement would record.
     """
@@ -177,22 +179,40 @@ class PortSynthesis:
     l: int
     grid: GridSpec
     flip_impurity: float
-    h_main: FieldImage
-    v_main: FieldImage
-    h_impurity: FieldImage | None = None
-    v_impurity: FieldImage | None = None
-    h_plus_power: float = 0.0
-    h_minus_power: float = 0.0
-    v_plus_power: float = 0.0
-    v_minus_power: float = 0.0
+    h_amplitudes: tuple[complex, complex, float]
+    v_amplitudes: tuple[complex, complex, float]
+    h_plus_power: float
+    h_minus_power: float
+    v_plus_power: float
+    v_minus_power: float
 
-    @property
-    def h_fields(self) -> list[FieldImage]:
-        return [self.h_main] + ([self.h_impurity] if self.h_impurity else [])
+    def _coherent(self, amplitudes: tuple[complex, complex, float]) -> FieldImage:
+        plus, minus, _ = amplitudes
+        data = minus * _mode_data(-self.l, self.grid)
+        if plus != 0:
+            data = plus * _mode_data(self.l, self.grid) + data
+        return FieldImage(data, self.grid)
 
-    @property
-    def v_fields(self) -> list[FieldImage]:
-        return [self.v_main] + ([self.v_impurity] if self.v_impurity else [])
+    def _impurity(self, amplitudes: tuple[complex, complex, float]) -> FieldImage | None:
+        if self.flip_impurity == 0.0:
+            return None
+        return FieldImage(amplitudes[2] * _mode_data(self.l, self.grid), self.grid)
+
+    h_main = cached_property(lambda self: self._coherent(self.h_amplitudes))
+    v_main = cached_property(lambda self: self._coherent(self.v_amplitudes))
+    h_impurity = cached_property(lambda self: self._impurity(self.h_amplitudes))
+    v_impurity = cached_property(lambda self: self._impurity(self.v_amplitudes))
+
+    h_fields = property(lambda self: [f for f in (self.h_main, self.h_impurity) if f])
+    v_fields = property(lambda self: [f for f in (self.v_main, self.v_impurity) if f])
+
+    def intensity_weights(self, port: str) -> np.ndarray:
+        """Noiseless intensity |p u+ + m u-|^2 + |e u+|^2 of ``port`` ("v" or
+        "h") as weights on |u+|^2, |u-|^2, Re(u+ conj(u-)), Im(u+ conj(u-))."""
+        plus, minus, impurity = getattr(self, f"{port}_amplitudes")
+        cross = complex(plus * np.conj(minus))
+        return np.array([abs(plus) ** 2 + impurity**2, abs(minus) ** 2,
+                         2.0 * cross.real, -2.0 * cross.imag])
 
 
 def synthesize_ports(
@@ -213,28 +233,20 @@ def synthesize_ports(
     eps = flip_impurity
     flip = math.sqrt(1.0 - eps**2)
 
-    u_plus = _mode_data(l, grid)
-    u_minus = _mode_data(-l, grid)
-
-    out = PortSynthesis(
+    return PortSynthesis(
         params=params,
         l=l,
         grid=grid,
         flip_impurity=eps,
         # H output: lower-arm light only, handedness flipped.
-        h_main=FieldImage(b * flip * phase * u_minus, grid),
+        h_amplitudes=(0.0, b * flip * phase, b * eps),
         # V output: upper arm interferes with the flipped lower-arm light.
-        v_main=FieldImage(a * u_plus + c * flip * phase * u_minus, grid),
+        v_amplitudes=(a, c * flip * phase, c * eps),
+        h_plus_power=b**2 * eps**2,
+        h_minus_power=b**2 * flip**2,
+        v_plus_power=a**2 + c**2 * eps**2,
+        v_minus_power=c**2 * flip**2,
     )
-    out.h_minus_power = b**2 * flip**2
-    out.h_plus_power = b**2 * eps**2
-    out.v_plus_power = a**2
-    out.v_minus_power = c**2 * flip**2
-    if eps > 0.0:
-        out.h_impurity = FieldImage(b * eps * u_plus, grid)
-        out.v_impurity = FieldImage(c * eps * u_plus, grid)
-        out.v_plus_power = a**2 + c**2 * eps**2
-    return out
 
 
 def simulate_interferometer(

@@ -25,18 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NORM_ATOL, P_MIN, ZeroProbabilityPostselection
+from .errors import P_MIN, ZeroProbabilityPostselection
 
-BASIS_LABELS = ("|l,H>", "|l,V>", "|-l,H>", "|-l,V>")
-
-IDENTITY = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
-HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12
-PSD_EIGVAL_FLOOR = -1e-10
 
 
 @dataclass(frozen=True)
@@ -89,26 +84,6 @@ def amplitude_matrix(state: np.ndarray) -> np.ndarray:
     return psi.reshape(2, 2)
 
 
-def validate_pure_state(psi: np.ndarray, atol: float = NORM_ATOL) -> None:
-    norm = np.linalg.norm(amplitude_matrix(psi))
-    if abs(norm - 1.0) > atol:
-        raise ValueError(f"pure state norm {norm!r} deviates from 1 beyond {atol}")
-
-
-def validate_mixed_state(rho: np.ndarray) -> None:
-    """Check hermiticity, unit trace and positive semidefiniteness."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_ATOL:
-        raise ValueError("density matrix is not Hermitian within tolerance")
-    if abs(rho.trace() - 1.0) > TRACE_ATOL:
-        raise ValueError(f"density matrix trace {rho.trace()!r} deviates from 1")
-    eigvals = np.linalg.eigvalsh(rho)
-    if eigvals.min() < PSD_EIGVAL_FLOOR:
-        raise ValueError(f"density matrix has negative eigenvalue {eigvals.min()!r}")
-
-
 def partial_trace_env(state: np.ndarray) -> np.ndarray:
     """Reduced 2x2 OAM state A A^dagger after tracing out polarization."""
     amps = amplitude_matrix(state)
@@ -144,16 +119,6 @@ def projector_bloch(polar: float, azimuth: float) -> np.ndarray:
         dtype=complex,
     )
     return projector_from_ket(ket)
-
-
-def validate_projector(proj: np.ndarray, atol: float = 1e-12) -> None:
-    proj = np.asarray(proj, dtype=complex)
-    if proj.shape != (2, 2):
-        raise ValueError(f"projector must be 2x2, got shape {proj.shape}")
-    if np.max(np.abs(proj - proj.conj().T)) > atol:
-        raise ValueError("projector is not Hermitian within tolerance")
-    if np.max(np.abs(proj @ proj - proj)) > atol:
-        raise ValueError("projector is not idempotent within tolerance")
 
 
 def postselect_env(state: np.ndarray, projector: np.ndarray) -> tuple[np.ndarray, float]:

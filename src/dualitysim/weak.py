@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NORM_ATOL, P_MIN, InvalidCoupling, ZeroProbabilityPostselection
+from .errors import P_MIN, InvalidCoupling, ZeroProbabilityPostselection
 
 WEAKNESS_WARN_THRESHOLD = 0.1
 """Warn when the pointer deflection |(phi/2) psi(x0)/psi0| exceeds this."""
@@ -45,15 +45,6 @@ def normalized(psi: np.ndarray) -> np.ndarray:
     if norm == 0.0:
         raise ValueError("cannot normalize the zero wavefunction")
     return psi / norm
-
-
-def validate_wavefunction(psi: np.ndarray) -> None:
-    psi = np.asarray(psi, dtype=complex)
-    if psi.ndim != 1 or len(psi) < 2:
-        raise ValueError("wavefunction must be a 1-D array of at least 2 points")
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > NORM_ATOL:
-        raise ValueError(f"wavefunction norm {norm!r} deviates from 1")
 
 
 def grid_positions(n: int) -> np.ndarray:

@@ -113,3 +113,73 @@ def bin_average_cos(m, center_rad, window_rad):
     lo = center_rad - window_rad / 2
     hi = center_rad + window_rad / 2
     return (np.sin(m * hi) - np.sin(m * lo)) / (m * (hi - lo))
+
+
+IDENTITY = np.eye(2, dtype=complex)
+HERMITICITY_ATOL = 1e-12
+TRACE_ATOL = 1e-12
+PSD_EIGVAL_FLOOR = -1e-10
+
+
+def validate_pure_state(psi, atol=1e-12):
+    """Raise ValueError unless the amplitudes of ``psi`` have unit norm."""
+    norm = np.sqrt(np.sum(np.abs(np.asarray(psi, dtype=complex)) ** 2))
+    if abs(norm - 1.0) > atol:
+        raise ValueError(f"pure state norm {norm!r} deviates from 1 beyond {atol}")
+
+
+def validate_wavefunction(psi):
+    """Raise ValueError unless ``psi`` is a unit-norm 1-D array of >= 2 points."""
+    psi = np.asarray(psi, dtype=complex)
+    if psi.ndim != 1 or len(psi) < 2:
+        raise ValueError("wavefunction must be a 1-D array of at least 2 points")
+    validate_pure_state(psi)
+
+
+def validate_mixed_state(rho):
+    """Check hermiticity, unit trace and positive semidefiniteness."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError(f"density matrix must be square, got shape {rho.shape}")
+    if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_ATOL:
+        raise ValueError("density matrix is not Hermitian within tolerance")
+    if abs(rho.trace() - 1.0) > TRACE_ATOL:
+        raise ValueError(f"density matrix trace {rho.trace()!r} deviates from 1")
+    eigvals = np.linalg.eigvalsh(rho)
+    if eigvals.min() < PSD_EIGVAL_FLOOR:
+        raise ValueError(f"density matrix has negative eigenvalue {eigvals.min()!r}")
+
+
+def validate_projector(proj, atol=1e-12):
+    """Raise ValueError unless ``proj`` is a Hermitian idempotent 2x2 matrix."""
+    proj = np.asarray(proj, dtype=complex)
+    if proj.shape != (2, 2):
+        raise ValueError(f"projector must be 2x2, got shape {proj.shape}")
+    if np.max(np.abs(proj - proj.conj().T)) > atol:
+        raise ValueError("projector is not Hermitian within tolerance")
+    if np.max(np.abs(proj @ proj - proj)) > atol:
+        raise ValueError("projector is not idempotent within tolerance")
+
+
+def mask_azimuthal_profile(image, center, r_min, r_max, window_degrees):
+    """(values, stderr, counts) by the full-frame mask of the original code.
+
+    Every call measures the whole frame: radius and mask over all pixels,
+    then angles, window ids and sums of the masked pixels.
+    """
+    n_bins = int(round(360.0 / window_degrees))
+    cx, cy = center
+    dx = np.arange(image.shape[1]) - cx
+    dy = np.arange(image.shape[0])[:, None] - cy
+    radius = np.hypot(dx, dy)
+    mask = (radius >= r_min) & (radius < r_max)
+    rows, cols = np.nonzero(mask)
+    angles = np.degrees(np.arctan2(dy[rows, 0], dx[cols]))
+    bin_index = np.floor(angles / window_degrees + 0.5).astype(int) % n_bins
+    samples = image[rows, cols]
+    counts = np.bincount(bin_index, minlength=n_bins)
+    sums = np.bincount(bin_index, weights=samples, minlength=n_bins)
+    sq_sums = np.bincount(bin_index, weights=samples**2, minlength=n_bins)
+    means = sums / counts
+    variances = np.clip(sq_sums / counts - means**2, 0.0, None)
+    return means, np.sqrt(variances / counts), counts

@@ -6,9 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from dualitysim import GridSpec, StateParams, synthesize_ports
+from dualitysim import FieldImage, GridSpec, StateParams, oam_mode, render_image, synthesize_ports
 from dualitysim.cli import UsageError, main, parse_angle
 from dualitysim.fringes import measure_ports
+from dualitysim.optics import write_pfm, write_pgm16
 
 
 def read_csv(path):
@@ -283,6 +284,33 @@ class TestRenderCommand:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+    def test_noiseless_frames_are_the_exact_port_intensities(self, tmp_path):
+        # The frames are written from lazily built fields; they must hold
+        # |a u+ + c flip e^(i phase) u-|^2 + |c eps u+|^2 to the last bit.
+        theta, alpha, eps, phase = 1.2, 2.1, 0.2, 0.7
+        out, ref = tmp_path / "render11", tmp_path / "ref"
+        assert main(["render", "--theta", str(theta), "--alpha", str(alpha),
+                     "--impurity", str(eps), "--path-phase", str(phase),
+                     "--grid", "96", "--out", str(out)]) == 0
+        grid = GridSpec(96, 96)
+        u_plus, u_minus = oam_mode(3, grid), oam_mode(-3, grid)
+        a, lower = math.cos(theta / 2), math.sin(theta / 2)
+        b, c = lower * math.cos(alpha / 2), lower * math.sin(alpha / 2)
+        flip, turn = math.sqrt(1 - eps**2), np.exp(1j * phase)
+        fields = {
+            "h": [b * flip * turn * u_minus.data, b * eps * u_plus.data],
+            "v": [a * u_plus.data + c * flip * turn * u_minus.data, c * eps * u_plus.data],
+        }
+        ref.mkdir()
+        for port, data in fields.items():
+            image = render_image([FieldImage(d, grid) for d in data])
+            write_pfm(ref / f"{port}_port.pfm", image)
+            write_pgm16(ref / f"{port}_port.pgm", image)
+            for suffix in ("pfm", "pgm"):
+                name = f"{port}_port.{suffix}"
+                assert (out / name).read_bytes() == (ref / name).read_bytes()
+
+
 class TestWeakCommand:
     def test_uniform_flat_reconstruction(self, tmp_path):
         out = tmp_path / "weak1"
@@ -464,6 +492,33 @@ class TestConfigFile:
         assert main(["sweep", "--config", str(path), "--out", "res"]) == 0
         _, rows = read_csv(tmp_path / "res.csv")
         assert rows.shape[0] == 181
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["render", "--theta", "nan", "--alpha", "1"], "--theta"),
+        (["render", "--theta", "1", "--alpha", "inf"], "--alpha"),
+        (["render", "--theta", "1", "--alpha", "1", "--path-phase", "nan"], "--path-phase"),
+        (["render", "--theta", "1", "--alpha", "1", "--grid", "0"], "--grid"),
+        (["render", "--theta", "1", "--alpha", "1", "--readout-sigma", "-1"],
+         "--readout-sigma"),
+        (["render", "--theta", "1", "--alpha", "1", "--readout-sigma", "nan"],
+         "--readout-sigma"),
+        (["sweep", "--grid", "8"], "--grid"),
+        (["sweep", "--samples", "1"], "--samples"),
+        (["sweep", "--fixed", "nan"], "--fixed"),
+        (["sweep", "--start", "inf"], "--start"),
+        (["sweep", "--end", "nan"], "--end"),
+        (["weak", "--n", "-5"], "--n"),
+        (["weak", "--n", "1"], "--n"),
+    ],
+)
+def test_out_of_range_flag_is_usage_error_naming_the_flag(argv, flag, tmp_path, capsys):
+    out = tmp_path / "x"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 class TestTopLevel:

@@ -18,16 +18,20 @@ from dualitysim import (
     predictability_from_profile,
     render_image,
     simulate_interferometer,
+    synthesize_ports,
 )
+from dualitysim import optics
 from dualitysim.fringes import (
     AzimuthalProfile,
     analysis_report_json,
+    annulus_plan,
     azimuthal_profile,
+    measure_ports,
     port_profile,
     profile_to_csv,
 )
 
-from oracles import bin_average_cos
+from oracles import bin_average_cos, mask_azimuthal_profile
 
 GRID = GridSpec()  # 512 x 512, extent 4 waists
 
@@ -103,6 +107,67 @@ class TestAzimuthalProfile:
         assert count_petals(prof) == 6
 
 
+# (shape, center, r_min, r_max): centred and off-centre annuli on square,
+# oblong and full-size frames.
+PLAN_CASES = [
+    ((64, 64), (31.5, 31.5), 4.0, 20.0),
+    ((64, 64), (27.25, 35.0), 3.0, 18.5),
+    ((100, 140), (69.5, 49.5), 8.0, 40.0),
+    ((100, 140), (60.3, 44.7), 6.5, 35.2),
+    ((512, 512), GRID.beam_center, GRID.waist_to_pixels(0.5), GRID.waist_to_pixels(2.5)),
+    ((512, 512), (240.2, 270.9), 30.0, 150.0),
+]
+
+
+class TestAnnulusPlan:
+    @pytest.mark.parametrize("shape,center,r_min,r_max", PLAN_CASES)
+    def test_profile_is_bit_identical_to_the_mask_reference(self, shape, center, r_min, r_max):
+        image = np.random.default_rng(shape[1]).gamma(2.0, 3.0, size=shape)
+        prof = azimuthal_profile(image, center, r_min, r_max)
+        values, stderr, counts = mask_azimuthal_profile(image, center, r_min, r_max, 3.0)
+        np.testing.assert_array_equal(prof.values, values)
+        np.testing.assert_array_equal(prof.stderr, stderr)
+        np.testing.assert_array_equal(prof.counts, counts)
+
+    def test_each_geometry_gets_its_own_plan(self):
+        plan = annulus_plan((64, 64), (31.5, 31.5), 4.0, 20.0, 3.0)
+        assert annulus_plan((64, 64), (31.5, 31.5), 4.0, 20.0, 3.0) is plan
+        other_grid = annulus_plan((64, 80), (31.5, 31.5), 4.0, 20.0, 3.0)
+        other_center = annulus_plan((64, 64), (30.25, 31.5), 4.0, 20.0, 3.0)
+        assert other_grid is not plan and other_center is not plan
+        assert not np.array_equal(other_center.pixels, plan.pixels)
+
+    def test_empty_bin_raises_on_every_call(self):
+        image = np.ones((64, 64))
+        for _ in range(2):
+            with pytest.raises(EmptyBin):
+                azimuthal_profile(image, (31.5, 31.5), 1.0, 2.0)
+
+
+class TestMeasurePorts:
+    def test_noiseless_measurement_forms_no_frame_until_read(self, monkeypatch):
+        syn = synthesize_ports(StateParams(1.0, 0.7), grid=GridSpec(128, 128))
+        expected = render_image(syn.v_fields)
+        rendered = []
+        original = optics.render_image
+        monkeypatch.setattr(
+            optics, "render_image", lambda *a, **k: rendered.append(1) or original(*a, **k)
+        )
+        m = measure_ports(syn, None, 0.0, seed=0)
+        assert not rendered
+        np.testing.assert_array_equal(m.v_image, expected)
+        assert m.v_image is m.v_image and len(rendered) == 1
+
+    def test_noiseless_measures_match_the_pixel_path(self):
+        grid = GridSpec(128, 128)
+        syn = synthesize_ports(StateParams(2.0, 1.1), grid=grid, path_phase=0.3)
+        m = measure_ports(syn, None, 0.0, seed=0)
+        v_pixel = fringe_visibility(port_profile(render_image(syn.v_fields), grid), 3)
+        p_pixel = predictability_from_profile(port_profile(render_image(syn.h_fields), grid), 3)
+        np.testing.assert_allclose([m.visibility, m.uncertainty], v_pixel, rtol=1e-9)
+        assert m.predictability == pytest.approx(p_pixel, abs=1e-9)
+
+
 class TestFringeVisibility:
     def test_flat_profile_is_fringeless(self):
         vis, unc = fringe_visibility(synthetic_profile(np.ones(120)), 3)
@@ -123,24 +188,6 @@ class TestFringeVisibility:
         expected, _ = closed_form_conditional(params)
         assert vis == pytest.approx(expected, abs=1e-3)
         assert vis == pytest.approx(0.9428090415820634, abs=1e-3)
-
-    def test_fit_and_extrema_agree_on_exact_profiles(self):
-        angles = np.radians(np.arange(120) * 3.0)
-        for contrast in (0.2, 0.6, 0.943):
-            profile = synthetic_profile(1.0 + contrast * np.cos(6 * angles))
-            fit, _ = fringe_visibility(profile, 3, method="fit")
-            extrema, _ = fringe_visibility(profile, 3, method="extrema")
-            assert abs(fit - extrema) < 1e-12
-
-    def test_fit_and_extrema_agree_on_pipeline_profiles(self):
-        # The extrema estimator reads single bins, so per-bin pixel
-        # sampling scatter (about 1e-3 noiseless) enters it directly.
-        for theta, alpha in [(np.pi / 2, np.pi / 2), (1.0, 2.0), (2.5, 1.2)]:
-            _, v = simulate_interferometer(StateParams(theta, alpha), 3, GRID)
-            prof = port_profile(v.intensity(), GRID)
-            fit, _ = fringe_visibility(prof, 3, method="fit")
-            extrema, _ = fringe_visibility(prof, 3, method="extrema")
-            assert abs(fit - extrema) < 2e-3
 
     def test_analytic_fringe_law_on_parameter_grid(self):
         # Noiseless end to end, the fitted contrast of the V port tracks

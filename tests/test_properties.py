@@ -21,11 +21,12 @@ from dualitysim import (
     postselect_env,
     projector_bloch,
     projector_from_ket,
+    render_image,
     state_vector,
     synthesize_ports,
 )
 from dualitysim.duality import conditional_sum_of_squares, postselection_probabilities
-from dualitysim.fringes import measure_ports
+from dualitysim.fringes import measure_ports, moment_profile, port_profile
 
 from oracles import brute_density, brute_postselect
 
@@ -128,6 +129,30 @@ def test_fitted_visibility_does_not_depend_on_path_phase(theta, alpha, phase):
         assert math.isnan(v_phase)
     else:
         assert abs(v_phase - v_zero) <= 5e-3
+
+
+@PROPERTY
+@given(
+    ANGLE,
+    ANGLE,
+    AZIMUTH,
+    st.sampled_from([0.0, 0.1, 0.3]),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=64, max_value=256),
+)
+def test_moment_profile_matches_pixel_profile(theta, alpha, phase, impurity, l, size):
+    # The moment sums reorder the float arithmetic of the rendered frame,
+    # and the stderr subtracts two nearly equal terms, so its bound is looser.
+    grid = GridSpec(size, size)
+    syn = synthesize_ports(
+        StateParams(theta, alpha), l=l, grid=grid, path_phase=phase, flip_impurity=impurity
+    )
+    for port, fields in (("v", syn.v_fields), ("h", syn.h_fields)):
+        fast = moment_profile(syn, port)
+        pixel = port_profile(render_image(fields), grid)
+        np.testing.assert_array_equal(fast.counts, pixel.counts)
+        assert np.abs(fast.values - pixel.values).max() <= 1e-12 * pixel.values.max()
+        assert np.abs(fast.stderr - pixel.stderr).max() <= 1e-8 * pixel.stderr.max()
 
 
 @PROPERTY

@@ -14,23 +14,19 @@ from dualitysim import (
     projector_v,
     state_vector,
 )
-from dualitysim.qubit import (
-    IDENTITY,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
-    validate_mixed_state,
-    validate_projector,
-    validate_pure_state,
-)
+from dualitysim.qubit import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 from oracles import (
+    IDENTITY,
     brute_density,
     brute_partial_trace,
     brute_partial_trace_first,
     brute_postselect,
     brute_state,
     swap_factors,
+    validate_mixed_state,
+    validate_projector,
+    validate_pure_state,
 )
 
 

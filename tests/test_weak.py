@@ -21,9 +21,10 @@ from dualitysim.weak import (
     grid_positions,
     normalized,
     pointer_sigma_expectations,
-    validate_wavefunction,
     zero_frequency_amplitude,
 )
+
+from oracles import validate_wavefunction
 
 
 class TestWavefunctions:

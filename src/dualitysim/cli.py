@@ -105,8 +105,8 @@ def _parse_photons(text: str | None) -> float | None:
         raise UsageError(f"cannot parse photon budget {text!r}") from None
     if math.isinf(value):
         return None
-    if value < 0:
-        raise UsageError("photon budget must be nonnegative")
+    if not value >= 0:
+        raise UsageError(f"photon budget must be nonnegative, got {text!r}")
     return value
 
 

@@ -229,6 +229,11 @@ class TestRenderCommand:
         assert report["petal_count"] == 0
         assert report["P_measured"] == pytest.approx(1.0, abs=1e-6)
 
+    def test_nan_photon_budget_is_usage_error(self, tmp_path, capsys):
+        assert main(["render", "--theta", "1", "--alpha", "1", "--photons", "nan",
+                     "--grid", "64", "--out", str(tmp_path / "render12")]) == 1
+        assert "photon budget must be nonnegative" in capsys.readouterr().err
+
     def test_photon_budget_beyond_sampler_range_is_runtime_error(self, tmp_path, capsys):
         assert main(["render", "--theta", "1", "--alpha", "1", "--grid", "64",
                      "--photons", "1e25", "--out", str(tmp_path / "render7")]) == 2

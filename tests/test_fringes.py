@@ -150,9 +150,12 @@ class TestMeasurePorts:
         expected = render_image(syn.v_fields)
         rendered = []
         original = optics.render_image
-        monkeypatch.setattr(
-            optics, "render_image", lambda *a, **k: rendered.append(1) or original(*a, **k)
-        )
+
+        def counting_render(*args, **kwargs):
+            rendered.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(optics, "render_image", counting_render)
         m = measure_ports(syn, None, 0.0, seed=0)
         assert not rendered
         np.testing.assert_array_equal(m.v_image, expected)

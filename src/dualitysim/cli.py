@@ -40,6 +40,7 @@ _ANGLE_RE = re.compile(
 SWEEP_COLUMNS = ["theta", "alpha", "V_cond_V", "P_cond_H", "sum_cond_squares",
                  "V_avg", "P_avg", "sum_avg_squares", "p_H", "p_V"]
 MEASURED_COLUMNS = ["V_cond_V_measured", "P_cond_H_measured", "sum_cond_squares_measured"]
+WEAK_COLUMNS = ["x", "re_psi_ratio", "im_psi_ratio", "abs_error_vs_truth"]
 # Parsed names that no --config file may set: every other flag can.
 _NOT_CONFIGURABLE = {"command", "func", "config", "json"}
 
@@ -83,12 +84,12 @@ def parse_angles(text: str) -> list[float]:
     return angles
 
 
-def at_least(minimum: float, convert=int):
-    """Flag type: a finite ``convert(text)`` that is at least ``minimum``."""
+def at_least(minimum: float, convert=int, below: float = math.inf):
+    """Flag type: a finite ``convert(text)`` in [``minimum``, ``below``)."""
     def parse(text: str):
         value = convert(text)
-        if not (math.isfinite(value) and value >= minimum):
-            raise UsageError(f"must be finite and at least {minimum}, got {text}")
+        if not (math.isfinite(value) and minimum <= value < below):
+            raise UsageError(f"must be finite and in [{minimum}, {below}), got {text}")
         return value
 
     parse.__name__ = convert.__name__  # argparse names the type in its errors
@@ -108,13 +109,6 @@ def _parse_photons(text: str | None) -> float | None:
     if not value >= 0:
         raise UsageError(f"photon budget must be nonnegative, got {text!r}")
     return value
-
-
-def _write_csv(path: Path, columns: list[str], rows: list[list[float]]) -> None:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(format(v, ".17g") for v in row))
-    path.write_text("\n".join(lines) + "\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -137,11 +131,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     v_avg, p_avg = duality.closed_form_averaged(thetas, alphas)
     sum_avg = duality.averaged_sum_of_squares(thetas, alphas)
     p_h, p_v = duality.postselection_probabilities(thetas, alphas)
-    rows = [
-        [thetas[i], alphas[i], v_cond[i], 1.0, sum_cond[i], v_avg[i], p_avg[i],
-         sum_avg[i], p_h[i], p_v[i]]
-        for i in range(samples)
-    ]
+    rows = np.column_stack((thetas, alphas, v_cond, np.ones(samples), sum_cond, v_avg, p_avg,
+                            sum_avg, p_h, p_v)).tolist()
 
     columns = list(SWEEP_COLUMNS)
     grid = optics.GridSpec(width=args.grid, height=args.grid)
@@ -159,7 +150,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     args.out.parent.mkdir(parents=True, exist_ok=True)
     csv_path = args.out.with_suffix(".csv")
     json_path = args.out.with_suffix(".json")
-    _write_csv(csv_path, columns, rows)
+    fringes.write_csv(csv_path, columns, rows)
     payload = {
         "columns": columns,
         "rows": [[float(v) for v in row] for row in rows],
@@ -303,35 +294,23 @@ def cmd_weak(args: argparse.Namespace) -> int:
     phis, out_base = args.phi, args.out
     psi = _load_psi(args.psi, args.n)
     truth = weak.true_ratio(psi)
-    x = np.arange(len(psi))
 
     out_base.parent.mkdir(parents=True, exist_ok=True)
-    max_errors: dict[str, float] = {}
+    max_errors = []
     for phi in phis:
         recon = weak.reconstruct_profile(psi, phi, mode=args.mode)
         errors = np.abs(recon - truth)
-        key = format(phi, ".6g")
-        max_errors[key] = float(errors.max())
-        rows = [
-            [float(x[i]), float(recon[i].real), float(recon[i].imag), float(errors[i])]
-            for i in range(len(psi))
-        ]
-        _write_csv(
-            Path(f"{out_base}_phi{key}.csv"),
-            ["x", "re_psi_ratio", "im_psi_ratio", "abs_error_vs_truth"],
-            rows,
-        )
+        max_errors.append(float(errors.max()))
+        fringes.write_csv(Path(f"{out_base}_phi{phi:.6g}.csv"), WEAK_COLUMNS,
+                          np.column_stack((np.arange(len(psi)), recon.real, recon.imag, errors)))
 
-    order = None
-    if len(phis) >= 2:
-        order = weak.convergence_order(
-            np.array(phis), np.array([max_errors[format(p, '.6g')] for p in phis])
-        )
+    order = (weak.convergence_order(np.array(phis), np.array(max_errors))
+             if len(phis) >= 2 else None)
     summary = {
         "psi": args.psi,
         "n": len(psi),
         "mode": args.mode,
-        "max_abs_error": max_errors,
+        "max_abs_error": {f"{phi:.6g}": err for phi, err in zip(phis, max_errors)},
         "convergence_order": order,
     }
     _write_json(Path(f"{out_base}_summary.json"), summary)
@@ -351,7 +330,8 @@ def _add_camera(parser: argparse.ArgumentParser) -> None:
                         help="photon budget per unit power ('inf' for noiseless)")
     parser.add_argument("--readout-sigma", type=at_least(0.0, float), default=0.0,
                         metavar="S", help="readout noise (counts)")
-    parser.add_argument("--l", type=int, default=optics.DEFAULT_OAM, help="OAM charge")
+    parser.add_argument("--l", type=at_least(-optics.MAX_OAM, below=optics.MAX_OAM + 1),
+                        default=optics.DEFAULT_OAM, help="OAM charge")
 
 
 def _add_common(parser: argparse.ArgumentParser, out: str) -> None:
@@ -397,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
                           default=False,
                           help="use the documented calibration operating point "
                                "(its own theta, alpha and impurity; photons 1e6)")
-    p_render.add_argument("--impurity", type=float, default=None,
+    p_render.add_argument("--impurity", type=at_least(0.0, float, below=1.0), default=None,
                           help="handedness-flip impurity amplitude; 0 when not set")
     p_render.add_argument("--path-phase", type=parse_angle, default="0",
                           help="relative interferometer path phase")

@@ -417,12 +417,17 @@ def analytic_ports(synthesis: PortSynthesis) -> tuple[float, float]:
     return visibility * math.sqrt(1.0 - synthesis.flip_impurity**2), predictability
 
 
+def write_csv(path: str | Path, columns: list[str], rows: np.ndarray | list[list[float]]) -> None:
+    """CSV of a header row and ``rows``, every value formatted as ``%.17g``."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    body = (row * len(rows)) % tuple(np.ravel(rows).tolist())
+    Path(path).write_text(",".join(columns) + "\n" + body)
+
+
 def profile_to_csv(profile: AzimuthalProfile, path: str | Path) -> None:
     """CSV export with columns angle_deg, mean_intensity, stderr."""
-    lines = ["angle_deg,mean_intensity,stderr"]
-    for angle, value, err in zip(profile.angles_deg, profile.values, profile.stderr):
-        lines.append(f"{format(angle, '.17g')},{format(value, '.17g')},{format(err, '.17g')}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, ["angle_deg", "mean_intensity", "stderr"],
+              np.column_stack((profile.angles_deg, profile.values, profile.stderr)))
 
 
 def analysis_report_json(

@@ -47,6 +47,7 @@ import numpy as np
 from .qubit import StateParams
 
 DEFAULT_OAM = 3
+MAX_OAM = 32  # its ring radius sqrt(|l|/2) = 4 waists still fits GridSpec's default extent
 DEFAULT_ANNULUS = (0.5, 2.5)  # radii in beam-waist units enclosing the ring
 # Largest mean numpy's Generator.poisson accepts (its own bound, ~9.22e18).
 POISSON_LAM_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)

@@ -2,10 +2,18 @@
 
 Everything here is written with explicit loops and elementary
 constructions, deliberately sharing no code path with the package, so
-that agreement between the two is meaningful.
+that agreement between the two is meaningful.  The one exception is
+``loop_reconstruct_profile``, the per-point reference of the sliver scan.
 """
 
 import numpy as np
+
+from dualitysim.weak import (
+    SliverCoupling,
+    apply_sliver,
+    postselect_zero_momentum,
+    reconstruct_weak_value,
+)
 
 KET_TOP = np.array([1.0, 0.0], dtype=complex)  # |l> or |H>
 KET_BOT = np.array([0.0, 1.0], dtype=complex)  # |-l> or |V>
@@ -183,3 +191,19 @@ def mask_azimuthal_profile(image, center, r_min, r_max, window_degrees):
     means = sums / counts
     variances = np.clip(sq_sums / counts - means**2, 0.0, None)
     return means, np.sqrt(variances / counts), counts
+
+
+def loop_reconstruct_profile(psi, phi, mode="linearized"):
+    """The sliver scan as one per-point pipeline run at every x0: O(N^2).
+
+    Unlike the rest of this module it is built from the package's own
+    per-point functions, ``apply_sliver`` -> ``postselect_zero_momentum``
+    -> ``reconstruct_weak_value``, which the closed-form scan must match.
+    """
+    psi = np.asarray(psi, dtype=complex)
+    out = np.empty(len(psi), dtype=complex)
+    for x0 in range(len(psi)):
+        joint = apply_sliver(psi, SliverCoupling(x0=x0, phi=phi, mode=mode))
+        pointer, _ = postselect_zero_momentum(joint)
+        out[x0] = reconstruct_weak_value(pointer, phi)
+    return out

@@ -274,6 +274,15 @@ class TestRenderCommand:
         assert "--impurity" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("l", [32, -32])
+    def test_largest_oam_charge_gives_finite_measures(self, l, tmp_path):
+        out = tmp_path / "render11"
+        assert main(["render", "--theta", "1", "--alpha", "1", "--l", str(l),
+                     "--grid", "64", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert 0.0 <= report["V_measured"] <= 1.0
+        assert 0.0 <= report["P_measured"] <= 1.0
+
     def test_zero_oam_charge_is_named(self, tmp_path, capsys):
         assert main(["render", "--theta", "pi", "--alpha", "0", "--l", "0",
                      "--grid", "64", "--out", str(tmp_path / "render10")]) == 2
@@ -517,6 +526,12 @@ class TestConfigFile:
         (["sweep", "--end", "nan"], "--end"),
         (["weak", "--n", "-5"], "--n"),
         (["weak", "--n", "1"], "--n"),
+        (["render", "--theta", "1", "--alpha", "1", "--impurity", "nan"], "--impurity"),
+        (["render", "--theta", "1", "--alpha", "1", "--impurity", "1.5"], "--impurity"),
+        (["render", "--theta", "1", "--alpha", "1", "--impurity", "-0.1"], "--impurity"),
+        (["render", "--theta", "1", "--alpha", "1", "--l", "500", "--grid", "64"], "--l"),
+        (["render", "--theta", "1", "--alpha", "1", "--l", "-33", "--grid", "64"], "--l"),
+        (["sweep", "--pipeline", "--l", "64", "--grid", "64"], "--l"),
     ],
 )
 def test_out_of_range_flag_is_usage_error_naming_the_flag(argv, flag, tmp_path, capsys):

@@ -29,6 +29,7 @@ from dualitysim.fringes import (
     measure_ports,
     port_profile,
     profile_to_csv,
+    write_csv,
 )
 
 from oracles import bin_average_cos, mask_azimuthal_profile
@@ -316,6 +317,15 @@ class TestExports:
         lines = path.read_text().splitlines()
         assert lines[0] == "angle_deg,mean_intensity,stderr"
         assert len(lines) == 121
+
+    def test_csv_values_format_as_repr_digits(self, tmp_path):
+        # Each value is written as format(value, ".17g") would write it.
+        path = tmp_path / "values.csv"
+        rows = [[np.nan, np.inf, -np.inf, -0.0], [0.1, 1.0, 3, 1e-300]]
+        write_csv(path, ["a", "b", "c", "d"], rows)
+        assert path.read_text() == "a,b,c,d\nnan,inf,-inf,-0\n0.10000000000000001,1,3,1e-300\n"
+        write_csv(path, ["a"], [])
+        assert path.read_text() == "a\n"
 
     def test_report_json_keys(self, tmp_path):
         import json

@@ -1,17 +1,21 @@
-"""Property tests of the state algebra, the duality bounds and the camera.
+"""Property tests of the state algebra, the duality bounds, the camera and
+the weak-value scan.
 
 Angles range over several periods and projectors over the whole Bloch
 sphere.  Examples are derandomized, so every run checks the same cases.
 """
 
 import math
+import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualitysim import (
     P_MIN,
+    DualitySimError,
     GridSpec,
     StateParams,
     ZeroProbabilityPostselection,
@@ -21,14 +25,16 @@ from dualitysim import (
     postselect_env,
     projector_bloch,
     projector_from_ket,
+    reconstruct_profile,
     render_image,
     state_vector,
     synthesize_ports,
 )
 from dualitysim.duality import conditional_sum_of_squares, postselection_probabilities
 from dualitysim.fringes import measure_ports, moment_profile, port_profile
+from dualitysim.weak import gaussian_wavefunction, grid_positions, normalized
 
-from oracles import brute_density, brute_postselect
+from oracles import brute_density, brute_postselect, loop_reconstruct_profile
 
 BOUND = 1.0 + 1e-9
 ANGLE = st.floats(min_value=-4 * math.pi, max_value=4 * math.pi)
@@ -176,4 +182,50 @@ def test_seeded_rendering_is_bit_identical(theta, alpha, seed, row, photons, rea
     np.testing.assert_array_equal(
         [first.visibility, first.uncertainty, first.predictability],
         [second.visibility, second.uncertainty, second.predictability],
+    )
+
+
+@PROPERTY
+@given(
+    st.integers(min_value=2, max_value=256),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=1e-3, max_value=0.5),
+    st.sampled_from([1.0, -1.0]),
+    st.sampled_from(["linearized", "exact"]),
+)
+def test_closed_form_scan_matches_the_loop(n, seed, magnitude, sign, mode):
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    phi = sign * magnitude
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # strong couplings of a small psi0 warn
+        expected = loop_reconstruct_profile(psi, phi, mode)
+        np.testing.assert_allclose(reconstruct_profile(psi, phi, mode), expected,
+                                   rtol=1e-13, atol=0)
+
+
+def _scan_error(scan, psi, phi, mode):
+    with pytest.raises((ValueError, DualitySimError)) as info:
+        scan(psi, phi, mode)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.filterwarnings("ignore:pointer deflection")
+@pytest.mark.parametrize("mode", ["linearized", "exact"])
+@pytest.mark.parametrize(
+    "psi,phi",
+    [
+        # Odd parity on an odd grid: psi0 = 0, and psi(x0) = 0 at the
+        # centre, where the exact coupling leaves s_V = psi0.
+        (normalized(grid_positions(63) * np.exp(-grid_positions(63) ** 2 / 200.0)), 0.1),
+        # Zero sum with a dark point at x0 = 1.
+        (normalized(np.array([1.0, 0.0, -1.0, 2.0j, -2.0j])), 0.1),
+        (gaussian_wavefunction(32, 4.0), 0.0),
+        (gaussian_wavefunction(32, 4.0), math.nan),
+    ],
+    ids=["odd_parity", "zero_sum", "zero_phi", "nan_phi"],
+)
+def test_closed_form_scan_raises_as_the_loop_does(psi, phi, mode):
+    assert _scan_error(reconstruct_profile, psi, phi, mode) == _scan_error(
+        loop_reconstruct_profile, psi, phi, mode
     )

@@ -1,5 +1,7 @@
 """Sliver coupling, zero-momentum postselection, weak-value recovery."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,15 @@ class TestReconstruction:
         pointer = np.array([0.3, 1.0]) / np.hypot(0.3, 1.0)
         with pytest.warns(UserWarning, match="deflection"):
             reconstruct_weak_value(pointer, 0.5)
+
+    @pytest.mark.parametrize("phi,expected", [(1.0, 1), (0.01, 0)])
+    def test_one_deflection_warning_per_scan(self, phi, expected):
+        # The per-point loop warned at each of the 10 strongest points.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            reconstruct_profile(gaussian_wavefunction(64, 2.0), phi)
+        assert [w.category for w in caught] == [UserWarning] * expected
+        assert all("deflection" in str(w.message) for w in caught)
 
     def test_visibility_identity(self):
         # |<s| sx - i sy |s>| equals the qubit visibility of |s><s| for

@@ -18,6 +18,7 @@ from .duality import (
     visibility,
 )
 from .errors import (
+    ChargeOutOfRange,
     DegenerateProfile,
     DualitySimError,
     EmptyBin,
@@ -71,6 +72,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AzimuthalProfile",
+    "ChargeOutOfRange",
     "DEFAULT_OAM",
     "DegenerateProfile",
     "DualityReport",

@@ -292,6 +292,13 @@ def _load_psi(spec: str, n: int) -> np.ndarray:
 
 def cmd_weak(args: argparse.Namespace) -> int:
     phis, out_base = args.phi, args.out
+    names = {}
+    for phi in phis:
+        name = f"{phi:.6g}"
+        if name in names:
+            raise UsageError(f"--phi values {names[name]!r} and {phi!r} would both write "
+                             f"{out_base}_phi{name}.csv")
+        names[name] = phi
     psi = _load_psi(args.psi, args.n)
     truth = weak.true_ratio(psi)
 

@@ -27,5 +27,9 @@ class ZeroIntensity(DualitySimError):
     """Total intensity is too small to form an intensity ratio."""
 
 
+class ChargeOutOfRange(DualitySimError):
+    """OAM charge beyond ``optics.MAX_OAM``, whose mode the grid cannot hold."""
+
+
 class InvalidCoupling(DualitySimError):
     """Sliver coupling angle is invalid for the requested operation."""

@@ -172,17 +172,47 @@ def _window_attenuation(l: int, window_degrees: float) -> float:
     return math.sin(half_arg) / half_arg if half_arg != 0 else 1.0
 
 
-def _harmonic_fit(profile: AzimuthalProfile, l: int):
-    """Least-squares c0 + A cos(m phi) + B sin(m phi) with m = 2|l|."""
-    phi = np.radians(profile.angles_deg)
+@lru_cache(maxsize=8)
+def fit_operator(
+    angles: bytes, l: int, window_degrees: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Design matrix D of c0 + A cos(m phi) + B sin(m phi), m = 2|l|, on the
+    bin angles ``angles`` (float64 degrees as bytes), its pseudo-inverse and
+    (D^T D)^-1, cached per (angles, |l|, window); the arrays are read-only.
+
+    The pseudo-inverse drops singular values as ``np.linalg.lstsq`` does.
+    Raises ``DegenerateProfile`` when the harmonic is constant on the bins,
+    as it is when |l| * window is a multiple of 180 degrees.
+    """
+    phi = np.radians(np.frombuffer(angles))
     m = 2 * abs(l)
     design = np.column_stack([np.ones_like(phi), np.cos(m * phi), np.sin(m * phi)])
-    coeffs, _, _, _ = np.linalg.lstsq(design, profile.values, rcond=None)
+    # On bins that tile the circle cos or sin spans most of [-1, 1], unless
+    # the harmonic aliases: then both columns are constant up to round-off.
+    if np.ptp(design[:, 1:], axis=0).max() < 1e-6:
+        raise DegenerateProfile(
+            f"the petal harmonic of |l|={l} aliases to a constant on "
+            f"{window_degrees:g}-degree windows; choose a window whose product "
+            "with |l| is not a multiple of 180 degrees"
+        )
+    pinv = np.linalg.pinv(design, rtol=np.finfo(float).eps * max(design.shape))
+    inv_normal = np.linalg.inv(design.T @ design)
+    for array in (design, pinv, inv_normal):
+        array.setflags(write=False)
+    return design, pinv, inv_normal
+
+
+def _harmonic_fit(profile: AzimuthalProfile, l: int):
+    """Least-squares c0 + A cos(m phi) + B sin(m phi) with m = 2|l|."""
+    design, pinv, inv_normal = fit_operator(
+        np.asarray(profile.angles_deg, dtype=float).tobytes(), abs(l),
+        float(profile.window_degrees),
+    )
+    coeffs = pinv @ profile.values
     residuals = profile.values - design @ coeffs
     dof = max(len(profile) - 3, 1)
     sigma_sq = float(residuals @ residuals) / dof
-    covariance = sigma_sq * np.linalg.inv(design.T @ design)
-    return coeffs, covariance
+    return coeffs, sigma_sq * inv_normal
 
 
 def fringe_visibility(
@@ -198,12 +228,13 @@ def fringe_visibility(
     ``"fit"``, the only estimator.
 
     Raises:
-        DegenerateProfile: for an all-zero profile or a non-positive
-            fitted baseline.
+        DegenerateProfile: for an all-zero profile, a harmonic that
+            aliases to a constant on the profile's windows, or a
+            non-positive fitted baseline.
     """
     if abs(l) < 1:
         raise ValueError("petal analysis needs |l| >= 1")
-    if not np.any(profile.values > 0.0):
+    if not (profile.values > 0.0).any():
         raise DegenerateProfile("profile carries no intensity")
     if method != "fit":
         raise ValueError(f"unknown method {method!r}")

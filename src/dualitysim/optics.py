@@ -44,6 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ChargeOutOfRange
 from .qubit import StateParams
 
 DEFAULT_OAM = 3
@@ -157,8 +158,19 @@ def _mode_data(l: int, grid: GridSpec) -> np.ndarray:
     return data
 
 
+def _check_charge(l: int) -> None:
+    if abs(l) > MAX_OAM:
+        raise ChargeOutOfRange(
+            f"OAM charge {l} is outside the supported range |l| <= optics.MAX_OAM = {MAX_OAM}"
+        )
+
+
 def oam_mode(l: int, grid: GridSpec = GridSpec()) -> FieldImage:
-    """Unit-power vortex mode of charge ``l`` (Gaussian for l = 0)."""
+    """Unit-power vortex mode of charge ``l`` (Gaussian for l = 0).
+
+    Raises ``ChargeOutOfRange`` for |l| > ``MAX_OAM``.
+    """
+    _check_charge(l)
     return FieldImage(data=_mode_data(int(l), grid).copy(), grid=grid)
 
 
@@ -223,7 +235,11 @@ def synthesize_ports(
     path_phase: float = 0.0,
     flip_impurity: float = 0.0,
 ) -> PortSynthesis:
-    """Full interferometer synthesis including the impurity bookkeeping."""
+    """Full interferometer synthesis including the impurity bookkeeping.
+
+    Raises ``ChargeOutOfRange`` for |l| > ``MAX_OAM``.
+    """
+    _check_charge(l)
     if not 0.0 <= flip_impurity < 1.0:
         raise ValueError("flip_impurity must be in [0, 1)")
     a = math.cos(params.theta / 2)  # upper arm, mode +l, polarization V

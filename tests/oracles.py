@@ -207,3 +207,16 @@ def loop_reconstruct_profile(psi, phi, mode="linearized"):
         pointer, _ = postselect_zero_momentum(joint)
         out[x0] = reconstruct_weak_value(pointer, phi)
     return out
+
+
+def lstsq_harmonic_fit(profile, l):
+    """(coeffs, covariance) of c0 + A cos(2|l| phi) + B sin(2|l| phi) from
+    one SVD least-squares solve of the profile per call."""
+    phi = np.radians(profile.angles_deg)
+    m = 2 * abs(l)
+    design = np.column_stack([np.ones_like(phi), np.cos(m * phi), np.sin(m * phi)])
+    coeffs, _, _, _ = np.linalg.lstsq(design, profile.values, rcond=None)
+    residuals = profile.values - design @ coeffs
+    dof = max(len(profile) - 3, 1)
+    sigma_sq = float(residuals @ residuals) / dof
+    return coeffs, sigma_sq * np.linalg.inv(design.T @ design)

@@ -385,6 +385,16 @@ class TestWeakCommand:
         assert "grid" in capsys.readouterr().err
         assert not (tmp_path / "w_summary.json").exists()
 
+    @pytest.mark.parametrize("phis", ["0.1,0.1000000001", "0.05,0.1,0.1"])
+    def test_colliding_phi_names_are_usage_errors(self, phis, tmp_path, capsys):
+        first, second = phis.split(",")[-2:]
+        assert main(["weak", "--n", "16", "--phi", phis, "--json",
+                     "--out", str(tmp_path / "w")]) == 1
+        err = capsys.readouterr().err
+        assert f"{float(first)!r} and {float(second)!r}" in err
+        assert "w_phi0.1.csv" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_byte_identical_reruns(self, tmp_path):
         args = ["weak", "--psi", "gaussian:24", "--n", "128", "--phi", "0.05"]
         out1, out2 = tmp_path / "wa", tmp_path / "wb"

@@ -21,11 +21,13 @@ from dualitysim import (
     synthesize_ports,
 )
 from dualitysim import optics
+from dualitysim.cli import main
 from dualitysim.fringes import (
     AzimuthalProfile,
     analysis_report_json,
     annulus_plan,
     azimuthal_profile,
+    fit_operator,
     measure_ports,
     port_profile,
     profile_to_csv,
@@ -217,6 +219,13 @@ class TestFringeVisibility:
         with pytest.raises(DegenerateProfile):
             fringe_visibility(synthetic_profile(np.zeros(120)), 3)
 
+    @pytest.mark.parametrize("l", [60, -60, 120])
+    def test_harmonic_aliased_to_a_constant_is_degenerate(self, l):
+        # |l| * 3 deg is a multiple of 180 deg: cos(2|l| phi) is 1 on every bin.
+        values = 1.0 + 0.5 * np.cos(np.arange(120))
+        with pytest.raises(DegenerateProfile, match=rf"\|l\|={abs(l)} .* 3-degree windows"):
+            fringe_visibility(synthetic_profile(values), l)
+
     def test_visibility_clamped_to_unity(self):
         angles = np.radians(np.arange(120) * 3.0)
         values = np.clip(1.0 + 1.2 * np.cos(6 * angles), 0.0, None)
@@ -273,6 +282,26 @@ class TestFringeVisibility:
         truth, _ = fringe_visibility(port_profile(v.intensity(), GRID), 3)
         assert unc > 0
         assert abs(vis - truth) < 6 * unc
+
+
+class TestFitOperator:
+    def test_operator_is_read_only_and_shared_by_both_signs_of_l(self):
+        profile = synthetic_profile(np.ones(120))
+        fit_operator.cache_clear()
+        for l in (3, -3):
+            fringe_visibility(profile, l)
+        assert fit_operator.cache_info().misses == 1
+        design, pinv, inv_normal = fit_operator(profile.angles_deg.tobytes(), 3, 3.0)
+        for array in (design, pinv, inv_normal):
+            with pytest.raises(ValueError):
+                array[0, 0] = 0.0
+
+    def test_noiseless_sweep_builds_the_operator_once(self, tmp_path):
+        fit_operator.cache_clear()
+        assert main(["sweep", "--samples", "181", "--pipeline", "--grid", "64",
+                     "--out", str(tmp_path / "s")]) == 0
+        assert fit_operator.cache_info().misses == 1
+        assert fit_operator.cache_info().hits > 181
 
 
 class TestPredictability:

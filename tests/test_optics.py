@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from dualitysim import (
+    ChargeOutOfRange,
+    DualitySimError,
     GridSpec,
     NoiseModel,
     StateParams,
@@ -15,7 +17,7 @@ from dualitysim import (
     simulate_interferometer,
     synthesize_ports,
 )
-from dualitysim.optics import POISSON_LAM_MAX, write_metadata, write_pfm, write_pgm16
+from dualitysim.optics import MAX_OAM, POISSON_LAM_MAX, write_metadata, write_pfm, write_pgm16
 
 GRID = GridSpec(width=256, height=256)
 FULL = GridSpec()
@@ -25,6 +27,23 @@ class TestOamMode:
     def test_unit_power(self):
         for l in (-3, 0, 1, 3, 5):
             assert oam_mode(l, GRID).power() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_largest_supported_charge_is_finite(self):
+        for l in (MAX_OAM, -MAX_OAM):
+            assert np.isfinite(oam_mode(l, GridSpec(64, 64)).data).all()
+            syn = synthesize_ports(StateParams(1.0, 1.0), l=l, grid=GridSpec(64, 64))
+            assert np.isfinite(syn.v_fields[0].data).all()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("l", [MAX_OAM + 1, -(MAX_OAM + 1), 500])
+    def test_charge_beyond_max_oam_is_rejected(self, l):
+        grid = GridSpec(64, 64)
+        with pytest.raises(ChargeOutOfRange, match=rf"optics\.MAX_OAM = {MAX_OAM}"):
+            oam_mode(l, grid)
+        with pytest.raises(ChargeOutOfRange, match=rf"optics\.MAX_OAM = {MAX_OAM}"):
+            synthesize_ports(StateParams(1.0, 1.0), l=l, grid=grid)
+        assert issubclass(ChargeOutOfRange, DualitySimError)
 
     def test_phase_winds_l_times(self):
         mode = oam_mode(3, GRID)

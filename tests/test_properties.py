@@ -1,5 +1,5 @@
-"""Property tests of the state algebra, the duality bounds, the camera and
-the weak-value scan.
+"""Property tests of the state algebra, the duality bounds, the camera, the
+harmonic fit and the weak-value scan.
 
 Angles range over several periods and projectors over the whole Bloch
 sphere.  Examples are derandomized, so every run checks the same cases.
@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dualitysim import (
@@ -31,10 +31,21 @@ from dualitysim import (
     synthesize_ports,
 )
 from dualitysim.duality import conditional_sum_of_squares, postselection_probabilities
-from dualitysim.fringes import measure_ports, moment_profile, port_profile
+from dualitysim.fringes import (
+    AzimuthalProfile,
+    _harmonic_fit,
+    measure_ports,
+    moment_profile,
+    port_profile,
+)
 from dualitysim.weak import gaussian_wavefunction, grid_positions, normalized
 
-from oracles import brute_density, brute_postselect, loop_reconstruct_profile
+from oracles import (
+    brute_density,
+    brute_postselect,
+    loop_reconstruct_profile,
+    lstsq_harmonic_fit,
+)
 
 BOUND = 1.0 + 1e-9
 ANGLE = st.floats(min_value=-4 * math.pi, max_value=4 * math.pi)
@@ -183,6 +194,30 @@ def test_seeded_rendering_is_bit_identical(theta, alpha, seed, row, photons, rea
         [first.visibility, first.uncertainty, first.predictability],
         [second.visibility, second.uncertainty, second.predictability],
     )
+
+
+@PROPERTY
+@given(
+    st.integers(min_value=4, max_value=360),
+    st.integers(min_value=1, max_value=32),
+    st.sampled_from([1, -1]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=1e-6, max_value=1e6),
+)
+def test_cached_fit_matches_the_lstsq_oracle(n_bins, charge, sign, seed, scale):
+    # More bins than coefficients, so the residuals are not round-off alone.
+    # |l| * window a multiple of 90 deg aliases the harmonic (180 deg) or
+    # puts it at the bins' Nyquist rate (90 deg), where B is not identified.
+    assume((4 * charge) % n_bins != 0)
+    window = 360.0 / n_bins
+    values = scale * np.random.default_rng(seed).uniform(0.1, 1.0, n_bins)
+    profile = AzimuthalProfile(np.arange(n_bins) * window, values, np.zeros(n_bins),
+                               window, np.ones(n_bins, dtype=int))
+    l = sign * charge
+    coeffs, covariance = _harmonic_fit(profile, l)
+    ref_coeffs, ref_covariance = lstsq_harmonic_fit(profile, l)
+    np.testing.assert_allclose(coeffs, ref_coeffs, rtol=0, atol=1e-12 * abs(ref_coeffs[0]))
+    np.testing.assert_allclose(covariance, ref_covariance, rtol=1e-12, atol=0)
 
 
 @PROPERTY

@@ -179,23 +179,27 @@ def fit_operator(
     """Design matrix D of c0 + A cos(m phi) + B sin(m phi), m = 2|l|, on the
     bin angles ``angles`` (float64 degrees as bytes), its pseudo-inverse and
     (D^T D)^-1, cached per (angles, |l|, window); the arrays are read-only.
+    ``window_degrees`` only names the window in the error message.
 
-    The pseudo-inverse drops singular values as ``np.linalg.lstsq`` does.
-    Raises ``DegenerateProfile`` when the harmonic is constant on the bins,
-    as it is when |l| * window is a multiple of 180 degrees.
+    Raises ``DegenerateProfile`` when D does not have full rank 3, as on
+    bins that tile the circle when |l| * window is a multiple of 90
+    degrees: the harmonic aliases to a constant (180 degrees) or sits at
+    the bins' Nyquist rate, where its sin column is round-off (90 degrees).
     """
     phi = np.radians(np.frombuffer(angles))
     m = 2 * abs(l)
     design = np.column_stack([np.ones_like(phi), np.cos(m * phi), np.sin(m * phi)])
-    # On bins that tile the circle cos or sin spans most of [-1, 1], unless
-    # the harmonic aliases: then both columns are constant up to round-off.
-    if np.ptp(design[:, 1:], axis=0).max() < 1e-6:
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    # On tiling bins a full-rank D has s_min / s_max >= 1/sqrt(2); a
+    # rank-deficient one has s_min / s_max at round-off, near 1e-14.
+    if s.size < 3 or s[-1] < 1e-8 * s[0]:
         raise DegenerateProfile(
-            f"the petal harmonic of |l|={l} aliases to a constant on "
-            f"{window_degrees:g}-degree windows; choose a window whose product "
-            "with |l| is not a multiple of 180 degrees"
+            f"the petal harmonic of |l|={l} cannot be fitted on "
+            f"{window_degrees:g}-degree windows: there are fewer than 3 bins, or "
+            "it aliases to a constant or to the bins' Nyquist rate; choose a "
+            "window whose product with |l| is not a multiple of 90 degrees"
         )
-    pinv = np.linalg.pinv(design, rtol=np.finfo(float).eps * max(design.shape))
+    pinv = vt.T @ ((1.0 / s)[:, np.newaxis] * u.T)
     inv_normal = np.linalg.inv(design.T @ design)
     for array in (design, pinv, inv_normal):
         array.setflags(write=False)
@@ -229,12 +233,12 @@ def fringe_visibility(
 
     Raises:
         DegenerateProfile: for an all-zero profile, a harmonic that
-            aliases to a constant on the profile's windows, or a
-            non-positive fitted baseline.
+            cannot be fitted on the profile's windows (see
+            ``fit_operator``), or a non-positive fitted baseline.
     """
     if abs(l) < 1:
         raise ValueError("petal analysis needs |l| >= 1")
-    if not (profile.values > 0.0).any():
+    if not np.any(profile.values > 0.0):
         raise DegenerateProfile("profile carries no intensity")
     if method != "fit":
         raise ValueError(f"unknown method {method!r}")

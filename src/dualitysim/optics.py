@@ -146,8 +146,16 @@ class NoiseModel:
         return self.photon_budget is None or math.isinf(self.photon_budget)
 
 
+def _check_charge(l: int) -> None:
+    if abs(l) > MAX_OAM:
+        raise ChargeOutOfRange(
+            f"OAM charge {l} is outside the supported range |l| <= optics.MAX_OAM = {MAX_OAM}"
+        )
+
+
 @lru_cache(maxsize=32)
 def _mode_data(l: int, grid: GridSpec) -> np.ndarray:
+    _check_charge(l)
     X, Y = _grid_coords(grid)
     r = np.hypot(X, Y)
     envelope = r ** abs(l) * np.exp(-(r**2)) if l != 0 else np.exp(-(r**2))
@@ -158,19 +166,11 @@ def _mode_data(l: int, grid: GridSpec) -> np.ndarray:
     return data
 
 
-def _check_charge(l: int) -> None:
-    if abs(l) > MAX_OAM:
-        raise ChargeOutOfRange(
-            f"OAM charge {l} is outside the supported range |l| <= optics.MAX_OAM = {MAX_OAM}"
-        )
-
-
 def oam_mode(l: int, grid: GridSpec = GridSpec()) -> FieldImage:
     """Unit-power vortex mode of charge ``l`` (Gaussian for l = 0).
 
     Raises ``ChargeOutOfRange`` for |l| > ``MAX_OAM``.
     """
-    _check_charge(l)
     return FieldImage(data=_mode_data(int(l), grid).copy(), grid=grid)
 
 
@@ -239,7 +239,7 @@ def synthesize_ports(
 
     Raises ``ChargeOutOfRange`` for |l| > ``MAX_OAM``.
     """
-    _check_charge(l)
+    _check_charge(l)  # up front: the modes are built only when a field is read
     if not 0.0 <= flip_impurity < 1.0:
         raise ValueError("flip_impurity must be in [0, 1)")
     a = math.cos(params.theta / 2)  # upper arm, mode +l, polarization V

@@ -219,9 +219,10 @@ class TestFringeVisibility:
         with pytest.raises(DegenerateProfile):
             fringe_visibility(synthetic_profile(np.zeros(120)), 3)
 
-    @pytest.mark.parametrize("l", [60, -60, 120])
+    @pytest.mark.parametrize("l", [60, -60, 120, 30, -30, 90])
     def test_harmonic_aliased_to_a_constant_is_degenerate(self, l):
-        # |l| * 3 deg is a multiple of 180 deg: cos(2|l| phi) is 1 on every bin.
+        # |l| * 3 deg is a multiple of 180 deg: cos(2|l| phi) is 1 on every
+        # bin; or an odd multiple of 90 deg: cos alternates and sin is 0.
         values = 1.0 + 0.5 * np.cos(np.arange(120))
         with pytest.raises(DegenerateProfile, match=rf"\|l\|={abs(l)} .* 3-degree windows"):
             fringe_visibility(synthetic_profile(values), l)

@@ -45,6 +45,16 @@ class TestOamMode:
             synthesize_ports(StateParams(1.0, 1.0), l=l, grid=grid)
         assert issubclass(ChargeOutOfRange, DualitySimError)
 
+    @pytest.mark.filterwarnings("error")
+    def test_every_mode_is_checked_where_it_is_built(self):
+        # A synthesis whose charge was changed after the up-front check still
+        # builds its fields through the checked mode table.
+        grid = GridSpec(64, 64)
+        syn = synthesize_ports(StateParams(1.0, 1.0), l=3, grid=grid)
+        syn.l = 500
+        with pytest.raises(ChargeOutOfRange, match=rf"optics\.MAX_OAM = {MAX_OAM}"):
+            syn.v_fields
+
     def test_phase_winds_l_times(self):
         mode = oam_mode(3, GRID)
         cx, cy = GRID.beam_center

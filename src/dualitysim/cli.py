@@ -19,6 +19,7 @@ Angles are given in radians and accept pi literals such as ``pi/12``,
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import re
@@ -225,7 +226,6 @@ def cmd_render(args: argparse.Namespace) -> int:
         visibility=m.visibility,
         uncertainty=m.uncertainty,
         predictability=m.predictability,
-        method="fit",
         params=params_info,
         extra={
             "V_measured": m.visibility,
@@ -256,18 +256,21 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def _load_psi(spec: str, n: int) -> np.ndarray:
+    """Unit-norm profile of ``--psi``; a bad spec or sample is a usage error."""
     if spec == "uniform":
         return weak.uniform_wavefunction(n)
     if spec.startswith("gaussian"):
         match = re.match(r"^gaussian[:(]([^)]+)\)?$", spec)
         if not match:
-            raise UsageError("gaussian profile needs a width, e.g. gaussian:32")
-        sigma = float(match.group(1))
-        return weak.gaussian_wavefunction(n, sigma)
+            raise UsageError("--psi: gaussian profile needs a width, e.g. gaussian:32")
+        try:
+            return weak.gaussian_wavefunction(n, float(match.group(1)))
+        except ValueError as exc:
+            raise UsageError(f"--psi: gaussian width {match.group(1)!r}: {exc}") from None
     if spec.startswith("file:"):
         path = Path(spec[5:])
         if not path.exists():
-            raise UsageError(f"wavefunction file {path} does not exist")
+            raise UsageError(f"--psi: wavefunction file {path} does not exist")
         values = []
         for lineno, line in enumerate(path.read_text().splitlines(), start=1):
             stripped = line.strip()
@@ -276,18 +279,21 @@ def _load_psi(spec: str, n: int) -> np.ndarray:
             parts = stripped.replace(",", " ").split()
             if len(parts) != 2:
                 raise UsageError(
-                    f"{path}:{lineno}: expected two columns (re im), got {len(parts)}"
+                    f"--psi: {path}:{lineno}: expected two columns (re im), got {len(parts)}"
                 )
             try:
-                values.append(complex(float(parts[0]), float(parts[1])))
+                value = complex(float(parts[0]), float(parts[1]))
             except ValueError:
                 raise UsageError(
-                    f"{path}:{lineno}: cannot parse {stripped!r} as two floats"
+                    f"--psi: {path}:{lineno}: cannot parse {stripped!r} as two floats"
                 ) from None
+            if not cmath.isfinite(value):
+                raise UsageError(f"--psi: {path}:{lineno}: sample {stripped!r} is not finite")
+            values.append(value)
         if len(values) < 2:
-            raise UsageError(f"{path}: need at least two samples")
+            raise UsageError(f"--psi: {path}: need at least two samples")
         return weak.normalized(np.array(values, dtype=complex))
-    raise UsageError(f"unknown wavefunction spec {spec!r}")
+    raise UsageError(f"--psi: unknown wavefunction spec {spec!r}")
 
 
 def cmd_weak(args: argparse.Namespace) -> int:

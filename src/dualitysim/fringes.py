@@ -35,21 +35,26 @@ from .optics import DEFAULT_ANNULUS, FieldImage, GridSpec, PortSynthesis
 INTENSITY_EPS = 1e-300  # floor below which a total intensity is "zero"
 
 
+def _bin_angles(n_bins: int) -> np.ndarray:
+    """Centers in degrees of ``n_bins`` equal windows tiling [0, 360) from 0."""
+    return np.arange(n_bins) * (360.0 / n_bins)
+
+
 @dataclass
 class AzimuthalProfile:
     """Mean intensity versus azimuthal angle.
 
-    ``angles_deg`` are bin centers tiling [0, 360) in steps of
-    ``window_degrees``; ``values`` are per-bin means of the pixel
-    intensities, ``stderr`` the standard error of each mean and
-    ``counts`` the number of contributing pixels.
+    ``values`` are per-bin means of the pixel intensities, ``stderr`` the
+    standard error of each mean and ``counts`` the number of contributing
+    pixels.  The bins tile [0, 360) from 0, so their number fixes
+    ``window_degrees`` and the bin centers ``angles_deg``.
     """
 
-    angles_deg: np.ndarray
     values: np.ndarray
     stderr: np.ndarray
-    window_degrees: float
     counts: np.ndarray
+    window_degrees = property(lambda self: 360.0 / len(self.values))
+    angles_deg = property(lambda self: _bin_angles(len(self.values)))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -67,7 +72,6 @@ class AnnulusPlan:
     pixels: np.ndarray
     bins: np.ndarray
     counts: np.ndarray
-    window_degrees: float
 
     def window_sums(self, values: np.ndarray) -> np.ndarray:
         """Per-window sums of one value per annulus pixel."""
@@ -77,13 +81,7 @@ class AnnulusPlan:
         """Profile from per-window sums of the pixel values and of their squares."""
         means = sums / self.counts
         variances = np.clip(sq_sums / self.counts - means**2, 0.0, None)
-        return AzimuthalProfile(
-            angles_deg=np.arange(len(self.counts)) * self.window_degrees,
-            values=means,
-            stderr=np.sqrt(variances / self.counts),
-            window_degrees=self.window_degrees,
-            counts=self.counts,
-        )
+        return AzimuthalProfile(means, np.sqrt(variances / self.counts), self.counts)
 
 
 @lru_cache(maxsize=8)
@@ -120,7 +118,7 @@ def annulus_plan(
     pixels = rows * shape[1] + cols
     for array in (pixels, bins, counts):
         array.setflags(write=False)
-    return AnnulusPlan(pixels, bins, counts, window_degrees)
+    return AnnulusPlan(pixels, bins, counts)
 
 
 def azimuthal_profile(
@@ -173,20 +171,17 @@ def _window_attenuation(l: int, window_degrees: float) -> float:
 
 
 @lru_cache(maxsize=8)
-def fit_operator(
-    angles: bytes, l: int, window_degrees: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def fit_operator(n_bins: int, l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Design matrix D of c0 + A cos(m phi) + B sin(m phi), m = 2|l|, on the
-    bin angles ``angles`` (float64 degrees as bytes), its pseudo-inverse and
-    (D^T D)^-1, cached per (angles, |l|, window); the arrays are read-only.
-    ``window_degrees`` only names the window in the error message.
+    angles of ``n_bins`` bins that tile the circle from 0, its pseudo-inverse
+    and (D^T D)^-1, cached per (n_bins, |l|); the arrays are read-only.
 
     Raises ``DegenerateProfile`` when D does not have full rank 3, as on
     bins that tile the circle when |l| * window is a multiple of 90
     degrees: the harmonic aliases to a constant (180 degrees) or sits at
     the bins' Nyquist rate, where its sin column is round-off (90 degrees).
     """
-    phi = np.radians(np.frombuffer(angles))
+    phi = np.radians(_bin_angles(n_bins))
     m = 2 * abs(l)
     design = np.column_stack([np.ones_like(phi), np.cos(m * phi), np.sin(m * phi)])
     u, s, vt = np.linalg.svd(design, full_matrices=False)
@@ -195,7 +190,7 @@ def fit_operator(
     if s.size < 3 or s[-1] < 1e-8 * s[0]:
         raise DegenerateProfile(
             f"the petal harmonic of |l|={l} cannot be fitted on "
-            f"{window_degrees:g}-degree windows: there are fewer than 3 bins, or "
+            f"{360.0 / n_bins:g}-degree windows: there are fewer than 3 bins, or "
             "it aliases to a constant or to the bins' Nyquist rate; choose a "
             "window whose product with |l| is not a multiple of 90 degrees"
         )
@@ -208,10 +203,7 @@ def fit_operator(
 
 def _harmonic_fit(profile: AzimuthalProfile, l: int):
     """Least-squares c0 + A cos(m phi) + B sin(m phi) with m = 2|l|."""
-    design, pinv, inv_normal = fit_operator(
-        np.asarray(profile.angles_deg, dtype=float).tobytes(), abs(l),
-        float(profile.window_degrees),
-    )
+    design, pinv, inv_normal = fit_operator(len(profile), abs(l))
     coeffs = pinv @ profile.values
     residuals = profile.values - design @ coeffs
     dof = max(len(profile) - 3, 1)
@@ -219,17 +211,12 @@ def _harmonic_fit(profile: AzimuthalProfile, l: int):
     return coeffs, sigma_sq * inv_normal
 
 
-def fringe_visibility(
-    profile: AzimuthalProfile,
-    l: int,
-    method: str = "fit",
-) -> tuple[float, float]:
+def fringe_visibility(profile: AzimuthalProfile, l: int) -> tuple[float, float]:
     """Fringe visibility of a petal profile and its 1-sigma uncertainty.
 
     A least-squares fit of c0 + c1 cos(2|l| phi + delta) gives
     |c1| / c0 (window attenuation removed), clamped to [0, 1], with the
-    uncertainty propagated from the fit residuals.  ``method`` must be
-    ``"fit"``, the only estimator.
+    uncertainty propagated from the fit residuals.
 
     Raises:
         DegenerateProfile: for an all-zero profile, a harmonic that
@@ -240,8 +227,6 @@ def fringe_visibility(
         raise ValueError("petal analysis needs |l| >= 1")
     if not np.any(profile.values > 0.0):
         raise DegenerateProfile("profile carries no intensity")
-    if method != "fit":
-        raise ValueError(f"unknown method {method!r}")
     attenuation = _window_attenuation(l, profile.window_degrees)
 
     coeffs, covariance = _harmonic_fit(profile, l)
@@ -270,22 +255,14 @@ def predictability_from_arm_powers(i_plus: float, i_minus: float) -> float:
     return abs(i_plus - i_minus) / total
 
 
-def predictability_from_images(
-    plus_image: np.ndarray | FieldImage,
-    minus_image: np.ndarray | FieldImage,
-) -> float:
+def predictability_from_images(plus_image: np.ndarray, minus_image: np.ndarray) -> float:
     """Predictability from two mode-attributed intensity images.
 
     The images hold the intensity attributable to the +l and -l content
     of the port under analysis (e.g. recorded arm by arm); their total
     counts play the role of I+ and I-.
     """
-    def total(img) -> float:
-        if isinstance(img, FieldImage):
-            return img.power()
-        return float(np.sum(np.asarray(img, dtype=float)))
-
-    return predictability_from_arm_powers(total(plus_image), total(minus_image))
+    return predictability_from_arm_powers(float(np.sum(plus_image)), float(np.sum(minus_image)))
 
 
 def predictability_from_profile(profile: AzimuthalProfile, l: int) -> float:
@@ -443,10 +420,9 @@ def analytic_ports(synthesis: PortSynthesis) -> tuple[float, float]:
     """
     params = synthesis.params
     visibility = duality.conditional_visibility_v(params.theta, params.alpha)
+    h_plus, h_minus = synthesis.intensity_weights("h")[:2].tolist()  # unit-power modes
     try:
-        predictability = predictability_from_arm_powers(
-            synthesis.h_plus_power, synthesis.h_minus_power
-        )
+        predictability = predictability_from_arm_powers(h_plus, h_minus)
     except ZeroIntensity:
         predictability = math.nan
     return visibility * math.sqrt(1.0 - synthesis.flip_impurity**2), predictability
@@ -470,7 +446,6 @@ def analysis_report_json(
     visibility: float,
     uncertainty: float,
     predictability: float,
-    method: str,
     params: dict,
     extra: dict | None = None,
 ) -> None:
@@ -479,7 +454,7 @@ def analysis_report_json(
         "visibility": visibility,
         "uncertainty": uncertainty,
         "predictability": predictability,
-        "method": method,
+        "method": "fit",
         "params": params,
     }
     if extra:

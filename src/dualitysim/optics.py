@@ -183,9 +183,10 @@ class PortSynthesis:
     and the unflipped lower-arm light e u+, which adds to the images in
     intensity, not amplitude.  Their fields ``h_main``/``v_main`` and
     ``h_impurity``/``v_impurity`` (None for a zero impurity) are built on
-    first access.  The ``*_plus_power``/``*_minus_power`` values give
-    the optical power attributable to the +l and -l modes in each port,
-    i.e. what an arm-blocking power measurement would record.
+    first access.  The modes have unit power, so the first two
+    ``intensity_weights(port)`` are the powers attributable to the +l and
+    -l modes in a port, i.e. what an arm-blocking power measurement would
+    record.
     """
 
     params: StateParams
@@ -194,10 +195,6 @@ class PortSynthesis:
     flip_impurity: float
     h_amplitudes: tuple[complex, complex, float]
     v_amplitudes: tuple[complex, complex, float]
-    h_plus_power: float
-    h_minus_power: float
-    v_plus_power: float
-    v_minus_power: float
 
     def _coherent(self, amplitudes: tuple[complex, complex, float]) -> FieldImage:
         plus, minus, _ = amplitudes
@@ -259,10 +256,6 @@ def synthesize_ports(
         h_amplitudes=(0.0, b * flip * phase, b * eps),
         # V output: upper arm interferes with the flipped lower-arm light.
         v_amplitudes=(a, c * flip * phase, c * eps),
-        h_plus_power=b**2 * eps**2,
-        h_minus_power=b**2 * flip**2,
-        v_plus_power=a**2 + c**2 * eps**2,
-        v_minus_power=c**2 * flip**2,
     )
 
 

@@ -39,8 +39,13 @@ WEAKNESS_WARN_THRESHOLD = 0.1
 
 
 def normalized(psi: np.ndarray) -> np.ndarray:
-    """Copy of ``psi`` normalized to unit discrete norm."""
+    """Copy of ``psi`` normalized to unit discrete norm.
+
+    Raises ``ValueError`` for a non-finite sample or the zero wavefunction.
+    """
     psi = np.asarray(psi, dtype=complex)
+    if not np.isfinite(psi).all():
+        raise ValueError("wavefunction has non-finite samples")
     norm = np.linalg.norm(psi)
     if norm == 0.0:
         raise ValueError("cannot normalize the zero wavefunction")
@@ -54,8 +59,8 @@ def grid_positions(n: int) -> np.ndarray:
 
 def gaussian_wavefunction(n: int, sigma: float, center: float = 0.0) -> np.ndarray:
     """Unit-norm Gaussian profile exp(-(x - center)^2 / (4 sigma^2))."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError("sigma must be finite and positive")
     x = grid_positions(n)
     return normalized(np.exp(-((x - center) ** 2) / (4.0 * sigma**2)).astype(complex))
 

@@ -289,10 +289,8 @@ def test_criterion_07_calibrated_reproduction(tmp_path):
     from dualitysim.fringes import AzimuthalProfile
 
     h_prof = AzimuthalProfile(
-        angles_deg=np.arange(120) * 3.0,
         values=h_values,
         stderr=np.zeros(120),
-        window_degrees=3.0,
         counts=np.ones(120, dtype=int),
     )
     h_vis, _ = fringe_visibility(h_prof, 3)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -371,6 +372,29 @@ class TestWeakCommand:
         code = main(["weak", "--psi", f"file:{bad}", "--out", str(tmp_path / "w")])
         assert code == 1
         assert ":2:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec,named", [
+        ("gaussian:nan", "'nan'"),
+        ("gaussian:inf", "'inf'"),
+        ("gaussian:abc", "'abc'"),
+        ("gaussian:-3", "'-3'"),
+        ("gaussian:0", "'0'"),
+        ("file:0.1 0\nnan 0\n", ":2:"),
+        ("file:0.1 0\n0.2 -inf\n", ":2:"),
+    ])
+    def test_bad_psi_is_a_usage_error(self, spec, named, tmp_path, capsys):
+        if spec.startswith("file:"):
+            samples = tmp_path / "psi.txt"
+            samples.write_text(spec[5:])
+            spec = f"file:{samples}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["weak", "--psi", spec, "--n", "16", "--json",
+                         "--out", str(tmp_path / "w")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--psi" in err and named in err
+        assert not list(tmp_path.glob("w*"))
 
     @pytest.mark.parametrize("flag", ["--grid", "--seed", "--photons",
                                       "--readout-sigma", "--l"])

@@ -49,13 +49,11 @@ def painted_annulus(grid: GridSpec, func):
     return np.where(mask, func(phi), 0.0)
 
 
-def synthetic_profile(values, window=3.0):
+def synthetic_profile(values):
     n = len(values)
     return AzimuthalProfile(
-        angles_deg=np.arange(n) * window,
         values=np.asarray(values, dtype=float),
         stderr=np.zeros(n),
-        window_degrees=window,
         counts=np.full(n, 100),
     )
 
@@ -67,6 +65,13 @@ class TestAzimuthalProfile:
         assert len(prof) == 120
         assert prof.window_degrees * len(prof) == pytest.approx(360.0)
         np.testing.assert_allclose(np.diff(prof.angles_deg), 3.0)
+
+    def test_bin_count_fixes_window_and_angles(self):
+        image = painted_annulus(GRID, lambda phi: 1.0)
+        prof = azimuthal_profile(image, GRID.beam_center, 32, 160, window_degrees=7.5)
+        assert len(prof) == 48
+        assert prof.window_degrees == 7.5
+        np.testing.assert_array_equal(prof.angles_deg, np.arange(48) * 7.5)
 
     def test_uniform_image_gives_flat_profile(self):
         image = painted_annulus(GRID, lambda phi: 2.5)
@@ -183,7 +188,7 @@ class TestFringeVisibility:
     def test_perfect_fringes_on_painted_annulus(self):
         image = painted_annulus(GRID, lambda phi: 1.0 + np.cos(6 * phi))
         prof = port_profile(image, GRID)
-        vis, _ = fringe_visibility(prof, 3, method="fit")
+        vis, _ = fringe_visibility(prof, 3)
         assert vis == pytest.approx(1.0, abs=1e-3)
 
     def test_pipeline_value_matches_closed_form(self):
@@ -206,10 +211,6 @@ class TestFringeVisibility:
                 vis, _ = fringe_visibility(prof, 3)
                 expected, _ = closed_form_conditional(params)
                 assert abs(vis - expected) < 1e-3
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            fringe_visibility(synthetic_profile(np.ones(120)), 3, method="wavelet")
 
     def test_l_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -292,7 +293,7 @@ class TestFitOperator:
         for l in (3, -3):
             fringe_visibility(profile, l)
         assert fit_operator.cache_info().misses == 1
-        design, pinv, inv_normal = fit_operator(profile.angles_deg.tobytes(), 3, 3.0)
+        design, pinv, inv_normal = fit_operator(120, 3)
         for array in (design, pinv, inv_normal):
             with pytest.raises(ValueError):
                 array[0, 0] = 0.0
@@ -366,7 +367,6 @@ class TestExports:
             visibility=0.9,
             uncertainty=0.01,
             predictability=1.0,
-            method="fit",
             params={"theta": 1.0},
         )
         report = json.loads(path.read_text())

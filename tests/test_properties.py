@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dualitysim import (
@@ -31,10 +31,15 @@ from dualitysim import (
     state_vector,
     synthesize_ports,
 )
-from dualitysim.duality import conditional_sum_of_squares, postselection_probabilities
+from dualitysim.duality import (
+    conditional_sum_of_squares,
+    conditional_visibility_v,
+    postselection_probabilities,
+)
 from dualitysim.fringes import (
     AzimuthalProfile,
     _harmonic_fit,
+    analytic_ports,
     measure_ports,
     moment_profile,
     port_profile,
@@ -207,10 +212,8 @@ def test_seeded_rendering_is_bit_identical(theta, alpha, seed, row, photons, rea
 )
 def test_cached_fit_matches_the_lstsq_oracle(n_bins, charge, sign, seed, scale):
     # More bins than coefficients, so the residuals are not round-off alone.
-    window = 360.0 / n_bins
     values = scale * np.random.default_rng(seed).uniform(0.1, 1.0, n_bins)
-    profile = AzimuthalProfile(np.arange(n_bins) * window, values, np.zeros(n_bins),
-                               window, np.ones(n_bins, dtype=int))
+    profile = AzimuthalProfile(values, np.zeros(n_bins), np.ones(n_bins, dtype=int))
     l = sign * charge
     if (4 * charge) % n_bins == 0:
         # |l| * window a multiple of 90 deg aliases the harmonic (180 deg) or
@@ -222,6 +225,19 @@ def test_cached_fit_matches_the_lstsq_oracle(n_bins, charge, sign, seed, scale):
     ref_coeffs, ref_covariance = lstsq_harmonic_fit(profile, l)
     np.testing.assert_allclose(coeffs, ref_coeffs, rtol=0, atol=1e-12 * abs(ref_coeffs[0]))
     np.testing.assert_allclose(covariance, ref_covariance, rtol=1e-12, atol=0)
+
+
+@PROPERTY
+@given(ANGLE, ANGLE, st.floats(min_value=0.0, max_value=0.99, exclude_max=True), ANGLE)
+def test_analytic_ports_of_a_lit_h_port(theta, alpha, eps, path_phase):
+    # The H-port mode powers (|e|^2, |m|^2) = b^2 (eps^2, 1 - eps^2) come
+    # from the amplitudes; the impurity scales the V contrast by sqrt(1 - eps^2).
+    syn = synthesize_ports(StateParams(theta, alpha), path_phase=path_phase, flip_impurity=eps)
+    assume(sum(syn.intensity_weights("h")[:2]) >= P_MIN)
+    visibility, predictability = analytic_ports(syn)
+    assert abs(predictability - abs(1.0 - 2.0 * eps**2)) <= 1e-15
+    expected = conditional_visibility_v(theta, alpha) * math.sqrt(1.0 - eps**2)
+    np.testing.assert_allclose(visibility, expected, rtol=0, atol=1e-15)
 
 
 @PROPERTY

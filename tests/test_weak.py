@@ -43,9 +43,17 @@ class TestWavefunctions:
         with pytest.raises(ValueError):
             normalized(np.zeros(8))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_normalized_rejects_non_finite_samples(self, bad):
+        psi = np.ones(8, dtype=complex)
+        psi[3] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            normalized(psi)
+
     def test_gaussian_needs_positive_width(self):
-        with pytest.raises(ValueError):
-            gaussian_wavefunction(64, 0.0)
+        for sigma in (0.0, -3.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                gaussian_wavefunction(64, sigma)
 
 
 class TestApplySliver:

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import duality, fringes, optics, weak
-from .errors import DualitySimError
+from .errors import DualitySimError, EmptyBin
 from .qubit import StateParams
 
 _ANGLE_RE = re.compile(
@@ -97,19 +97,29 @@ def at_least(minimum: float, convert=int, below: float = math.inf):
     return parse
 
 
-def _parse_photons(text: str | None) -> float | None:
-    """Photon budget of ``--photons``; None (noiseless) when unset or infinite."""
-    if text is None or text.strip().lower() == "none":
-        return None
-    try:
-        value = float(text)
-    except ValueError:
-        raise UsageError(f"cannot parse photon budget {text!r}") from None
-    if math.isinf(value):
-        return None
-    if not value >= 0:
-        raise UsageError(f"photon budget must be nonnegative, got {text!r}")
+def photon_budget(text: str) -> float:
+    """Flag type of ``--photons``: a budget in [0, inf], where ``inf`` is noiseless."""
+    value = float(text)
+    if not 0.0 <= value <= math.inf:
+        raise UsageError(f"photon budget must be nonnegative or inf, got {text!r}")
     return value
+
+
+def grid_size(text: str) -> int:
+    """Flag type of ``--grid``: a camera size with a pixel in every port window."""
+    size = int(text)
+    try:
+        fringes.port_plan(optics.GridSpec(size))
+    except (ValueError, EmptyBin):
+        raise UsageError(f"a {size} x {size} camera leaves a {fringes.PORT_WINDOW:g}-degree "
+                         "window of the port annulus without pixels; use a larger grid") from None
+    return size
+
+
+def _noise(args: argparse.Namespace, photons: float = math.inf) -> optics.NoiseModel:
+    """The camera of ``args``, with ``photons`` as the budget when ``--photons`` is unset."""
+    budget = photons if args.photons is None else args.photons
+    return optics.NoiseModel(budget, args.readout_sigma, args.seed)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -120,7 +130,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     swept, samples, start, end, fixed = args.sweep, args.samples, args.start, args.end, args.fixed
     if fixed is None:
         fixed = math.pi / 12 if swept == "theta" else math.pi / 2
-    photons = _parse_photons(args.photons)
+    noise = _noise(args)
     pipeline = args.pipeline or args.photons is not None
 
     values = np.linspace(start, end, samples)
@@ -136,14 +146,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                             sum_avg, p_h, p_v)).tolist()
 
     columns = list(SWEEP_COLUMNS)
-    grid = optics.GridSpec(width=args.grid, height=args.grid)
+    grid = optics.GridSpec(args.grid)
     if pipeline:
         columns += MEASURED_COLUMNS
         for i, row in enumerate(rows):
             syn = optics.synthesize_ports(
                 StateParams(float(thetas[i]), float(alphas[i])), l=args.l, grid=grid
             )
-            m = fringes.measure_ports(syn, photons, args.readout_sigma, args.seed, row=i)
+            m = fringes.measure_ports(syn, noise, row=i)
             row += [m.visibility, m.predictability, m.sum_of_squares]
             # Free this row's fields and frames before the next row renders.
             del syn, m
@@ -161,12 +171,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "start": start,
             "end": end,
             "samples": samples,
-            "seed": args.seed,
             "grid": args.grid,
             "oam_charge": args.l,
-            "photon_budget": photons,
-            "readout_sigma": args.readout_sigma,
             "pipeline": pipeline,
+            **noise.record,
         },
     }
     _write_json(json_path, payload)
@@ -185,20 +193,20 @@ def cmd_render(args: argparse.Namespace) -> int:
             raise UsageError("--calibrated sets theta, alpha and impurity itself; "
                              f"it conflicts with {', '.join(conflicts)}")
         params, impurity = optics.calibrated_operating_point()
-        photons = 1e6 if args.photons is None else _parse_photons(args.photons)
+        noise = _noise(args, photons=1e6)
     else:
         if args.theta is None or args.alpha is None:
             raise UsageError("render needs --theta and --alpha (or --calibrated)")
         params = StateParams(args.theta, args.alpha)
         impurity = 0.0 if args.impurity is None else args.impurity
-        photons = _parse_photons(args.photons)
+        noise = _noise(args)
     l, path_phase, out_dir = args.l, args.path_phase, args.out
 
-    grid = optics.GridSpec(width=args.grid, height=args.grid)
+    grid = optics.GridSpec(args.grid)
     syn = optics.synthesize_ports(
         params, l=l, grid=grid, path_phase=path_phase, flip_impurity=impurity
     )
-    m = fringes.measure_ports(syn, photons, args.readout_sigma, args.seed)
+    m = fringes.measure_ports(syn, noise)
     v_analytic, p_analytic = fringes.analytic_ports(syn)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -217,9 +225,7 @@ def cmd_render(args: argparse.Namespace) -> int:
         "flip_impurity": impurity,
         "path_phase": path_phase,
         "grid": args.grid,
-        "photon_budget": photons,
-        "readout_sigma": args.readout_sigma,
-        "seed": args.seed,
+        **noise.record,
     }
     fringes.analysis_report_json(
         out_dir / "report.json",
@@ -242,7 +248,7 @@ def cmd_render(args: argparse.Namespace) -> int:
         params,
         l,
         grid,
-        optics.NoiseModel(photons, args.readout_sigma, args.seed),
+        noise,
         extra={"flip_impurity": impurity, "path_phase": path_phase},
     )
     if args.json:
@@ -318,7 +324,7 @@ def cmd_weak(args: argparse.Namespace) -> int:
                           np.column_stack((np.arange(len(psi)), recon.real, recon.imag, errors)))
 
     order = (weak.convergence_order(np.array(phis), np.array(max_errors))
-             if len(phis) >= 2 else None)
+             if len({abs(phi) for phi in phis}) >= 2 else None)
     summary = {
         "psi": args.psi,
         "n": len(psi),
@@ -337,9 +343,10 @@ def cmd_weak(args: argparse.Namespace) -> int:
 def _add_camera(parser: argparse.ArgumentParser) -> None:
     """Flags of the image pipeline, which only sweep and render run."""
     parser.add_argument("--seed", type=at_least(0), default=0, help="base RNG seed")
-    parser.add_argument("--grid", type=at_least(16), default=512, metavar="N",
-                        help="camera resolution (N x N pixels, N >= 16)")
-    parser.add_argument("--photons", default=None, metavar="B",
+    parser.add_argument("--grid", type=grid_size, default=512, metavar="N",
+                        help="camera resolution (N x N pixels, with a pixel in every "
+                             "window of the port annulus: odd N >= 43 or any N >= 63)")
+    parser.add_argument("--photons", type=photon_budget, default=None, metavar="B",
                         help="photon budget per unit power ('inf' for noiseless)")
     parser.add_argument("--readout-sigma", type=at_least(0.0, float), default=0.0,
                         metavar="S", help="readout noise (counts)")

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, lru_cache
 from pathlib import Path
 
@@ -30,9 +30,11 @@ import numpy as np
 
 from . import duality, optics
 from .errors import P_MIN, DegenerateProfile, EmptyBin, ZeroIntensity
-from .optics import DEFAULT_ANNULUS, FieldImage, GridSpec, PortSynthesis
+from .optics import FieldImage, GridSpec, NoiseModel, PortSynthesis
 
 INTENSITY_EPS = 1e-300  # floor below which a total intensity is "zero"
+PORT_ANNULUS = (0.5, 2.5)  # radii in beam-waist units enclosing the ring
+PORT_WINDOW = 3.0  # degrees of each angular window of a port profile
 
 
 def _bin_angles(n_bins: int) -> np.ndarray:
@@ -126,7 +128,7 @@ def azimuthal_profile(
     center: tuple[float, float],
     r_min: float,
     r_max: float,
-    window_degrees: float = 3.0,
+    window_degrees: float = PORT_WINDOW,
 ) -> AzimuthalProfile:
     """Bin pixel intensities of an annulus into angular windows.
 
@@ -152,15 +154,20 @@ def azimuthal_profile(
     return plan.profile(plan.window_sums(samples), plan.window_sums(samples**2))
 
 
-def port_profile(
-    image: np.ndarray,
-    grid: GridSpec,
-    annulus: tuple[float, float] = DEFAULT_ANNULUS,
-    window_degrees: float = 3.0,
-) -> AzimuthalProfile:
-    """Azimuthal profile with the annulus given in beam-waist units."""
-    r_min, r_max = (grid.waist_to_pixels(r) for r in annulus)
-    return azimuthal_profile(image, grid.beam_center, r_min, r_max, window_degrees)
+def _port_annulus(grid: GridSpec) -> tuple:
+    """(center, r_min, r_max, window_degrees) of the port annulus in pixels."""
+    r_min, r_max = (grid.waist_to_pixels(r) for r in PORT_ANNULUS)
+    return grid.beam_center, r_min, r_max, PORT_WINDOW
+
+
+def port_plan(grid: GridSpec) -> AnnulusPlan:
+    """``annulus_plan`` of the port annulus; ``EmptyBin`` for a too coarse ``grid``."""
+    return annulus_plan((grid.size, grid.size), *_port_annulus(grid))
+
+
+def port_profile(image: np.ndarray, grid: GridSpec) -> AzimuthalProfile:
+    """Azimuthal profile of a camera frame over the port annulus."""
+    return azimuthal_profile(image, *_port_annulus(grid))
 
 
 def _window_attenuation(l: int, window_degrees: float) -> float:
@@ -307,8 +314,7 @@ def _mode_moments(l: int, grid: GridSpec) -> tuple[AnnulusPlan, np.ndarray, np.n
     """Plan of ``port_profile``'s annulus and per-window sums over it of the
     mode terms |u+|^2, |u-|^2, Re(u+ conj(u-)) and Im(u+ conj(u-)) (4 rows)
     and of their pair products times multiplicity (10 rows, for the stderr)."""
-    radii = (grid.waist_to_pixels(r) for r in DEFAULT_ANNULUS)
-    plan = annulus_plan((grid.height, grid.width), grid.beam_center, *radii, 3.0)
+    plan = port_plan(grid)
     u_plus, u_minus = (optics._mode_data(m, grid).take(plan.pixels) for m in (l, -l))
     cross = u_plus * u_minus.conj()
     terms = np.stack([np.abs(u_plus) ** 2, np.abs(u_minus) ** 2, cross.real, cross.imag])
@@ -358,14 +364,8 @@ class PortMeasurement:
         return 0 if math.isnan(self.visibility) else count_petals(self.v_profile)
 
 
-def measure_ports(
-    synthesis: PortSynthesis,
-    photons: float | None,
-    readout_sigma: float,
-    seed: int,
-    row: int = 0,
-) -> PortMeasurement:
-    """Measure V and P on the two ports of ``synthesis``.
+def measure_ports(synthesis: PortSynthesis, noise: NoiseModel, row: int = 0) -> PortMeasurement:
+    """Measure V and P on the two ports of ``synthesis`` through the camera ``noise``.
 
     V is fitted on the V-port profile.  P comes from the H-port profile
     or, for a nonzero flip impurity, from the H port's +l and -l frames,
@@ -373,20 +373,20 @@ def measure_ports(
     is below ``P_MIN`` times the sum of both ports' profile means is dark:
     its measure is NaN without a fit, so round-off light reads as
     undefined, not as a value.  Frame ``port`` (0 V, 1 H, 2 H +l, 3 H -l)
-    draws its noise from ``SeedSequence(seed, spawn_key=(row, port))``.
-    Without photon or readout noise the profiles come from
-    ``moment_profile``, and the V and H frames are rendered only when
-    read.  ``EmptyBin`` depends on the grid alone and propagates.
+    is rendered with ``noise`` reseeded from ``SeedSequence(noise.seed,
+    spawn_key=(row, port))``.  For an ``exact`` noise model the profiles
+    come from ``moment_profile``, and the V and H frames are rendered only
+    when read.  ``EmptyBin`` depends on the grid alone and propagates.
     """
 
     def render(fields: list[FieldImage], port: int) -> np.ndarray:
-        seeds = np.random.SeedSequence(seed, spawn_key=(row, port))
-        return optics.render_image(fields, optics.NoiseModel(photons, readout_sigma, seeds))
+        seeds = np.random.SeedSequence(noise.seed, spawn_key=(row, port))
+        return optics.render_image(fields, replace(noise, seed=seeds))
 
     frame = cache(lambda port: render(synthesis.h_fields if port else synthesis.v_fields, port))
 
     l, grid = synthesis.l, synthesis.grid
-    if (photons is None or photons == math.inf) and readout_sigma == 0.0:
+    if noise.exact:
         v_profile, h_profile = moment_profile(synthesis, "v"), moment_profile(synthesis, "h")
     else:
         v_profile, h_profile = port_profile(frame(0), grid), port_profile(frame(1), grid)

@@ -2,11 +2,12 @@
 
 Geometry and units
 ------------------
-Fields live on a regular pixel grid.  Lengths are measured in units of
-the beam waist w: a ``GridSpec`` with ``extent=4`` spans [-4w, 4w] across
-its width.  The default camera is 512x512 with the beam centered between
-the four central pixels, which keeps the grid exactly fourfold symmetric
-about the beam axis.
+Fields live on one square camera, ``GridSpec(size)``: N x N pixels
+spanning [-4w, 4w] (``EXTENT``) on both axes in units of the beam waist
+w, with the beam centered between the four central pixels, which keeps
+the grid exactly fourfold symmetric about the beam axis.  The default
+camera is 512x512.  One ``NoiseModel`` holds a run's photon budget,
+readout noise and seed; its ``exact`` frames carry no noise at all.
 
 Mode model
 ----------
@@ -48,43 +49,35 @@ from .errors import ChargeOutOfRange
 from .qubit import StateParams
 
 DEFAULT_OAM = 3
-MAX_OAM = 32  # its ring radius sqrt(|l|/2) = 4 waists still fits GridSpec's default extent
-DEFAULT_ANNULUS = (0.5, 2.5)  # radii in beam-waist units enclosing the ring
+EXTENT = 4.0  # half-width of every camera in beam-waist units
+MAX_OAM = 32  # its ring radius sqrt(|l|/2) = 4 waists still fits the camera's EXTENT
 # Largest mean numpy's Generator.poisson accepts (its own bound, ~9.22e18).
 POISSON_LAM_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Pixel raster and its mapping to physical beam coordinates.
+    """Square camera of ``size`` x ``size`` pixels spanning +-``EXTENT`` waists.
 
-    ``extent`` is the half-width in beam-waist units.  ``center`` is the
-    sub-pixel beam center in pixel coordinates (x, y); the default sits
-    midway between the central pixels.  Pixels are square with pitch
-    2*extent/width; ``height`` only changes how many rows are rastered.
+    The beam sits midway between the central pixels; pixels are square
+    with pitch 2*EXTENT/size.
     """
 
-    width: int = 512
-    height: int = 512
-    extent: float = 4.0
-    center: tuple[float, float] | None = None
+    size: int = 512
 
     def __post_init__(self) -> None:
-        if self.width < 16 or self.height < 16:
+        if self.size < 16:
             raise ValueError("grid must be at least 16x16 pixels")
-        if not (self.extent > 0):
-            raise ValueError("extent must be positive")
 
     @property
     def beam_center(self) -> tuple[float, float]:
-        if self.center is not None:
-            return self.center
-        return ((self.width - 1) / 2.0, (self.height - 1) / 2.0)
+        """(x, y) of the beam axis in pixel coordinates."""
+        return ((self.size - 1) / 2.0,) * 2
 
     @property
     def pixel_size(self) -> float:
         """Pixel pitch in beam-waist units (square pixels)."""
-        return 2.0 * self.extent / self.width
+        return 2.0 * EXTENT / self.size
 
     @property
     def pixel_area(self) -> float:
@@ -97,10 +90,8 @@ class GridSpec:
 @lru_cache(maxsize=8)
 def _grid_coords(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """(X, Y) pixel-center coordinates in waist units, cached per grid."""
-    cx, cy = grid.beam_center
-    x = (np.arange(grid.width) - cx) * grid.pixel_size
-    y = (np.arange(grid.height) - cy) * grid.pixel_size
-    return np.meshgrid(x, y)
+    axis = (np.arange(grid.size) - grid.beam_center[0]) * grid.pixel_size
+    return np.meshgrid(axis, axis)
 
 
 @dataclass
@@ -124,26 +115,33 @@ class NoiseModel:
 
     ``photon_budget`` is the expected number of detected photons per unit
     of optical power, i.e. a unit-power field integrates to this many
-    counts.  ``None`` (or infinity) renders the exact intensity with no
-    noise.  ``readout_sigma`` is the standard deviation of the additive
-    readout noise in photon counts; negative pixel values are clamped to
-    zero.  ``seed`` is anything ``numpy.random.default_rng`` accepts;
-    identical seed and inputs give bit-identical images.
+    counts; ``inf`` (the default) draws no shot noise.  ``readout_sigma``
+    is the standard deviation of the additive readout noise in photon
+    counts; negative pixel values are clamped to zero.  ``seed`` is
+    anything ``numpy.random.default_rng`` accepts; identical seed and
+    inputs give bit-identical images.  ``record`` is the model as JSON
+    writes it, with a ``null`` budget for no shot noise.
     """
 
-    photon_budget: float | None = None
+    photon_budget: float = math.inf
     readout_sigma: float = 0.0
     seed: int | np.random.SeedSequence = 0
 
     def __post_init__(self) -> None:
-        if self.photon_budget is not None and not self.photon_budget >= 0:
+        if not self.photon_budget >= 0:
             raise ValueError("photon_budget must be >= 0")
         if self.readout_sigma < 0:
             raise ValueError("readout_sigma must be >= 0")
 
     @property
-    def noiseless(self) -> bool:
-        return self.photon_budget is None or math.isinf(self.photon_budget)
+    def exact(self) -> bool:
+        """True when a frame is the exact intensity: no shot or readout noise."""
+        return self.photon_budget == math.inf and self.readout_sigma == 0.0
+
+    @property
+    def record(self) -> dict:
+        budget = self.photon_budget if self.photon_budget < math.inf else None
+        return {"photon_budget": budget, "readout_sigma": self.readout_sigma, "seed": self.seed}
 
 
 def _check_charge(l: int) -> None:
@@ -285,11 +283,12 @@ def render_image(
     has to be one ``FieldImage`` already, as the port fields of
     ``synthesize_ports`` are.
 
-    Noiseless rendering returns the exact summed |amplitude|^2.  With a
-    finite photon budget the intensity is scaled to expected counts
-    (budget x power), Poisson-sampled per pixel, readout noise is added,
-    and the result is clamped at zero.  A budget that puts more expected
-    counts in one pixel than the Poisson sampler accepts raises
+    An ``exact`` noise model returns the summed |amplitude|^2.  Otherwise
+    one generator seeded from ``noise.seed`` draws, in this order, the
+    shot noise of a finite photon budget (the intensity scaled to expected
+    counts, budget x power, and Poisson-sampled per pixel) and the readout
+    noise, and the frame is clamped at zero.  A budget that puts more
+    expected counts in one pixel than the Poisson sampler accepts raises
     ``ValueError``.
     """
     if isinstance(fields, FieldImage):
@@ -297,33 +296,28 @@ def render_image(
     if not fields:
         raise ValueError("render_image needs at least one field")
     grid = fields[0].grid
-    for f in fields:
-        if f.grid != grid:
-            raise ValueError("all fields must share one GridSpec")
+    if any(f.grid != grid for f in fields):
+        raise ValueError("all fields must share one GridSpec")
 
-    intensity = np.zeros((grid.height, grid.width), dtype=float)
+    intensity = np.zeros((grid.size, grid.size), dtype=float)
     for f in fields:
         intensity += np.abs(f.data) ** 2
+    if noise.exact:
+        return intensity
 
-    if noise.noiseless:
-        if noise.readout_sigma == 0.0:
-            return intensity
-        rng = np.random.default_rng(noise.seed)
-        noisy = intensity + rng.normal(0.0, noise.readout_sigma, intensity.shape)
-        return np.clip(noisy, 0.0, None)
-
-    expected_counts = intensity * grid.pixel_area * noise.photon_budget
-    peak = float(expected_counts.max())
-    if peak > POISSON_LAM_MAX:
-        raise ValueError(
-            f"photon budget {noise.photon_budget:g} puts {peak:.3g} expected counts "
-            f"in one pixel, above the Poisson sampler's limit of {POISSON_LAM_MAX:.3g}"
-        )
     rng = np.random.default_rng(noise.seed)
-    counts = rng.poisson(expected_counts).astype(float)
+    if noise.photon_budget < math.inf:
+        expected_counts = intensity * grid.pixel_area * noise.photon_budget
+        peak = float(expected_counts.max())
+        if peak > POISSON_LAM_MAX:
+            raise ValueError(
+                f"photon budget {noise.photon_budget:g} puts {peak:.3g} expected counts "
+                f"in one pixel, above the Poisson sampler's limit of {POISSON_LAM_MAX:.3g}"
+            )
+        intensity = rng.poisson(expected_counts).astype(float)
     if noise.readout_sigma > 0.0:
-        counts += rng.normal(0.0, noise.readout_sigma, counts.shape)
-    return np.clip(counts, 0.0, None)
+        intensity += rng.normal(0.0, noise.readout_sigma, intensity.shape)
+    return np.clip(intensity, 0.0, None)
 
 
 def calibrated_operating_point(
@@ -367,18 +361,16 @@ def write_pfm(path: str | Path, image: np.ndarray) -> None:
         fh.write(np.flipud(image).astype("<f4").tobytes())  # rows bottom-up
 
 
-def write_pgm16(path: str | Path, image: np.ndarray, scale: float | None = None) -> float:
-    """16-bit binary PGM raster; returns the counts-per-level scale used.
+def write_pgm16(path: str | Path, image: np.ndarray) -> float:
+    """16-bit binary PGM raster with the image maximum at level 65535.
 
-    ``scale`` maps image values to levels (value/scale -> [0, 65535]);
-    by default the image maximum maps to 65535.
+    Returns the counts-per-level scale used (1 for an all-zero image).
     """
     image = np.asarray(image, dtype=float)
     if image.ndim != 2:
         raise ValueError("PGM export expects a 2-D image")
     peak = float(image.max()) if image.size else 0.0
-    if scale is None:
-        scale = peak / 65535.0 if peak > 0 else 1.0
+    scale = peak / 65535.0 if peak > 0 else 1.0
     levels = np.clip(np.round(image / scale), 0, 65535).astype(">u2")
     with open(path, "wb") as fh:
         fh.write(b"P5\n")
@@ -402,16 +394,12 @@ def write_metadata(
         "alpha": params.alpha,
         "oam_charge": l,
         "grid": {
-            "width": grid.width,
-            "height": grid.height,
-            "extent": grid.extent,
+            "width": grid.size,
+            "height": grid.size,
+            "extent": EXTENT,
             "center": list(grid.beam_center),
         },
-        "noise": {
-            "photon_budget": noise.photon_budget,
-            "readout_sigma": noise.readout_sigma,
-            "seed": noise.seed,
-        },
+        "noise": noise.record,
     }
     if extra:
         meta.update(extra)

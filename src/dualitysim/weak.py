@@ -57,12 +57,14 @@ def grid_positions(n: int) -> np.ndarray:
     return np.arange(n, dtype=float) - (n - 1) / 2.0
 
 
-def gaussian_wavefunction(n: int, sigma: float, center: float = 0.0) -> np.ndarray:
-    """Unit-norm Gaussian profile exp(-(x - center)^2 / (4 sigma^2))."""
+def gaussian_wavefunction(n: int, sigma: float) -> np.ndarray:
+    """Unit-norm Gaussian exp(-(x / (2 sigma))^2) on ``grid_positions(n)``; an
+    exponent that overflows to inf (a tiny sigma) gives the sample 0."""
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError("sigma must be finite and positive")
-    x = grid_positions(n)
-    return normalized(np.exp(-((x - center) ** 2) / (4.0 * sigma**2)).astype(complex))
+    with np.errstate(over="ignore"):
+        exponent = (grid_positions(n) / (2.0 * sigma)) ** 2
+    return normalized(np.exp(-exponent).astype(complex))
 
 
 def uniform_wavefunction(n: int) -> np.ndarray:
@@ -220,11 +222,11 @@ def reconstruct_profile(psi: np.ndarray, phi: float, mode: str = "linearized") -
 
 
 def convergence_order(phis: np.ndarray, errors: np.ndarray) -> float:
-    """Least-squares slope of log(error) against log(phi)."""
-    phis = np.asarray(phis, dtype=float)
+    """Least-squares slope of log(error) against log|phi|."""
+    phis = np.abs(np.asarray(phis, dtype=float))
     errors = np.asarray(errors, dtype=float)
-    if len(phis) < 2:
-        raise ValueError("need at least two coupling angles")
+    if len(set(phis.tolist())) < 2:
+        raise ValueError("need at least two distinct coupling magnitudes |phi|")
     if np.any(errors <= 0):
         raise ValueError("errors must be positive to measure an order")
     slope, _ = np.polyfit(np.log(phis), np.log(errors), 1)

@@ -7,7 +7,15 @@ import warnings
 import numpy as np
 import pytest
 
-from dualitysim import FieldImage, GridSpec, StateParams, oam_mode, render_image, synthesize_ports
+from dualitysim import (
+    FieldImage,
+    GridSpec,
+    NoiseModel,
+    StateParams,
+    oam_mode,
+    render_image,
+    synthesize_ports,
+)
 from dualitysim.cli import UsageError, main, parse_angle
 from dualitysim.fringes import measure_ports
 from dualitysim.optics import write_pfm, write_pgm16
@@ -147,12 +155,6 @@ class TestSweepCommand:
         assert "photon" in capsys.readouterr().err
         assert not out.with_suffix(".csv").exists()
 
-    def test_empty_bin_grid_is_runtime_error(self, tmp_path, capsys):
-        code = main(["sweep", "--samples", "3", "--photons", "inf", "--grid", "32",
-                     "--out", str(tmp_path / "sweep_h")])
-        assert code == 2
-        assert "has no pixels" in capsys.readouterr().err
-
     def test_noiseless_dark_h_port_reads_nan(self, tmp_path):
         # p_H is 0 at theta = 0 and ~1.5e-32 (round-off) at theta = 2 pi.
         out = tmp_path / "sweep_j"
@@ -172,8 +174,8 @@ class TestSweepCommand:
         for i, row in enumerate(payload["rows"]):
             value = dict(zip(names, row))
             syn = synthesize_ports(StateParams(value["theta"], value["alpha"]),
-                                   grid=GridSpec(64, 64))
-            m = measure_ports(syn, 2e5, 2.0, 9, row=i)
+                                   grid=GridSpec(64))
+            m = measure_ports(syn, NoiseModel(2e5, 2.0, 9), row=i)
             np.testing.assert_array_equal(
                 [m.visibility, m.predictability],
                 [value["V_cond_V_measured"], value["P_cond_H_measured"]],
@@ -307,7 +309,7 @@ class TestRenderCommand:
         assert main(["render", "--theta", str(theta), "--alpha", str(alpha),
                      "--impurity", str(eps), "--path-phase", str(phase),
                      "--grid", "96", "--out", str(out)]) == 0
-        grid = GridSpec(96, 96)
+        grid = GridSpec(96)
         u_plus, u_minus = oam_mode(3, grid), oam_mode(-3, grid)
         a, lower = math.cos(theta / 2), math.sin(theta / 2)
         b, c = lower * math.cos(alpha / 2), lower * math.sin(alpha / 2)
@@ -395,6 +397,31 @@ class TestWeakCommand:
         err = capsys.readouterr().err
         assert "--psi" in err and named in err
         assert not list(tmp_path.glob("w*"))
+
+    @pytest.mark.parametrize("n,code", [(15, 0), (16, 1)])
+    def test_underflowing_gaussian_gives_one_point_or_usage_error(self, n, code, tmp_path,
+                                                                 capsys):
+        # (x / (2 sigma))^2 overflows to inf off the centre, so only the
+        # centre sample of an odd grid survives.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["weak", "--psi", "gaussian:1e-300", "--n", str(n), "--phi", "0.01",
+                         "--out", str(tmp_path / "w")]) == code
+        if code:
+            assert "zero wavefunction" in capsys.readouterr().err
+        else:
+            _, rows = read_csv(tmp_path / "w_phi0.01.csv")
+            assert np.count_nonzero(rows[:, 1]) == 1
+
+    @pytest.mark.parametrize("phis,fitted", [("-0.1,0.05", True), ("0.1,-0.1", False)])
+    def test_convergence_order_is_fitted_on_abs_phi(self, phis, fitted, tmp_path):
+        assert main(["weak", "--psi", "gaussian:4", "--n", "32", f"--phi={phis}",
+                     "--out", str(tmp_path / "w")]) == 0
+        order = json.loads((tmp_path / "w_summary.json").read_text())["convergence_order"]
+        if fitted:
+            assert order == pytest.approx(2.0, abs=0.2)
+        else:
+            assert order is None
 
     @pytest.mark.parametrize("flag", ["--grid", "--seed", "--photons",
                                       "--readout-sigma", "--l"])
@@ -566,6 +593,14 @@ class TestConfigFile:
         (["render", "--theta", "1", "--alpha", "1", "--l", "500", "--grid", "64"], "--l"),
         (["render", "--theta", "1", "--alpha", "1", "--l", "-33", "--grid", "64"], "--l"),
         (["sweep", "--pipeline", "--l", "64", "--grid", "64"], "--l"),
+        (["render", "--theta", "1", "--alpha", "1", "--grid", "64", "--photons=-inf"],
+         "--photons"),
+        (["sweep", "--grid", "64", "--photons=-inf"], "--photons"),
+        (["render", "--theta", "1", "--alpha", "1", "--grid", "64", "--photons", "-1"],
+         "--photons"),
+        (["sweep", "--grid", "64", "--photons", "nan"], "--photons"),
+        (["render", "--theta", "1", "--alpha", "1", "--grid", "64", "--photons", "none"],
+         "--photons"),
     ],
 )
 def test_out_of_range_flag_is_usage_error_naming_the_flag(argv, flag, tmp_path, capsys):
@@ -573,6 +608,35 @@ def test_out_of_range_flag_is_usage_error_naming_the_flag(argv, flag, tmp_path, 
     assert main(argv + ["--out", str(out)]) == 1
     assert f"argument {flag}:" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["render", "--theta", "1", "--alpha", "1"], ["sweep", "--pipeline", "--samples", "2"]],
+    ids=["render", "sweep"],
+)
+@pytest.mark.parametrize("size", [16, 32, 42, 62, 43, 63, 64])
+def test_grid_needs_a_pixel_in_every_port_window(size, command, tmp_path, capsys):
+    code = main(command + ["--grid", str(size), "--out", str(tmp_path / "x")])
+    if size in (16, 32, 42, 62):
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "argument --grid:" in err and "without pixels" in err
+        assert not any(tmp_path.iterdir())
+    else:
+        assert code == 0
+
+
+def test_noiseless_budget_is_written_as_null(tmp_path):
+    out = tmp_path / "r"
+    assert main(["render", "--theta", "1", "--alpha", "1", "--grid", "64", "--photons", "inf",
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["params"]["photon_budget"] is None
+    assert json.loads((out / "metadata.json").read_text())["noise"]["photon_budget"] is None
+    assert main(["sweep", "--samples", "2", "--grid", "64", "--photons", "inf",
+                 "--out", str(tmp_path / "s")]) == 0
+    config = json.loads((tmp_path / "s.json").read_text())["config"]
+    assert config["photon_budget"] is None and config["pipeline"]
 
 
 class TestTopLevel:

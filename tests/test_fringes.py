@@ -36,13 +36,13 @@ from dualitysim.fringes import (
 
 from oracles import bin_average_cos, mask_azimuthal_profile
 
-GRID = GridSpec()  # 512 x 512, extent 4 waists
+GRID = GridSpec()  # 512 x 512, spanning +-4 waists
 
 
 def painted_annulus(grid: GridSpec, func):
     """Intensity image func(phi) inside the default annulus, else zero."""
     cx, cy = grid.beam_center
-    ys, xs = np.indices((grid.height, grid.width))
+    ys, xs = np.indices((grid.size, grid.size))
     r = np.hypot(xs - cx, ys - cy)
     phi = np.arctan2(ys - cy, xs - cx)
     mask = (r >= grid.waist_to_pixels(0.5)) & (r < grid.waist_to_pixels(2.5))
@@ -154,7 +154,7 @@ class TestAnnulusPlan:
 
 class TestMeasurePorts:
     def test_noiseless_measurement_forms_no_frame_until_read(self, monkeypatch):
-        syn = synthesize_ports(StateParams(1.0, 0.7), grid=GridSpec(128, 128))
+        syn = synthesize_ports(StateParams(1.0, 0.7), grid=GridSpec(128))
         expected = render_image(syn.v_fields)
         rendered = []
         original = optics.render_image
@@ -164,15 +164,15 @@ class TestMeasurePorts:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(optics, "render_image", counting_render)
-        m = measure_ports(syn, None, 0.0, seed=0)
+        m = measure_ports(syn, NoiseModel())
         assert not rendered
         np.testing.assert_array_equal(m.v_image, expected)
         assert m.v_image is m.v_image and len(rendered) == 1
 
     def test_noiseless_measures_match_the_pixel_path(self):
-        grid = GridSpec(128, 128)
+        grid = GridSpec(128)
         syn = synthesize_ports(StateParams(2.0, 1.1), grid=grid, path_phase=0.3)
-        m = measure_ports(syn, None, 0.0, seed=0)
+        m = measure_ports(syn, NoiseModel())
         v_pixel = fringe_visibility(port_profile(render_image(syn.v_fields), grid), 3)
         p_pixel = predictability_from_profile(port_profile(render_image(syn.h_fields), grid), 3)
         np.testing.assert_allclose([m.visibility, m.uncertainty], v_pixel, rtol=1e-9)

@@ -18,6 +18,7 @@ from dualitysim import (
     DegenerateProfile,
     DualitySimError,
     GridSpec,
+    NoiseModel,
     StateParams,
     ZeroProbabilityPostselection,
     averaged_duality,
@@ -140,11 +141,11 @@ def test_mixed_postselection_sum_lies_between_one_and_two(theta, alpha):
 def test_fitted_visibility_does_not_depend_on_path_phase(theta, alpha, phase):
     # The path phase turns the petals; pixelation of the turned pattern
     # moves the fitted V by a few 1e-3 at 128^2, and by far more at 64^2.
-    grid = GridSpec(128, 128)
+    grid = GridSpec(128)
     v_zero, v_phase = (
         measure_ports(
             synthesize_ports(StateParams(theta, alpha), grid=grid, path_phase=path_phase),
-            None, 0.0, 0,
+            NoiseModel(),
         ).visibility
         for path_phase in (0.0, phase)
     )
@@ -166,7 +167,7 @@ def test_fitted_visibility_does_not_depend_on_path_phase(theta, alpha, phase):
 def test_moment_profile_matches_pixel_profile(theta, alpha, phase, impurity, l, size):
     # The moment sums reorder the float arithmetic of the rendered frame,
     # and the stderr subtracts two nearly equal terms, so its bound is looser.
-    grid = GridSpec(size, size)
+    grid = GridSpec(size)
     syn = synthesize_ports(
         StateParams(theta, alpha), l=l, grid=grid, path_phase=phase, flip_impurity=impurity
     )
@@ -189,8 +190,9 @@ def test_moment_profile_matches_pixel_profile(theta, alpha, phase, impurity, l, 
 )
 def test_seeded_rendering_is_bit_identical(theta, alpha, seed, row, photons, readout_sigma):
     # A flip impurity makes measure_ports render all four frames.
-    syn = synthesize_ports(StateParams(theta, alpha), grid=GridSpec(64, 64), flip_impurity=0.1)
-    first, second = (measure_ports(syn, photons, readout_sigma, seed, row=row) for _ in range(2))
+    syn = synthesize_ports(StateParams(theta, alpha), grid=GridSpec(64), flip_impurity=0.1)
+    noise = NoiseModel(photons, readout_sigma, seed)
+    first, second = (measure_ports(syn, noise, row=row) for _ in range(2))
     for name in ("v_image", "h_image"):
         np.testing.assert_array_equal(getattr(first, name), getattr(second, name))
     for name in ("v_profile", "h_profile"):

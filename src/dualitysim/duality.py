@@ -2,8 +2,12 @@
 
 For a single OAM qubit with density matrix rho (basis |l>, |-l>):
 
-    visibility      V = |Tr[(sigma_x + i sigma_y) rho]| = 2 |rho_01|
-    predictability  P = |Tr[sigma_z rho]| = |rho_00 - rho_11|
+    visibility      V = |Tr[(sigma_x + i sigma_y) rho]| = 2 |rho_10|
+    predictability  P = |Re Tr[sigma_z rho]| = |Re(rho_00 - rho_11)|
+
+The routines read these entries directly.  For any finite 2x2 rho the
+Pauli products only add exact zeros and scale by exact factors of 2, so
+the entry reads equal the traces bit for bit, Hermitian or not.
 
 Both lie in [0, 1] and satisfy V^2 + P^2 <= 1 for any physical state.
 Conditional variants apply the same measures to the OAM state obtained
@@ -36,9 +40,6 @@ import numpy as np
 
 from .errors import P_MIN, ZeroProbabilityPostselection
 from .qubit import (
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     StateParams,
     amplitude_matrix,
     partial_trace_env,
@@ -66,16 +67,22 @@ class DualityReport:
         return self.visibility**2 + self.predictability**2
 
 
-def visibility(rho: np.ndarray) -> float:
-    """Fringe contrast of a qubit state: twice the coherence magnitude."""
+def _qubit_state(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
-    return float(abs(np.trace((SIGMA_X + 1j * SIGMA_Y) @ rho)))
+    if rho.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 qubit state, got shape {rho.shape}")
+    return rho
+
+
+def visibility(rho: np.ndarray) -> float:
+    """Fringe contrast of a qubit state: 2|rho[1, 0]|, the coherence."""
+    return float(abs(2 * _qubit_state(rho)[1, 0]))
 
 
 def predictability(rho: np.ndarray) -> float:
-    """Which-alternative information of a qubit state: |<sigma_z>|."""
-    rho = np.asarray(rho, dtype=complex)
-    return float(abs(np.trace(SIGMA_Z @ rho).real))
+    """Which-alternative information: |Re(rho[0, 0] - rho[1, 1])| = |<sigma_z>|."""
+    rho = _qubit_state(rho)
+    return float(abs((rho[0, 0] - rho[1, 1]).real))
 
 
 def unconditional_duality(params: StateParams) -> DualityReport:
@@ -172,7 +179,7 @@ def averaged_duality(params: StateParams) -> DualityReport:
     zero, and the averages are total functions of the preparation angles.
     """
     amps = amplitude_matrix(state_vector(params))
-    branches = [np.outer(col, col.conj()) for col in amps.T]
+    branches = [col[:, None] * col.conj() for col in amps.T]
     return DualityReport(
         visibility=sum(visibility(rho) for rho in branches),
         predictability=sum(predictability(rho) for rho in branches),

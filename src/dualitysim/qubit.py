@@ -51,11 +51,6 @@ class StateParams:
         if not (math.isfinite(self.theta) and math.isfinite(self.alpha)):
             raise ValueError("theta and alpha must be finite")
 
-    def canonical(self) -> tuple[float, float]:
-        """Angles folded into [0, 2*pi) for reporting."""
-        two_pi = 2.0 * math.pi
-        return (self.theta % two_pi, self.alpha % two_pi)
-
 
 def state_vector(params: StateParams) -> np.ndarray:
     """Amplitude 4-vector of the prepared pure state.
@@ -131,19 +126,22 @@ def postselect_env(state: np.ndarray, projector: np.ndarray) -> tuple[np.ndarray
     round-off even for a faint branch, and p = |b|^2.
 
     Raises:
-        ValueError: if the trace of the projector is not 1.
+        ValueError: if the projector is not 2x2 or its trace is not 1.
         ZeroProbabilityPostselection: if p < P_MIN, in which case the
             conditional state is undefined.
     """
     amps = amplitude_matrix(state)
     proj = np.asarray(projector, dtype=complex)
-    weights = proj.diagonal().real
-    if abs(weights.sum() - 1.0) > TRACE_ATOL:
-        raise ValueError(f"projector trace {weights.sum()!r} is not 1; need a rank-1 projector")
-    j = int(weights.argmax())
+    if proj.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 polarization projector, got shape {proj.shape}")
+    w0 = proj[0, 0].real
+    w1 = proj[1, 1].real
+    if not abs(w0 + w1 - 1.0) <= TRACE_ATOL:
+        raise ValueError(f"projector trace {w0 + w1!r} is not 1; need a rank-1 projector")
+    j, weight = (0, w0) if w0 >= w1 else (1, w1)
     branch = amps @ proj[:, j].conj()
     norm_sq = float(np.vdot(branch, branch).real)
-    probability = norm_sq / float(weights[j])
+    probability = norm_sq / float(weight)
     if probability < P_MIN:
         raise ZeroProbabilityPostselection(
             f"postselection probability {probability:.3e} below {P_MIN:.1e}"

@@ -106,11 +106,6 @@ class JointState:
     h: np.ndarray
     v: np.ndarray
 
-    def norm(self) -> float:
-        return math.sqrt(
-            float(np.sum(np.abs(self.h) ** 2) + np.sum(np.abs(self.v) ** 2))
-        )
-
 
 def apply_sliver(psi: np.ndarray, coupling: SliverCoupling) -> JointState:
     """Couple the polarization to the presence of the beam at one point.

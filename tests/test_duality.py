@@ -1,9 +1,14 @@
 """Visibility/predictability measures against closed forms and oracles."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualitysim import (
+    P_MIN,
     StateParams,
     ZeroProbabilityPostselection,
     averaged_duality,
@@ -25,10 +30,27 @@ from dualitysim.duality import (
     conditional_visibility_v,
     postselection_probabilities,
 )
+from dualitysim.qubit import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 from oracles import brute_predictability, brute_visibility
 
 GRID = np.linspace(0, 2 * np.pi, 64, endpoint=False)
+
+PART = st.floats(min_value=-1.0, max_value=1.0)
+
+
+@st.composite
+def finite_2x2(draw):
+    """Finite complex 2x2 matrices: general, Hermitian or zero-coherence,
+    at unit scale or faint (entries near P_MIN)."""
+    parts = np.array(draw(st.lists(PART, min_size=8, max_size=8)))
+    m = draw(st.sampled_from([1.0, P_MIN])) * (parts[:4] + 1j * parts[4:]).reshape(2, 2)
+    kind = draw(st.sampled_from(["general", "hermitian", "incoherent"]))
+    if kind == "hermitian":
+        return m + m.conj().T
+    if kind == "incoherent":
+        return np.diag(m.diagonal())
+    return m
 
 
 class TestQubitMeasures:
@@ -52,6 +74,18 @@ class TestQubitMeasures:
             assert visibility(rho) == pytest.approx(2 * abs(rho[0, 1]), abs=1e-13)
             assert visibility(rho) == pytest.approx(brute_visibility(rho), abs=1e-13)
             assert predictability(rho) == pytest.approx(brute_predictability(rho), abs=1e-13)
+
+    @settings(derandomize=True, deadline=None, database=None)
+    @given(finite_2x2())
+    def test_entry_reads_equal_pauli_traces_exactly(self, rho):
+        assert visibility(rho) == abs(np.trace((SIGMA_X + 1j * SIGMA_Y) @ rho))
+        assert predictability(rho) == abs(np.trace(SIGMA_Z @ rho).real)
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 3), (4, 4), (2, 2, 2)])
+    @pytest.mark.parametrize("measure", [visibility, predictability])
+    def test_rejects_non_qubit_shape(self, measure, shape):
+        with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+            measure(np.zeros(shape))
 
     def test_reduced_state_examples(self):
         rho = partial_trace_env(state_vector(StateParams(np.pi / 2, np.pi / 2)))

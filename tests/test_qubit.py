@@ -1,5 +1,7 @@
 """State algebra: preparation, partial trace, postselection."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -86,11 +88,6 @@ class TestBuildState:
     def test_rejects_non_finite_angles(self):
         with pytest.raises(ValueError):
             StateParams(np.inf, 0.0)
-
-    def test_canonical_folds_into_base_interval(self):
-        theta, alpha = StateParams(-0.5, 7.0).canonical()
-        assert 0 <= theta < 2 * np.pi
-        assert 0 <= alpha < 2 * np.pi
 
 
 class TestPartialTrace:
@@ -222,9 +219,15 @@ class TestPostselection:
 
     def test_rejects_projector_whose_trace_is_not_one(self):
         psi = state_vector(StateParams(1.0, 2.0))
-        for bad in (np.eye(2), 0.5 * projector_h()):
+        for bad in (np.eye(2), 0.5 * projector_h(), np.full((2, 2), np.nan)):
             with pytest.raises(ValueError, match="trace"):
                 postselect_env(psi, bad)
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 3), (4, 4), (2, 2, 2)])
+    def test_rejects_non_qubit_projector_shape(self, shape):
+        psi = state_vector(StateParams(1.0, 2.0))
+        with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+            postselect_env(psi, np.zeros(shape))
 
     def test_p_min_threshold_is_respected(self):
         psi = state_vector(StateParams(1e-9, 0.0))  # tiny |-l,H> amplitude

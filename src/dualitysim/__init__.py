@@ -44,7 +44,6 @@ from .optics import (
     calibrated_operating_point,
     oam_mode,
     render_image,
-    simulate_interferometer,
     synthesize_ports,
 )
 from .qubit import (
@@ -112,7 +111,6 @@ __all__ = [
     "reconstruct_profile",
     "reconstruct_weak_value",
     "render_image",
-    "simulate_interferometer",
     "state_vector",
     "synthesize_ports",
     "true_ratio",

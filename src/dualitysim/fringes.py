@@ -383,7 +383,8 @@ def measure_ports(synthesis: PortSynthesis, noise: NoiseModel, row: int = 0) -> 
         seeds = np.random.SeedSequence(noise.seed, spawn_key=(row, port))
         return optics.render_image(fields, replace(noise, seed=seeds))
 
-    frame = cache(lambda port: render(synthesis.h_fields if port else synthesis.v_fields, port))
+    port_fields = cache(synthesis.fields)
+    frame = cache(lambda port: render(port_fields("h" if port else "v"), port))
 
     l, grid = synthesis.l, synthesis.grid
     if noise.exact:
@@ -400,11 +401,10 @@ def measure_ports(synthesis: PortSynthesis, noise: NoiseModel, row: int = 0) -> 
             pass
     if h_mean >= floor:
         try:
-            if synthesis.h_impurity is not None:
+            if synthesis.flip_impurity != 0.0:
                 # The unflipped impurity light is the H port's only +l content.
-                predictability = predictability_from_images(
-                    render([synthesis.h_impurity], 2), render([synthesis.h_main], 3)
-                )
+                main, impurity = port_fields("h")
+                predictability = predictability_from_images(render([impurity], 2), render([main], 3))
             else:
                 predictability = predictability_from_profile(h_profile, l)
         except (DegenerateProfile, ZeroIntensity):

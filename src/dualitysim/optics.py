@@ -21,12 +21,13 @@ independent of this envelope choice.
 
 Interferometer model
 --------------------
-The upper arm carries amplitude cos(theta/2) of mode +l with vertical
-polarization.  The lower arm carries sin(theta/2) of mode -l (the Dove
-prism reverses handedness) with polarization cos(alpha/2) H +
-sin(alpha/2) V.  The output polarizing beam splitter routes the H and V
-components to two camera images.  An optional relative path phase rotates
-the petal pattern without changing any power or visibility.
+Each output port of the polarizing beam splitter is one polarization
+branch of the prepared state, i.e. one column of ``qubit``'s amplitude
+matrix A[oam, pol]: port "h" is column 0 and port "v" column 1.  A
+column's row 0 is the upper arm's amplitude of mode +l and its row 1 the
+lower arm's amplitude of mode -l (the Dove prism reverses handedness).
+An optional relative path phase on the lower arm rotates the petal
+pattern without changing any power or visibility.
 
 The Dove prism flip may be given a small impurity: a fraction of the
 lower-arm amplitude keeps its original handedness and is treated as
@@ -40,13 +41,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ChargeOutOfRange
-from .qubit import StateParams
+from .qubit import StateParams, amplitude_matrix, state_vector
 
 DEFAULT_OAM = 3
 EXTENT = 4.0  # half-width of every camera in beam-waist units
@@ -100,13 +101,6 @@ class FieldImage:
 
     data: np.ndarray
     grid: GridSpec
-
-    def power(self) -> float:
-        """Total power sum |amplitude|^2 * pixel area."""
-        return float(np.sum(np.abs(self.data) ** 2) * self.grid.pixel_area)
-
-    def intensity(self) -> np.ndarray:
-        return np.abs(self.data) ** 2
 
 
 @dataclass(frozen=True)
@@ -176,50 +170,39 @@ def oam_mode(l: int, grid: GridSpec = GridSpec()) -> FieldImage:
 class PortSynthesis:
     """Interferometer outputs with per-handedness bookkeeping.
 
-    ``h_amplitudes``/``v_amplitudes`` hold each port as (p, m, e) on the
-    cached modes u+ = u(+l) and u- = u(-l): the coherent field p u+ + m u-
-    and the unflipped lower-arm light e u+, which adds to the images in
-    intensity, not amplitude.  Their fields ``h_main``/``v_main`` and
-    ``h_impurity``/``v_impurity`` (None for a zero impurity) are built on
-    first access.  The modes have unit power, so the first two
-    ``intensity_weights(port)`` are the powers attributable to the +l and
-    -l modes in a port, i.e. what an arm-blocking power measurement would
-    record.
+    ``amplitudes[port]`` holds port "h" or "v" as (p, m, e) on the cached
+    modes u+ = u(+l) and u- = u(-l): the coherent field p u+ + m u- and
+    the unflipped lower-arm light e u+, which adds to the images in
+    intensity, not amplitude.  ``fields(port)`` builds them.  The modes
+    have unit power, so the first two ``intensity_weights(port)`` are the
+    powers attributable to the +l and -l modes in a port, i.e. what an
+    arm-blocking power measurement would record.
     """
 
     params: StateParams
     l: int
     grid: GridSpec
     flip_impurity: float
-    h_amplitudes: tuple[complex, complex, float]
-    v_amplitudes: tuple[complex, complex, float]
+    amplitudes: dict[str, tuple[complex, complex, complex]]
 
-    def _coherent(self, amplitudes: tuple[complex, complex, float]) -> FieldImage:
-        plus, minus, _ = amplitudes
+    def fields(self, port: str) -> list[FieldImage]:
+        """Mutually incoherent fields of ``port``: the coherent p u+ + m u-,
+        then, for a nonzero impurity, e u+."""
+        plus, minus, impurity = self.amplitudes[port]
         data = minus * _mode_data(-self.l, self.grid)
         if plus != 0:
             data = plus * _mode_data(self.l, self.grid) + data
-        return FieldImage(data, self.grid)
-
-    def _impurity(self, amplitudes: tuple[complex, complex, float]) -> FieldImage | None:
+        main = FieldImage(data, self.grid)
         if self.flip_impurity == 0.0:
-            return None
-        return FieldImage(amplitudes[2] * _mode_data(self.l, self.grid), self.grid)
-
-    h_main = cached_property(lambda self: self._coherent(self.h_amplitudes))
-    v_main = cached_property(lambda self: self._coherent(self.v_amplitudes))
-    h_impurity = cached_property(lambda self: self._impurity(self.h_amplitudes))
-    v_impurity = cached_property(lambda self: self._impurity(self.v_amplitudes))
-
-    h_fields = property(lambda self: [f for f in (self.h_main, self.h_impurity) if f])
-    v_fields = property(lambda self: [f for f in (self.v_main, self.v_impurity) if f])
+            return [main]
+        return [main, FieldImage(impurity * _mode_data(self.l, self.grid), self.grid)]
 
     def intensity_weights(self, port: str) -> np.ndarray:
         """Noiseless intensity |p u+ + m u-|^2 + |e u+|^2 of ``port`` ("v" or
         "h") as weights on |u+|^2, |u-|^2, Re(u+ conj(u-)), Im(u+ conj(u-))."""
-        plus, minus, impurity = getattr(self, f"{port}_amplitudes")
+        plus, minus, impurity = self.amplitudes[port]
         cross = complex(plus * np.conj(minus))
-        return np.array([abs(plus) ** 2 + impurity**2, abs(minus) ** 2,
+        return np.array([abs(plus) ** 2 + abs(impurity) ** 2, abs(minus) ** 2,
                          2.0 * cross.real, -2.0 * cross.imag])
 
 
@@ -230,47 +213,30 @@ def synthesize_ports(
     path_phase: float = 0.0,
     flip_impurity: float = 0.0,
 ) -> PortSynthesis:
-    """Full interferometer synthesis including the impurity bookkeeping.
+    """Ports (upper, lower sqrt(1 - eps^2) e^{i path_phase}, lower eps), eps =
+    ``flip_impurity``, of the prepared state's amplitude-matrix columns (upper, lower).
 
-    Raises ``ChargeOutOfRange`` for |l| > ``MAX_OAM``.
+    Raises ``ChargeOutOfRange`` for |l| > ``MAX_OAM`` and ``ValueError``
+    for a non-finite ``path_phase``.
     """
     _check_charge(l)  # up front: the modes are built only when a field is read
     if not 0.0 <= flip_impurity < 1.0:
         raise ValueError("flip_impurity must be in [0, 1)")
-    a = math.cos(params.theta / 2)  # upper arm, mode +l, polarization V
-    lower = math.sin(params.theta / 2)
-    b = lower * math.cos(params.alpha / 2)  # lower arm H component
-    c = lower * math.sin(params.alpha / 2)  # lower arm V component
+    if not math.isfinite(path_phase):
+        raise ValueError(f"path_phase must be finite, got {path_phase}")
     phase = np.exp(1j * path_phase)
-    eps = flip_impurity
-    flip = math.sqrt(1.0 - eps**2)
-
+    flip = math.sqrt(1.0 - flip_impurity**2)
+    columns = amplitude_matrix(state_vector(params)).T.tolist()
     return PortSynthesis(
         params=params,
         l=l,
         grid=grid,
-        flip_impurity=eps,
-        # H output: lower-arm light only, handedness flipped.
-        h_amplitudes=(0.0, b * flip * phase, b * eps),
-        # V output: upper arm interferes with the flipped lower-arm light.
-        v_amplitudes=(a, c * flip * phase, c * eps),
+        flip_impurity=flip_impurity,
+        amplitudes={
+            port: (upper, (lower * flip) * phase, lower * flip_impurity)
+            for port, (upper, lower) in zip("hv", columns)
+        },
     )
-
-
-def simulate_interferometer(
-    params: StateParams,
-    l: int = DEFAULT_OAM,
-    grid: GridSpec = GridSpec(),
-    path_phase: float = 0.0,
-) -> tuple[FieldImage, FieldImage]:
-    """Ideal interferometer: (H-port field, V-port field).
-
-    The two ports carry total power 1; the H port holds the single mode
-    -l with power sin^2(theta/2) cos^2(alpha/2), the V port the coherent
-    superposition of +l and -l that produces the petal pattern.
-    """
-    syn = synthesize_ports(params, l=l, grid=grid, path_phase=path_phase)
-    return syn.h_main, syn.v_main
 
 
 def render_image(
@@ -330,8 +296,9 @@ def calibrated_operating_point(
     This is a calibration choice, not derived physics: the handedness
     impurity eps is set so the H-port mode powers give predictability
     1 - 2 eps^2 = ``p_target``, and theta is solved (at the given alpha,
-    taking the faint-H branch) so the V-port fringe visibility
-    2 a c sqrt(1 - eps^2) / (a^2 + c^2) equals ``v_target``.
+    taking the faint-H branch) so the fringe visibility
+    2 |p m| / (|p|^2 + |m|^2 + |e|^2) of the V port's amplitudes equals
+    ``v_target``.
     """
     if not 0.0 < p_target <= 1.0:
         raise ValueError("p_target must be in (0, 1]")
@@ -339,7 +306,7 @@ def calibrated_operating_point(
     v_ideal = v_target / math.sqrt(1.0 - eps**2)
     if not 0.0 < v_ideal < 1.0:
         raise ValueError("targets are outside the reachable range")
-    s = math.sin(alpha / 2)
+    s = state_vector(StateParams(math.pi, alpha))[3].real  # |-l, V> of the lower arm alone
     if s <= 0.0:
         raise ValueError("alpha must give a nonzero lower-arm V component")
     # V_ideal = 2 t s / (1 + t^2 s^2) for t = tan(theta/2); smaller root

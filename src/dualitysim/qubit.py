@@ -137,7 +137,7 @@ def postselect_env(state: np.ndarray, projector: np.ndarray) -> tuple[np.ndarray
     w0 = proj[0, 0].real
     w1 = proj[1, 1].real
     if not abs(w0 + w1 - 1.0) <= TRACE_ATOL:
-        raise ValueError(f"projector trace {w0 + w1!r} is not 1; need a rank-1 projector")
+        raise ValueError(f"projector trace {float(w0 + w1)} is not 1; need a rank-1 projector")
     j, weight = (0, w0) if w0 >= w1 else (1, w1)
     branch = amps @ proj[:, j].conj()
     norm_sq = float(np.vdot(branch, branch).real)

@@ -29,7 +29,6 @@ from dualitysim import (
     postselect_env,
     predictability,
     projector_from_ket,
-    simulate_interferometer,
     state_vector,
     true_ratio,
     visibility,
@@ -37,7 +36,7 @@ from dualitysim import (
 from dualitysim.cli import main
 from dualitysim.duality import averaged_sum_of_squares, conditional_visibility_v
 from dualitysim.fringes import fringe_visibility, port_profile
-from dualitysim.optics import GridSpec, render_image
+from dualitysim.optics import GridSpec, render_image, synthesize_ports
 from dualitysim.weak import (
     SliverCoupling,
     apply_sliver,
@@ -325,7 +324,7 @@ def test_criterion_08_image_analytic_equivalence():
             except ZeroProbabilityPostselection:
                 skipped += 1
                 continue
-            _, v_port = simulate_interferometer(params, 3, grid)
+            v_port = synthesize_ports(params, 3, grid).fields("v")
             image = render_image(v_port)
             vis, _ = fringe_visibility(port_profile(image, grid), 3)
             worst = max(worst, abs(vis - expected))

@@ -17,7 +17,6 @@ from dualitysim import (
     predictability_from_images,
     predictability_from_profile,
     render_image,
-    simulate_interferometer,
     synthesize_ports,
 )
 from dualitysim import optics
@@ -110,8 +109,8 @@ class TestAzimuthalProfile:
             azimuthal_profile(image, (31.5, 31.5), 10.0, 5.0)
 
     def test_six_petal_profile_from_pipeline(self):
-        _, v = simulate_interferometer(StateParams(np.pi / 2, np.pi / 2), 3, GRID)
-        prof = port_profile(v.intensity(), GRID)
+        v = synthesize_ports(StateParams(np.pi / 2, np.pi / 2), 3, GRID).fields("v")
+        prof = port_profile(render_image(v), GRID)
         assert count_petals(prof) == 6
 
 
@@ -155,7 +154,7 @@ class TestAnnulusPlan:
 class TestMeasurePorts:
     def test_noiseless_measurement_forms_no_frame_until_read(self, monkeypatch):
         syn = synthesize_ports(StateParams(1.0, 0.7), grid=GridSpec(128))
-        expected = render_image(syn.v_fields)
+        expected = render_image(syn.fields("v"))
         rendered = []
         original = optics.render_image
 
@@ -173,8 +172,8 @@ class TestMeasurePorts:
         grid = GridSpec(128)
         syn = synthesize_ports(StateParams(2.0, 1.1), grid=grid, path_phase=0.3)
         m = measure_ports(syn, NoiseModel())
-        v_pixel = fringe_visibility(port_profile(render_image(syn.v_fields), grid), 3)
-        p_pixel = predictability_from_profile(port_profile(render_image(syn.h_fields), grid), 3)
+        v_pixel = fringe_visibility(port_profile(render_image(syn.fields("v")), grid), 3)
+        p_pixel = predictability_from_profile(port_profile(render_image(syn.fields("h")), grid), 3)
         np.testing.assert_allclose([m.visibility, m.uncertainty], v_pixel, rtol=1e-9)
         assert m.predictability == pytest.approx(p_pixel, abs=1e-9)
 
@@ -193,8 +192,8 @@ class TestFringeVisibility:
 
     def test_pipeline_value_matches_closed_form(self):
         params = StateParams(np.pi / 2, np.pi / 2)
-        _, v = simulate_interferometer(params, 3, GRID)
-        prof = port_profile(v.intensity(), GRID)
+        v = synthesize_ports(params, 3, GRID).fields("v")
+        prof = port_profile(render_image(v), GRID)
         vis, _ = fringe_visibility(prof, 3)
         expected, _ = closed_form_conditional(params)
         assert vis == pytest.approx(expected, abs=1e-3)
@@ -206,8 +205,8 @@ class TestFringeVisibility:
         for theta in np.linspace(0.4, 2 * np.pi - 0.4, 5):
             for alpha in np.linspace(0.4, 2 * np.pi - 0.4, 5):
                 params = StateParams(theta, alpha)
-                _, v = simulate_interferometer(params, 3, GRID)
-                prof = port_profile(v.intensity(), GRID)
+                v = synthesize_ports(params, 3, GRID).fields("v")
+                prof = port_profile(render_image(v), GRID)
                 vis, _ = fringe_visibility(prof, 3)
                 expected, _ = closed_form_conditional(params)
                 assert abs(vis - expected) < 1e-3
@@ -238,8 +237,8 @@ class TestFringeVisibility:
         # Mean fitted visibility over 100 shot-noise frames at a million
         # photons stays within 0.01 of the noiseless value.
         params = StateParams(np.pi / 2, np.pi / 2)
-        _, v = simulate_interferometer(params, 3, GRID)
-        truth, _ = fringe_visibility(port_profile(v.intensity(), GRID), 3)
+        v = synthesize_ports(params, 3, GRID).fields("v")
+        truth, _ = fringe_visibility(port_profile(render_image(v), GRID), 3)
         estimates = []
         for seed in range(100):
             image = render_image(v, NoiseModel(1e6, 0.0, seed=seed))
@@ -251,8 +250,8 @@ class TestFringeVisibility:
         # Readout noise of 2 counts is harmless once pixels hold well
         # over a count each (10 million photons here).
         params = StateParams(np.pi / 2, np.pi / 2)
-        _, v = simulate_interferometer(params, 3, GRID)
-        truth, _ = fringe_visibility(port_profile(v.intensity(), GRID), 3)
+        v = synthesize_ports(params, 3, GRID).fields("v")
+        truth, _ = fringe_visibility(port_profile(render_image(v), GRID), 3)
         estimates = []
         for seed in range(40):
             image = render_image(v, NoiseModel(1e7, 2.0, seed=seed))
@@ -266,8 +265,8 @@ class TestFringeVisibility:
         # baseline and pulls the fitted contrast down by a few percent.
         # This documents the censoring regime of the camera model.
         params = StateParams(np.pi / 2, np.pi / 2)
-        _, v = simulate_interferometer(params, 3, GRID)
-        truth, _ = fringe_visibility(port_profile(v.intensity(), GRID), 3)
+        v = synthesize_ports(params, 3, GRID).fields("v")
+        truth, _ = fringe_visibility(port_profile(render_image(v), GRID), 3)
         estimates = []
         for seed in range(25):
             image = render_image(v, NoiseModel(1e6, 2.0, seed=seed))
@@ -278,10 +277,10 @@ class TestFringeVisibility:
 
     def test_fit_uncertainty_covers_noise_scatter(self):
         params = StateParams(np.pi / 2, np.pi / 2)
-        _, v = simulate_interferometer(params, 3, GRID)
+        v = synthesize_ports(params, 3, GRID).fields("v")
         image = render_image(v, NoiseModel(1e6, 0.0, seed=3))
         vis, unc = fringe_visibility(port_profile(image, GRID), 3)
-        truth, _ = fringe_visibility(port_profile(v.intensity(), GRID), 3)
+        truth, _ = fringe_visibility(port_profile(render_image(v), GRID), 3)
         assert unc > 0
         assert abs(vis - truth) < 6 * unc
 
@@ -326,8 +325,8 @@ class TestPredictability:
 
     def test_h_port_profile_gives_unity(self):
         for theta, alpha in [(np.pi / 2, np.pi / 2), (1.3, 0.7), (2.0, 2.8)]:
-            h, _ = simulate_interferometer(StateParams(theta, alpha), 3, GRID)
-            prof = port_profile(h.intensity(), GRID)
+            h = synthesize_ports(StateParams(theta, alpha), 3, GRID).fields("h")
+            prof = port_profile(render_image(h), GRID)
             assert predictability_from_profile(prof, 3) == pytest.approx(1.0, abs=1e-6)
 
     def test_balanced_petals_give_zero(self):
@@ -335,8 +334,8 @@ class TestPredictability:
         # holds equal +l/-l amplitudes, so its own predictability vanishes.
         # sqrt(1 - V^2) is ill-conditioned as V -> 1, so pixel-level
         # discretization of a few 1e-4 in V still allows a few 1e-2 here.
-        _, v = simulate_interferometer(StateParams(np.pi / 2, np.pi), 3, GRID)
-        prof = port_profile(v.intensity(), GRID)
+        v = synthesize_ports(StateParams(np.pi / 2, np.pi), 3, GRID).fields("v")
+        prof = port_profile(render_image(v), GRID)
         assert predictability_from_profile(prof, 3) == pytest.approx(0.0, abs=0.05)
 
 

@@ -14,7 +14,6 @@ from dualitysim import (
     calibrated_operating_point,
     oam_mode,
     render_image,
-    simulate_interferometer,
     synthesize_ports,
 )
 from dualitysim.optics import MAX_OAM, POISSON_LAM_MAX, write_metadata, write_pfm, write_pgm16
@@ -23,17 +22,22 @@ GRID = GridSpec(256)
 FULL = GridSpec()
 
 
+def power(fields) -> float:
+    """Total power of ``fields`` on ``GRID``: summed |amplitude|^2 times pixel area."""
+    return float(render_image(fields).sum() * GRID.pixel_area)
+
+
 class TestOamMode:
     def test_unit_power(self):
         for l in (-3, 0, 1, 3, 5):
-            assert oam_mode(l, GRID).power() == pytest.approx(1.0, abs=1e-12)
+            assert power(oam_mode(l, GRID)) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.filterwarnings("error")
     def test_largest_supported_charge_is_finite(self):
         for l in (MAX_OAM, -MAX_OAM):
             assert np.isfinite(oam_mode(l, GridSpec(64)).data).all()
             syn = synthesize_ports(StateParams(1.0, 1.0), l=l, grid=GridSpec(64))
-            assert np.isfinite(syn.v_fields[0].data).all()
+            assert np.isfinite(syn.fields("v")[0].data).all()
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("l", [MAX_OAM + 1, -(MAX_OAM + 1), 500])
@@ -53,7 +57,7 @@ class TestOamMode:
         syn = synthesize_ports(StateParams(1.0, 1.0), l=3, grid=grid)
         syn.l = 500
         with pytest.raises(ChargeOutOfRange, match=rf"optics\.MAX_OAM = {MAX_OAM}"):
-            syn.v_fields
+            syn.fields("v")
 
     def test_phase_winds_l_times(self):
         mode = oam_mode(3, GRID)
@@ -76,7 +80,7 @@ class TestOamMode:
     def test_opposite_charges_share_intensity(self):
         plus = oam_mode(3, GRID)
         minus = oam_mode(-3, GRID)
-        assert np.array_equal(plus.intensity(), minus.intensity())
+        assert np.array_equal(render_image(plus), render_image(minus))
         np.testing.assert_allclose(plus.data, minus.data.conj(), atol=1e-15)
 
     def test_opposite_charges_are_orthogonal(self):
@@ -87,7 +91,7 @@ class TestOamMode:
 
     def test_azimuthally_uniform_intensity(self):
         mode = oam_mode(3, GRID)
-        intensity = mode.intensity()
+        intensity = render_image(mode)
         # Fourfold grid symmetry: rotating the image by 90 degrees must
         # reproduce it exactly.
         assert np.allclose(intensity, np.rot90(intensity), atol=1e-15)
@@ -107,32 +111,35 @@ class TestGridSpec:
 
 class TestInterferometer:
     def test_maximally_correlated_ports(self):
-        h, v = simulate_interferometer(StateParams(np.pi / 2, 0.0), 3, GRID)
-        assert h.power() == pytest.approx(0.5, abs=1e-12)
-        assert v.power() == pytest.approx(0.5, abs=1e-12)
+        syn = synthesize_ports(StateParams(np.pi / 2, 0.0), 3, GRID)
+        h, v = syn.fields("h"), syn.fields("v")
+        assert power(h) == pytest.approx(0.5, abs=1e-12)
+        assert power(v) == pytest.approx(0.5, abs=1e-12)
         # Each port carries a single charge: intensities are rotation
         # invariant, i.e. no petals anywhere.
-        for image in (h.intensity(), v.intensity()):
+        for image in (render_image(h), render_image(v)):
             assert np.allclose(image, np.rot90(image), atol=1e-15)
 
     def test_lower_arm_fully_vertical(self):
-        h, v = simulate_interferometer(StateParams(np.pi / 2, np.pi), 3, GRID)
-        assert h.power() == pytest.approx(0.0, abs=1e-12)
-        assert v.power() == pytest.approx(1.0, abs=1e-12)
+        syn = synthesize_ports(StateParams(np.pi / 2, np.pi), 3, GRID)
+        h, v = syn.fields("h"), syn.fields("v")
+        assert power(h) == pytest.approx(0.0, abs=1e-12)
+        assert power(v) == pytest.approx(1.0, abs=1e-12)
 
     def test_energy_conservation_on_grid(self):
         for theta in np.linspace(0, 2 * np.pi, 9):
             for alpha in np.linspace(0, 2 * np.pi, 9):
                 params = StateParams(theta, alpha)
-                h, v = simulate_interferometer(params, 3, GRID)
-                assert h.power() + v.power() == pytest.approx(1.0, abs=1e-9)
+                syn = synthesize_ports(params, 3, GRID)
+                h, v = syn.fields("h"), syn.fields("v")
+                assert power(h) + power(v) == pytest.approx(1.0, abs=1e-9)
                 expected_h = np.sin(theta / 2) ** 2 * np.cos(alpha / 2) ** 2
-                assert h.power() == pytest.approx(expected_h, abs=1e-9)
+                assert power(h) == pytest.approx(expected_h, abs=1e-9)
 
     def test_h_port_single_charge(self):
         # The horizontal output is one OAM mode for any preparation.
-        h, _ = simulate_interferometer(StateParams(1.1, 0.9), 3, GRID)
-        image = h.intensity()
+        h = synthesize_ports(StateParams(1.1, 0.9), 3, GRID).fields("h")
+        image = render_image(h)
         assert np.allclose(image, np.rot90(image), atol=1e-15)
 
     def test_path_phase_rotates_petals_only(self):
@@ -140,11 +147,11 @@ class TestInterferometer:
 
         params = StateParams(np.pi / 2, np.pi / 2)
         delta = np.pi / 7
-        _, v0 = simulate_interferometer(params, 3, GRID)
-        _, v1 = simulate_interferometer(params, 3, GRID, path_phase=delta)
-        assert v0.power() == pytest.approx(v1.power(), abs=1e-12)
-        prof0 = port_profile(v0.intensity(), GRID)
-        prof1 = port_profile(v1.intensity(), GRID)
+        v0 = synthesize_ports(params, 3, GRID).fields("v")
+        v1 = synthesize_ports(params, 3, GRID, path_phase=delta).fields("v")
+        assert power(v0) == pytest.approx(power(v1), abs=1e-12)
+        prof0 = port_profile(render_image(v0), GRID)
+        prof1 = port_profile(render_image(v1), GRID)
         vis0, _ = fringe_visibility(prof0, 3)
         vis1, _ = fringe_visibility(prof1, 3)
         assert vis1 == pytest.approx(vis0, abs=1e-3)
@@ -160,7 +167,7 @@ class TestInterferometer:
     def test_petal_count_is_twice_charge(self):
         params = StateParams(np.pi / 2, np.pi / 2)
         for l in (1, 2, 3):
-            _, v = simulate_interferometer(params, l, GRID)
+            v = synthesize_ports(params, l, GRID).fields("v")
             cx, cy = GRID.beam_center
             angles = np.linspace(0, 2 * np.pi, 1440, endpoint=False)
             # Sample each mode on its own ring radius sqrt(l/2), where the
@@ -168,7 +175,7 @@ class TestInterferometer:
             radius = GRID.waist_to_pixels(np.sqrt(l / 2))
             xs = np.round(cx + radius * np.cos(angles)).astype(int)
             ys = np.round(cy + radius * np.sin(angles)).astype(int)
-            ring = v.intensity()[ys, xs]
+            ring = render_image(v)[ys, xs]
             mid = 0.5 * (ring.max() + ring.min())
             above = ring > mid
             rising = np.sum(above[1:] & ~above[:-1]) + int(above[0] and not above[-1])
@@ -183,51 +190,56 @@ class TestInterferometer:
         # The impurity ratio fixes the H-port mode split.
         assert h_plus / (h_plus + h_minus) == pytest.approx(eps**2, abs=1e-12)
         # H-port image of the incoherent mixture stays rotation invariant.
-        image = render_image(syn.h_fields)
+        image = render_image(syn.fields("h"))
         assert np.allclose(image, np.rot90(image), atol=1e-18)
 
     def test_impurity_range_check(self):
         with pytest.raises(ValueError):
             synthesize_ports(StateParams(1.0, 1.0), 3, GRID, flip_impurity=1.0)
 
+    @pytest.mark.parametrize("path_phase", [np.nan, np.inf, -np.inf])
+    def test_non_finite_path_phase_is_rejected(self, path_phase):
+        with pytest.raises(ValueError, match="path_phase must be finite"):
+            synthesize_ports(StateParams(1.0, 0.7), grid=GridSpec(64), path_phase=path_phase)
+
 
 class TestRenderImage:
     def test_noiseless_is_exact_intensity(self):
-        _, v = simulate_interferometer(StateParams(np.pi / 2, np.pi / 2), 3, GRID)
+        [v] = synthesize_ports(StateParams(np.pi / 2, np.pi / 2), 3, GRID).fields("v")
         image = render_image(v, NoiseModel())
-        np.testing.assert_array_equal(image, v.intensity())
+        np.testing.assert_array_equal(image, np.abs(v.data) ** 2)
 
     def test_infinite_budget_sentinel(self):
-        _, v = simulate_interferometer(StateParams(np.pi / 2, np.pi / 2), 3, GRID)
+        [v] = synthesize_ports(StateParams(np.pi / 2, np.pi / 2), 3, GRID).fields("v")
         image = render_image(v, NoiseModel(photon_budget=np.inf))
-        np.testing.assert_array_equal(image, v.intensity())
+        np.testing.assert_array_equal(image, np.abs(v.data) ** 2)
 
     def test_vacuum_renders_black(self):
-        h, _ = simulate_interferometer(StateParams(np.pi / 2, np.pi), 3, GRID)
+        h = synthesize_ports(StateParams(np.pi / 2, np.pi), 3, GRID).fields("h")
         image = render_image(h, NoiseModel(photon_budget=1e5, readout_sigma=0.0, seed=1))
         assert image.sum() == 0.0
 
     def test_deterministic_given_seed(self):
-        _, v = simulate_interferometer(StateParams(np.pi / 2, np.pi / 2), 3, GRID)
+        v = synthesize_ports(StateParams(np.pi / 2, np.pi / 2), 3, GRID).fields("v")
         noise = NoiseModel(photon_budget=1e5, readout_sigma=2.0, seed=42)
         a = render_image(v, noise)
         b = render_image(v, noise)
         np.testing.assert_array_equal(a, b)
 
     def test_seed_changes_noise(self):
-        _, v = simulate_interferometer(StateParams(np.pi / 2, np.pi / 2), 3, GRID)
+        v = synthesize_ports(StateParams(np.pi / 2, np.pi / 2), 3, GRID).fields("v")
         a = render_image(v, NoiseModel(1e5, 2.0, seed=1))
         b = render_image(v, NoiseModel(1e5, 2.0, seed=2))
         assert not np.array_equal(a, b)
 
     def test_expected_counts_match_budget(self):
-        _, v = simulate_interferometer(StateParams(np.pi / 2, np.pi), 3, GRID)
+        v = synthesize_ports(StateParams(np.pi / 2, np.pi), 3, GRID).fields("v")
         image = render_image(v, NoiseModel(photon_budget=2e5, readout_sigma=0.0, seed=3))
         # Unit-power port: expected total counts equal the budget.
         assert image.sum() == pytest.approx(2e5, rel=0.02)
 
     def test_counts_are_nonnegative(self):
-        _, v = simulate_interferometer(StateParams(np.pi / 2, np.pi / 2), 3, GRID)
+        v = synthesize_ports(StateParams(np.pi / 2, np.pi / 2), 3, GRID).fields("v")
         image = render_image(v, NoiseModel(1e4, 5.0, seed=4))
         assert (image >= 0).all()
 
@@ -243,8 +255,8 @@ class TestRenderImage:
         rng.poisson(POISSON_LAM_MAX)
         with pytest.raises(ValueError):
             rng.poisson(np.nextafter(POISSON_LAM_MAX, np.inf))
-        _, v = simulate_interferometer(StateParams(np.pi / 2, np.pi / 2), 3, GRID)
-        peak = v.intensity().max() * GRID.pixel_area
+        v = synthesize_ports(StateParams(np.pi / 2, np.pi / 2), 3, GRID).fields("v")
+        peak = render_image(v).max() * GRID.pixel_area
         assert render_image(v, NoiseModel(9.2e18 / peak, seed=1)).max() > 0
         with pytest.raises(ValueError, match=r"photon budget 1e\+25 .* Poisson"):
             render_image(v, NoiseModel(1e25, seed=1))

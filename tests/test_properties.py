@@ -171,9 +171,9 @@ def test_moment_profile_matches_pixel_profile(theta, alpha, phase, impurity, l, 
     syn = synthesize_ports(
         StateParams(theta, alpha), l=l, grid=grid, path_phase=phase, flip_impurity=impurity
     )
-    for port, fields in (("v", syn.v_fields), ("h", syn.h_fields)):
+    for port in ("v", "h"):
         fast = moment_profile(syn, port)
-        pixel = port_profile(render_image(fields), grid)
+        pixel = port_profile(render_image(syn.fields(port)), grid)
         np.testing.assert_array_equal(fast.counts, pixel.counts)
         assert np.abs(fast.values - pixel.values).max() <= 1e-12 * pixel.values.max()
         assert np.abs(fast.stderr - pixel.stderr).max() <= 1e-8 * pixel.stderr.max()
@@ -227,6 +227,17 @@ def test_cached_fit_matches_the_lstsq_oracle(n_bins, charge, sign, seed, scale):
     ref_coeffs, ref_covariance = lstsq_harmonic_fit(profile, l)
     np.testing.assert_allclose(coeffs, ref_coeffs, rtol=0, atol=1e-12 * abs(ref_coeffs[0]))
     np.testing.assert_allclose(covariance, ref_covariance, rtol=1e-12, atol=0)
+
+
+@PROPERTY
+@given(ANGLE, ANGLE, AZIMUTH, st.floats(min_value=0.0, max_value=0.99, exclude_max=True))
+def test_port_powers_are_the_postselection_probabilities(theta, alpha, path_phase, eps):
+    # Port "h" is the amplitude matrix's H column and "v" its V column; the
+    # impurity splits a port's lower-arm power between modes and keeps it.
+    syn = synthesize_ports(StateParams(theta, alpha), path_phase=path_phase, flip_impurity=eps)
+    p_h, p_v = postselection_probabilities(theta, alpha)
+    for port, probability in (("h", p_h), ("v", p_v)):
+        assert abs(sum(syn.intensity_weights(port)[:2]) - probability) <= 1e-15
 
 
 @PROPERTY

@@ -105,6 +105,14 @@ def photon_budget(text: str) -> float:
     return value
 
 
+def oam_charge(text: str) -> int:
+    """Flag type of ``--l``: a charge with 1 <= |l| <= ``optics.MAX_OAM`` (petals need l != 0)."""
+    value = int(text)
+    if not 1 <= abs(value) <= optics.MAX_OAM:
+        raise UsageError(f"OAM charge must be nonzero with |l| <= {optics.MAX_OAM}, got {text}")
+    return value
+
+
 def grid_size(text: str) -> int:
     """Flag type of ``--grid``: a camera size with a pixel in every port window."""
     size = int(text)
@@ -350,8 +358,8 @@ def _add_camera(parser: argparse.ArgumentParser) -> None:
                         help="photon budget per unit power ('inf' for noiseless)")
     parser.add_argument("--readout-sigma", type=at_least(0.0, float), default=0.0,
                         metavar="S", help="readout noise (counts)")
-    parser.add_argument("--l", type=at_least(-optics.MAX_OAM, below=optics.MAX_OAM + 1),
-                        default=optics.DEFAULT_OAM, help="OAM charge")
+    parser.add_argument("--l", type=oam_charge, default=optics.DEFAULT_OAM,
+                        help="OAM charge (nonzero)")
 
 
 def _add_common(parser: argparse.ArgumentParser, out: str) -> None:

@@ -315,7 +315,8 @@ def _mode_moments(l: int, grid: GridSpec) -> tuple[AnnulusPlan, np.ndarray, np.n
     mode terms |u+|^2, |u-|^2, Re(u+ conj(u-)) and Im(u+ conj(u-)) (4 rows)
     and of their pair products times multiplicity (10 rows, for the stderr)."""
     plan = port_plan(grid)
-    u_plus, u_minus = (optics._mode_data(m, grid).take(plan.pixels) for m in (l, -l))
+    u_plus = optics._mode_data(l, grid).take(plan.pixels)
+    u_minus = u_plus.conj()
     cross = u_plus * u_minus.conj()
     terms = np.stack([np.abs(u_plus) ** 2, np.abs(u_minus) ** 2, cross.real, cross.imag])
     sums = np.stack([plan.window_sums(term) for term in terms])

@@ -17,7 +17,9 @@ A single-ring vortex mode of charge l is used for the OAM eigenmodes:
 
 normalized to unit power on the grid.  Opposite charges share the same
 intensity ring, so every visibility/predictability result downstream is
-independent of this envelope choice.
+independent of this envelope choice.  Only u(+l) is built on the full
+grid; u(-l) is stored as its exact conjugate, and the noiseless moment
+sums of ``fringes`` read u(+l) on the port annulus's pixels only.
 
 Interferometer model
 --------------------
@@ -88,13 +90,6 @@ class GridSpec:
         return radius_w / self.pixel_size
 
 
-@lru_cache(maxsize=8)
-def _grid_coords(grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(X, Y) pixel-center coordinates in waist units, cached per grid."""
-    axis = (np.arange(grid.size) - grid.beam_center[0]) * grid.pixel_size
-    return np.meshgrid(axis, axis)
-
-
 @dataclass
 class FieldImage:
     """Complex scalar field of one polarization component on a grid."""
@@ -147,13 +142,24 @@ def _check_charge(l: int) -> None:
 
 @lru_cache(maxsize=32)
 def _mode_data(l: int, grid: GridSpec) -> np.ndarray:
+    """Read-only unit-power mode of charge ``l``; u(-l) is the conjugate of u(+l)."""
     _check_charge(l)
-    X, Y = _grid_coords(grid)
-    r = np.hypot(X, Y)
-    envelope = r ** abs(l) * np.exp(-(r**2)) if l != 0 else np.exp(-(r**2))
-    data = envelope * np.exp(1j * l * np.arctan2(Y, X))
-    norm = math.sqrt(np.sum(np.abs(data) ** 2) * grid.pixel_area)
-    data = data / norm
+    if l < 0:
+        data = _mode_data(-l, grid).conj()
+        data.setflags(write=False)
+        return data
+    axis = (np.arange(grid.size) - grid.beam_center[0]) * grid.pixel_size
+    x, y = axis[np.newaxis, :], axis[:, np.newaxis]
+    r = np.hypot(x, y)
+    envelope = np.exp(-(r**2))
+    if l != 0:
+        envelope *= r ** abs(l)
+    data = 1j * l * np.arctan2(y, x)
+    np.exp(data, out=data)
+    data *= envelope
+    power = np.abs(data)
+    np.square(power, out=power)
+    data /= math.sqrt(np.sum(power) * grid.pixel_area)
     data.setflags(write=False)
     return data
 
@@ -217,9 +223,12 @@ def synthesize_ports(
     ``flip_impurity``, of the prepared state's amplitude-matrix columns (upper, lower).
 
     Raises ``ChargeOutOfRange`` for |l| > ``MAX_OAM`` and ``ValueError``
-    for a non-finite ``path_phase``.
+    for l = 0 (both arms would carry the one Gaussian, with no petals) or a
+    non-finite ``path_phase``.
     """
     _check_charge(l)  # up front: the modes are built only when a field is read
+    if l == 0:
+        raise ValueError("synthesize_ports needs a nonzero OAM charge l")
     if not 0.0 <= flip_impurity < 1.0:
         raise ValueError("flip_impurity must be in [0, 1)")
     if not math.isfinite(path_phase):

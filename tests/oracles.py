@@ -123,6 +123,17 @@ def bin_average_cos(m, center_rad, window_rad):
     return (np.sin(m * hi) - np.sin(m * lo)) / (m * (hi - lo))
 
 
+def meshgrid_mode(l, grid):
+    """Unit-power vortex mode of charge ``l`` built from scratch on a full
+    meshgrid, whatever the sign of ``l``, in the package's operation order."""
+    axis = (np.arange(grid.size) - grid.beam_center[0]) * grid.pixel_size
+    x, y = np.meshgrid(axis, axis)
+    r = np.hypot(x, y)
+    envelope = r ** abs(l) * np.exp(-(r**2)) if l != 0 else np.exp(-(r**2))
+    data = envelope * np.exp(1j * l * np.arctan2(y, x))
+    return data / np.sqrt(np.sum(np.abs(data) ** 2) * grid.pixel_area)
+
+
 IDENTITY = np.eye(2, dtype=complex)
 HERMITICITY_ATOL = 1e-12
 TRACE_ATOL = 1e-12

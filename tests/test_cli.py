@@ -287,9 +287,11 @@ class TestRenderCommand:
         assert 0.0 <= report["P_measured"] <= 1.0
 
     def test_zero_oam_charge_is_named(self, tmp_path, capsys):
-        assert main(["render", "--theta", "pi", "--alpha", "0", "--l", "0",
-                     "--grid", "64", "--out", str(tmp_path / "render10")]) == 2
-        assert "petal analysis needs |l| >= 1" in capsys.readouterr().err
+        for command in (["render", "--theta", "pi", "--alpha", "0"], ["sweep", "--pipeline"]):
+            assert main([*command, "--l", "0", "--grid", "64",
+                         "--out", str(tmp_path / "render10")]) == 1
+            assert "argument --l:" in capsys.readouterr().err
+            assert not any(tmp_path.iterdir())
 
     def test_render_byte_identical(self, tmp_path):
         args = ["render", "--theta", "pi/2", "--alpha", "pi/2", "--grid", "128",

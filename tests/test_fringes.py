@@ -1,5 +1,7 @@
 """Azimuthal profiles, visibility estimators, predictability recovery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,10 @@ from dualitysim import (
 from dualitysim import optics
 from dualitysim.cli import main
 from dualitysim.fringes import (
+    _PAIR_MULTIPLICITY,
+    _PAIRS,
     AzimuthalProfile,
+    _mode_moments,
     analysis_report_json,
     annulus_plan,
     azimuthal_profile,
@@ -176,6 +181,37 @@ class TestMeasurePorts:
         p_pixel = predictability_from_profile(port_profile(render_image(syn.fields("h")), grid), 3)
         np.testing.assert_allclose([m.visibility, m.uncertainty], v_pixel, rtol=1e-9)
         assert m.predictability == pytest.approx(p_pixel, abs=1e-9)
+
+    @pytest.mark.parametrize("size", [64, 43])
+    def test_moment_tables_read_the_minus_mode_as_built(self, size):
+        grid = GridSpec(size)
+        for l in [*range(1, optics.MAX_OAM + 1), -1, -3, -optics.MAX_OAM]:
+            plan, sums, pair_sums = _mode_moments(l, grid)
+            u_plus = optics._mode_data(l, grid).take(plan.pixels)
+            u_minus = optics._mode_data(-l, grid).take(plan.pixels)
+            cross = u_plus * u_minus.conj()
+            terms = [np.abs(u_plus) ** 2, np.abs(u_minus) ** 2, cross.real, cross.imag]
+            np.testing.assert_array_equal(sums, [plan.window_sums(t) for t in terms])
+            np.testing.assert_array_equal(pair_sums, [
+                plan.window_sums(m * terms[i] * terms[j])
+                for i, j, m in zip(*_PAIRS, _PAIR_MULTIPLICITY)
+            ])
+
+    def test_noiseless_sweep_builds_one_full_grid_mode(self, tmp_path):
+        # The bound sits between this sweep's measured tracemalloc peaks:
+        # 22.6 MiB when both charges are built on the full grid, 12.5 MiB
+        # when only u(+l) is and u(-l) is read on the annulus pixels.
+        for cached in (optics._mode_data, _mode_moments, annulus_plan):
+            cached.cache_clear()
+        tracemalloc.start()
+        try:
+            assert main(["sweep", "--samples", "181", "--photons", "inf", "--grid", "512",
+                         "--out", str(tmp_path / "s")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert optics._mode_data.cache_info().misses == 1
+        assert peak < 15 * 2**20
 
 
 class TestFringeVisibility:

@@ -16,7 +16,16 @@ from dualitysim import (
     render_image,
     synthesize_ports,
 )
-from dualitysim.optics import MAX_OAM, POISSON_LAM_MAX, write_metadata, write_pfm, write_pgm16
+from dualitysim.optics import (
+    MAX_OAM,
+    POISSON_LAM_MAX,
+    _mode_data,
+    write_metadata,
+    write_pfm,
+    write_pgm16,
+)
+
+from oracles import meshgrid_mode
 
 GRID = GridSpec(256)
 FULL = GridSpec()
@@ -58,6 +67,22 @@ class TestOamMode:
         syn.l = 500
         with pytest.raises(ChargeOutOfRange, match=rf"optics\.MAX_OAM = {MAX_OAM}"):
             syn.fields("v")
+
+    @pytest.mark.parametrize("size", [64, 43])
+    def test_negative_charge_is_the_exact_conjugate(self, size):
+        # Compared as values: on an odd grid the centre pixel's zero may
+        # carry either sign, which |u|^2 erases.
+        grid = GridSpec(size)
+        for l in range(1, MAX_OAM + 1):
+            minus = _mode_data(-l, grid)
+            assert np.array_equal(minus, _mode_data(l, grid).conj())
+            assert not minus.flags.writeable
+
+    @pytest.mark.parametrize("size", [64, 43])
+    def test_every_charge_equals_its_from_scratch_build(self, size):
+        grid = GridSpec(size)
+        for l in range(-MAX_OAM, MAX_OAM + 1):
+            assert np.array_equal(_mode_data(l, grid), meshgrid_mode(l, grid))
 
     def test_phase_winds_l_times(self):
         mode = oam_mode(3, GRID)
@@ -196,6 +221,11 @@ class TestInterferometer:
     def test_impurity_range_check(self):
         with pytest.raises(ValueError):
             synthesize_ports(StateParams(1.0, 1.0), 3, GRID, flip_impurity=1.0)
+
+    def test_zero_charge_is_rejected(self):
+        with pytest.raises(ValueError, match="nonzero OAM charge"):
+            synthesize_ports(StateParams(1.0, 1.0), l=0, grid=GridSpec(64))
+        assert np.array_equal(oam_mode(0, GRID).data, meshgrid_mode(0, GRID))
 
     @pytest.mark.parametrize("path_phase", [np.nan, np.inf, -np.inf])
     def test_non_finite_path_phase_is_rejected(self, path_phase):

@@ -38,7 +38,6 @@ from .fringes import (
 )
 from .optics import (
     DEFAULT_OAM,
-    FieldImage,
     GridSpec,
     NoiseModel,
     calibrated_operating_point,
@@ -77,7 +76,6 @@ __all__ = [
     "DualityReport",
     "DualitySimError",
     "EmptyBin",
-    "FieldImage",
     "GridSpec",
     "InvalidCoupling",
     "NoiseModel",

@@ -356,8 +356,9 @@ def _add_camera(parser: argparse.ArgumentParser) -> None:
                              "window of the port annulus: odd N >= 43 or any N >= 63)")
     parser.add_argument("--photons", type=photon_budget, default=None, metavar="B",
                         help="photon budget per unit power ('inf' for noiseless)")
-    parser.add_argument("--readout-sigma", type=at_least(0.0, float), default=0.0,
-                        metavar="S", help="readout noise (counts)")
+    parser.add_argument("--readout-sigma", default=0.0, metavar="S",
+                        type=at_least(0.0, float, below=optics.POISSON_LAM_MAX),
+                        help="readout noise (counts)")
     parser.add_argument("--l", type=oam_charge, default=optics.DEFAULT_OAM,
                         help="OAM charge (nonzero)")
 

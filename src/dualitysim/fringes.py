@@ -28,9 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import duality, optics
+from . import optics
 from .errors import P_MIN, DegenerateProfile, EmptyBin, ZeroIntensity
-from .optics import FieldImage, GridSpec, NoiseModel, PortSynthesis
+from .optics import GridSpec, NoiseModel, PortSynthesis
 
 INTENSITY_EPS = 1e-300  # floor below which a total intensity is "zero"
 PORT_ANNULUS = (0.5, 2.5)  # radii in beam-waist units enclosing the ring
@@ -315,8 +315,9 @@ def _mode_moments(l: int, grid: GridSpec) -> tuple[AnnulusPlan, np.ndarray, np.n
     mode terms |u+|^2, |u-|^2, Re(u+ conj(u-)) and Im(u+ conj(u-)) (4 rows)
     and of their pair products times multiplicity (10 rows, for the stderr)."""
     plan = port_plan(grid)
-    u_plus = optics._mode_data(l, grid).take(plan.pixels)
-    u_minus = u_plus.conj()
+    # Gather u(|l|) alone, so a negative l forms no full-grid conjugate.
+    u_abs = optics._mode_data(abs(l), grid).take(plan.pixels)
+    u_plus, u_minus = (u_abs, u_abs.conj()) if l > 0 else (u_abs.conj(), u_abs)
     cross = u_plus * u_minus.conj()
     terms = np.stack([np.abs(u_plus) ** 2, np.abs(u_minus) ** 2, cross.real, cross.imag])
     sums = np.stack([plan.window_sums(term) for term in terms])
@@ -365,22 +366,27 @@ class PortMeasurement:
         return 0 if math.isnan(self.visibility) else count_petals(self.v_profile)
 
 
+def _lit_ports(v_power: float, h_power: float) -> tuple[bool, bool]:
+    """Whether the V and H ports are lit: a port below ``P_MIN`` times both
+    ports' power is dark, so round-off light reads as undefined."""
+    floor = P_MIN * (v_power + h_power)
+    return v_power >= floor, h_power >= floor
+
+
 def measure_ports(synthesis: PortSynthesis, noise: NoiseModel, row: int = 0) -> PortMeasurement:
     """Measure V and P on the two ports of ``synthesis`` through the camera ``noise``.
 
     V is fitted on the V-port profile.  P comes from the H-port profile
     or, for a nonzero flip impurity, from the H port's +l and -l frames,
-    as an arm-by-arm acquisition records them.  A port whose profile mean
-    is below ``P_MIN`` times the sum of both ports' profile means is dark:
-    its measure is NaN without a fit, so round-off light reads as
-    undefined, not as a value.  Frame ``port`` (0 V, 1 H, 2 H +l, 3 H -l)
-    is rendered with ``noise`` reseeded from ``SeedSequence(noise.seed,
+    as an arm-by-arm acquisition records them.  A port that
+    ``_lit_ports`` calls dark on the profile means reads NaN without a
+    fit.  Frame ``port`` (0 V, 1 H, 2 H +l, 3 H -l) is rendered with ``noise`` reseeded from ``SeedSequence(noise.seed,
     spawn_key=(row, port))``.  For an ``exact`` noise model the profiles
     come from ``moment_profile``, and the V and H frames are rendered only
     when read.  ``EmptyBin`` depends on the grid alone and propagates.
     """
 
-    def render(fields: list[FieldImage], port: int) -> np.ndarray:
+    def render(fields: list[np.ndarray], port: int) -> np.ndarray:
         seeds = np.random.SeedSequence(noise.seed, spawn_key=(row, port))
         return optics.render_image(fields, replace(noise, seed=seeds))
 
@@ -392,17 +398,16 @@ def measure_ports(synthesis: PortSynthesis, noise: NoiseModel, row: int = 0) -> 
         v_profile, h_profile = moment_profile(synthesis, "v"), moment_profile(synthesis, "h")
     else:
         v_profile, h_profile = port_profile(frame(0), grid), port_profile(frame(1), grid)
-    v_mean, h_mean = v_profile.values.mean(), h_profile.values.mean()
-    floor = P_MIN * (v_mean + h_mean)
+    v_lit, h_lit = _lit_ports(v_profile.values.mean(), h_profile.values.mean())
     visibility = uncertainty = predictability = math.nan
-    if v_mean >= floor:
+    if v_lit:
         try:
             visibility, uncertainty = fringe_visibility(v_profile, l)
         except DegenerateProfile:
             pass
-    if h_mean >= floor:
+    if h_lit:
         try:
-            if synthesis.flip_impurity != 0.0:
+            if synthesis.amplitudes["h"][2] != 0:
                 # The unflipped impurity light is the H port's only +l content.
                 main, impurity = port_fields("h")
                 predictability = predictability_from_images(render([impurity], 2), render([main], 3))
@@ -414,19 +419,20 @@ def measure_ports(synthesis: PortSynthesis, noise: NoiseModel, row: int = 0) -> 
 
 
 def analytic_ports(synthesis: PortSynthesis) -> tuple[float, float]:
-    """Closed-form (V, P) that ``measure_ports`` estimates; NaN for a dark port.
+    """Noiseless (V, P) that ``measure_ports`` estimates, read off the port
+    weights; NaN for a port that ``measure_ports`` counts as dark.
 
-    The impurity light adds to the V port in intensity, scaling the
-    contrast by sqrt(1 - eps^2); the H-port mode powers give |1 - 2 eps^2|.
+    V is the V port's petal contrast 2|p m| / (|p|^2 + |m|^2 + |e|^2), and
+    P the contrast of the H port's +l and -l mode powers.
     """
-    params = synthesis.params
-    visibility = duality.conditional_visibility_v(params.theta, params.alpha)
-    h_plus, h_minus = synthesis.intensity_weights("h")[:2].tolist()  # unit-power modes
-    try:
-        predictability = predictability_from_arm_powers(h_plus, h_minus)
-    except ZeroIntensity:
-        predictability = math.nan
-    return visibility * math.sqrt(1.0 - synthesis.flip_impurity**2), predictability
+    w_v, w_h = (synthesis.intensity_weights(port).tolist() for port in "vh")
+    v_lit, h_lit = _lit_ports(w_v[0] + w_v[1], w_h[0] + w_h[1])  # unit-power modes
+    visibility = predictability = math.nan
+    if v_lit:
+        visibility = math.hypot(w_v[2], w_v[3]) / (w_v[0] + w_v[1])
+    if h_lit:
+        predictability = predictability_from_arm_powers(w_h[0], w_h[1])
+    return visibility, predictability
 
 
 def write_csv(path: str | Path, columns: list[str], rows: np.ndarray | list[list[float]]) -> None:

@@ -28,8 +28,9 @@ branch of the prepared state, i.e. one column of ``qubit``'s amplitude
 matrix A[oam, pol]: port "h" is column 0 and port "v" column 1.  A
 column's row 0 is the upper arm's amplitude of mode +l and its row 1 the
 lower arm's amplitude of mode -l (the Dove prism reverses handedness).
-An optional relative path phase on the lower arm rotates the petal
-pattern without changing any power or visibility.
+A ``PortSynthesis`` stores each port as these amplitudes alone.  An
+optional relative path phase on the lower arm rotates the petal pattern
+without changing any power or visibility.
 
 The Dove prism flip may be given a small impurity: a fraction of the
 lower-arm amplitude keeps its original handedness and is treated as
@@ -90,14 +91,6 @@ class GridSpec:
         return radius_w / self.pixel_size
 
 
-@dataclass
-class FieldImage:
-    """Complex scalar field of one polarization component on a grid."""
-
-    data: np.ndarray
-    grid: GridSpec
-
-
 @dataclass(frozen=True)
 class NoiseModel:
     """Camera model: Poisson shot noise plus Gaussian readout noise.
@@ -106,7 +99,8 @@ class NoiseModel:
     of optical power, i.e. a unit-power field integrates to this many
     counts; ``inf`` (the default) draws no shot noise.  ``readout_sigma``
     is the standard deviation of the additive readout noise in photon
-    counts; negative pixel values are clamped to zero.  ``seed`` is
+    counts, below the ``POISSON_LAM_MAX`` ceiling on counts per pixel;
+    negative pixel values are clamped to zero.  ``seed`` is
     anything ``numpy.random.default_rng`` accepts; identical seed and
     inputs give bit-identical images.  ``record`` is the model as JSON
     writes it, with a ``null`` budget for no shot noise.
@@ -119,8 +113,8 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if not self.photon_budget >= 0:
             raise ValueError("photon_budget must be >= 0")
-        if self.readout_sigma < 0:
-            raise ValueError("readout_sigma must be >= 0")
+        if not 0.0 <= self.readout_sigma < POISSON_LAM_MAX:
+            raise ValueError(f"readout_sigma must be in [0, {POISSON_LAM_MAX:.3g}) counts")
 
     @property
     def exact(self) -> bool:
@@ -164,17 +158,17 @@ def _mode_data(l: int, grid: GridSpec) -> np.ndarray:
     return data
 
 
-def oam_mode(l: int, grid: GridSpec = GridSpec()) -> FieldImage:
-    """Unit-power vortex mode of charge ``l`` (Gaussian for l = 0).
+def oam_mode(l: int, grid: GridSpec = GridSpec()) -> np.ndarray:
+    """Unit-power vortex mode of charge ``l`` (Gaussian for l = 0) on ``grid``.
 
     Raises ``ChargeOutOfRange`` for |l| > ``MAX_OAM``.
     """
-    return FieldImage(data=_mode_data(int(l), grid).copy(), grid=grid)
+    return _mode_data(int(l), grid).copy()
 
 
 @dataclass
 class PortSynthesis:
-    """Interferometer outputs with per-handedness bookkeeping.
+    """Interferometer outputs as mode amplitudes on one camera ``grid``.
 
     ``amplitudes[port]`` holds port "h" or "v" as (p, m, e) on the cached
     modes u+ = u(+l) and u- = u(-l): the coherent field p u+ + m u- and
@@ -185,23 +179,20 @@ class PortSynthesis:
     arm-blocking power measurement would record.
     """
 
-    params: StateParams
     l: int
     grid: GridSpec
-    flip_impurity: float
     amplitudes: dict[str, tuple[complex, complex, complex]]
 
-    def fields(self, port: str) -> list[FieldImage]:
+    def fields(self, port: str) -> list[np.ndarray]:
         """Mutually incoherent fields of ``port``: the coherent p u+ + m u-,
-        then, for a nonzero impurity, e u+."""
+        then, when e is nonzero, e u+."""
         plus, minus, impurity = self.amplitudes[port]
-        data = minus * _mode_data(-self.l, self.grid)
+        main = minus * _mode_data(-self.l, self.grid)
         if plus != 0:
-            data = plus * _mode_data(self.l, self.grid) + data
-        main = FieldImage(data, self.grid)
-        if self.flip_impurity == 0.0:
+            main = plus * _mode_data(self.l, self.grid) + main
+        if impurity == 0:
             return [main]
-        return [main, FieldImage(impurity * _mode_data(self.l, self.grid), self.grid)]
+        return [main, impurity * _mode_data(self.l, self.grid)]
 
     def intensity_weights(self, port: str) -> np.ndarray:
         """Noiseless intensity |p u+ + m u-|^2 + |e u+|^2 of ``port`` ("v" or
@@ -237,10 +228,8 @@ def synthesize_ports(
     flip = math.sqrt(1.0 - flip_impurity**2)
     columns = amplitude_matrix(state_vector(params)).T.tolist()
     return PortSynthesis(
-        params=params,
         l=l,
         grid=grid,
-        flip_impurity=flip_impurity,
         amplitudes={
             port: (upper, (lower * flip) * phase, lower * flip_impurity)
             for port, (upper, lower) in zip("hv", columns)
@@ -249,14 +238,15 @@ def synthesize_ports(
 
 
 def render_image(
-    fields: FieldImage | list[FieldImage],
+    fields: np.ndarray | list[np.ndarray],
     noise: NoiseModel = NoiseModel(),
 ) -> np.ndarray:
     """Camera intensity image of one or more mutually incoherent fields.
 
-    Every field adds to the image in intensity; a coherent superposition
-    has to be one ``FieldImage`` already, as the port fields of
-    ``synthesize_ports`` are.
+    Each field is a square complex array on the camera ``GridSpec`` of its
+    size; fields of different shapes raise ``ValueError``.  Every field
+    adds to the image in intensity; a coherent superposition has to be one
+    array already, as the port fields of ``synthesize_ports`` are.
 
     An ``exact`` noise model returns the summed |amplitude|^2.  Otherwise
     one generator seeded from ``noise.seed`` draws, in this order, the
@@ -266,23 +256,21 @@ def render_image(
     expected counts in one pixel than the Poisson sampler accepts raises
     ``ValueError``.
     """
-    if isinstance(fields, FieldImage):
+    if isinstance(fields, np.ndarray):
         fields = [fields]
-    if not fields:
-        raise ValueError("render_image needs at least one field")
-    grid = fields[0].grid
-    if any(f.grid != grid for f in fields):
-        raise ValueError("all fields must share one GridSpec")
+    shape = fields[0].shape if fields else ()
+    if len(shape) != 2 or shape[0] != shape[1] or any(f.shape != shape for f in fields):
+        raise ValueError("render_image needs one or more square fields of one shape")
 
-    intensity = np.zeros((grid.size, grid.size), dtype=float)
+    intensity = np.zeros(shape, dtype=float)
     for f in fields:
-        intensity += np.abs(f.data) ** 2
+        intensity += np.abs(f) ** 2
     if noise.exact:
         return intensity
 
     rng = np.random.default_rng(noise.seed)
     if noise.photon_budget < math.inf:
-        expected_counts = intensity * grid.pixel_area * noise.photon_budget
+        expected_counts = intensity * GridSpec(shape[0]).pixel_area * noise.photon_budget
         peak = float(expected_counts.max())
         if peak > POISSON_LAM_MAX:
             raise ValueError(

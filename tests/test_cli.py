@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from dualitysim import (
-    FieldImage,
     GridSpec,
     NoiseModel,
     StateParams,
@@ -244,6 +243,16 @@ class TestRenderCommand:
         assert "photon budget 1e+25" in err
         assert "Poisson sampler's limit" in err
 
+    @pytest.mark.parametrize("sigma", ["1e39", "1e300"])
+    def test_readout_sigma_beyond_counts_ceiling_is_usage_error(self, sigma, tmp_path, capsys):
+        # Values this large overflowed the float32 PFM cast (1e39) or the
+        # profile's squared samples (1e300) instead of failing up front.
+        out = tmp_path / "render13"
+        assert main(["render", "--theta", "1", "--alpha", "1", "--grid", "64",
+                     "--photons", "1e3", "--readout-sigma", sigma, "--out", str(out)]) == 1
+        assert "argument --readout-sigma:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dark_h_port_with_impurity_reads_nan(self, tmp_path):
         out = tmp_path / "render5"
         assert main(["render", "--theta", "0", "--alpha", "0", "--impurity", "0.1",
@@ -317,12 +326,12 @@ class TestRenderCommand:
         b, c = lower * math.cos(alpha / 2), lower * math.sin(alpha / 2)
         flip, turn = math.sqrt(1 - eps**2), np.exp(1j * phase)
         fields = {
-            "h": [b * flip * turn * u_minus.data, b * eps * u_plus.data],
-            "v": [a * u_plus.data + c * flip * turn * u_minus.data, c * eps * u_plus.data],
+            "h": [b * flip * turn * u_minus, b * eps * u_plus],
+            "v": [a * u_plus + c * flip * turn * u_minus, c * eps * u_plus],
         }
         ref.mkdir()
         for port, data in fields.items():
-            image = render_image([FieldImage(d, grid) for d in data])
+            image = render_image(data)
             write_pfm(ref / f"{port}_port.pfm", image)
             write_pgm16(ref / f"{port}_port.pgm", image)
             for suffix in ("pfm", "pgm"):

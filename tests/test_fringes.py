@@ -29,6 +29,7 @@ from dualitysim.fringes import (
     AzimuthalProfile,
     _mode_moments,
     analysis_report_json,
+    analytic_ports,
     annulus_plan,
     azimuthal_profile,
     fit_operator,
@@ -182,6 +183,17 @@ class TestMeasurePorts:
         np.testing.assert_allclose([m.visibility, m.uncertainty], v_pixel, rtol=1e-9)
         assert m.predictability == pytest.approx(p_pixel, abs=1e-9)
 
+    @pytest.mark.parametrize("theta", [1e-9, np.pi - 2e-9])
+    def test_analytic_and_measured_ports_agree_on_dark(self, theta):
+        # p_H = 2.5e-19 at theta = 1e-9 and p_V = 1e-18 at pi - 2e-9: each
+        # value is NaN on both paths, or on neither.
+        syn = synthesize_ports(StateParams(theta, 0.0), grid=GridSpec(64))
+        m = measure_ports(syn, NoiseModel())
+        analytic = analytic_ports(syn)
+        assert np.isnan(analytic).any()
+        np.testing.assert_array_equal(np.isnan(analytic),
+                                      np.isnan([m.visibility, m.predictability]))
+
     @pytest.mark.parametrize("size", [64, 43])
     def test_moment_tables_read_the_minus_mode_as_built(self, size):
         grid = GridSpec(size)
@@ -197,16 +209,18 @@ class TestMeasurePorts:
                 for i, j, m in zip(*_PAIRS, _PAIR_MULTIPLICITY)
             ])
 
-    def test_noiseless_sweep_builds_one_full_grid_mode(self, tmp_path):
+    @pytest.mark.parametrize("l", ["3", "-3"])
+    def test_noiseless_sweep_builds_one_full_grid_mode(self, l, tmp_path):
         # The bound sits between this sweep's measured tracemalloc peaks:
-        # 22.6 MiB when both charges are built on the full grid, 12.5 MiB
-        # when only u(+l) is and u(-l) is read on the annulus pixels.
+        # 22.6 MiB when both charges are built on the full grid, 16.5 MiB
+        # when u(|l|) and its full-grid conjugate are, 12.5 MiB when only
+        # u(|l|) is and its conjugate is read on the annulus pixels.
         for cached in (optics._mode_data, _mode_moments, annulus_plan):
             cached.cache_clear()
         tracemalloc.start()
         try:
             assert main(["sweep", "--samples", "181", "--photons", "inf", "--grid", "512",
-                         "--out", str(tmp_path / "s")]) == 0
+                         "--l", l, "--out", str(tmp_path / "s")]) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

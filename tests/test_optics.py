@@ -44,9 +44,9 @@ class TestOamMode:
     @pytest.mark.filterwarnings("error")
     def test_largest_supported_charge_is_finite(self):
         for l in (MAX_OAM, -MAX_OAM):
-            assert np.isfinite(oam_mode(l, GridSpec(64)).data).all()
+            assert np.isfinite(oam_mode(l, GridSpec(64))).all()
             syn = synthesize_ports(StateParams(1.0, 1.0), l=l, grid=GridSpec(64))
-            assert np.isfinite(syn.fields("v")[0].data).all()
+            assert np.isfinite(syn.fields("v")[0]).all()
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("l", [MAX_OAM + 1, -(MAX_OAM + 1), 500])
@@ -91,7 +91,7 @@ class TestOamMode:
         radius = GRID.waist_to_pixels(1.2)
         xs = np.clip(np.round(cx + radius * np.cos(angles)).astype(int), 0, 255)
         ys = np.clip(np.round(cy + radius * np.sin(angles)).astype(int), 0, 255)
-        samples = mode.data[ys, xs]
+        samples = mode[ys, xs]
         # Remove the ideal winding; the residual phase should be flat.
         pixel_angles = np.arctan2(ys - cy, xs - cx)
         residual = samples * np.exp(-3j * pixel_angles)
@@ -106,12 +106,12 @@ class TestOamMode:
         plus = oam_mode(3, GRID)
         minus = oam_mode(-3, GRID)
         assert np.array_equal(render_image(plus), render_image(minus))
-        np.testing.assert_allclose(plus.data, minus.data.conj(), atol=1e-15)
+        np.testing.assert_allclose(plus, minus.conj(), atol=1e-15)
 
     def test_opposite_charges_are_orthogonal(self):
         plus = oam_mode(3, FULL)
         minus = oam_mode(-3, FULL)
-        overlap = np.sum(plus.data.conj() * minus.data) * FULL.pixel_area
+        overlap = np.sum(plus.conj() * minus) * FULL.pixel_area
         assert abs(overlap) < 1e-6
 
     def test_azimuthally_uniform_intensity(self):
@@ -225,7 +225,7 @@ class TestInterferometer:
     def test_zero_charge_is_rejected(self):
         with pytest.raises(ValueError, match="nonzero OAM charge"):
             synthesize_ports(StateParams(1.0, 1.0), l=0, grid=GridSpec(64))
-        assert np.array_equal(oam_mode(0, GRID).data, meshgrid_mode(0, GRID))
+        assert np.array_equal(oam_mode(0, GRID), meshgrid_mode(0, GRID))
 
     @pytest.mark.parametrize("path_phase", [np.nan, np.inf, -np.inf])
     def test_non_finite_path_phase_is_rejected(self, path_phase):
@@ -237,12 +237,12 @@ class TestRenderImage:
     def test_noiseless_is_exact_intensity(self):
         [v] = synthesize_ports(StateParams(np.pi / 2, np.pi / 2), 3, GRID).fields("v")
         image = render_image(v, NoiseModel())
-        np.testing.assert_array_equal(image, np.abs(v.data) ** 2)
+        np.testing.assert_array_equal(image, np.abs(v) ** 2)
 
     def test_infinite_budget_sentinel(self):
         [v] = synthesize_ports(StateParams(np.pi / 2, np.pi / 2), 3, GRID).fields("v")
         image = render_image(v, NoiseModel(photon_budget=np.inf))
-        np.testing.assert_array_equal(image, np.abs(v.data) ** 2)
+        np.testing.assert_array_equal(image, np.abs(v) ** 2)
 
     def test_vacuum_renders_black(self):
         h = synthesize_ports(StateParams(np.pi / 2, np.pi), 3, GRID).fields("h")
@@ -279,6 +279,13 @@ class TestRenderImage:
         with pytest.raises(ValueError):
             render_image([a, b])
 
+    @pytest.mark.parametrize("shapes", [[(64, 64), (64, 63)], [(64, 63)]])
+    def test_fields_of_different_or_non_square_shapes_are_rejected(self, shapes):
+        # The camera is read off a field's square shape, so it must be one.
+        fields = [np.ones(shape, dtype=complex) for shape in shapes]
+        with pytest.raises(ValueError, match="square fields of one shape"):
+            render_image(fields)
+
     def test_budget_beyond_poisson_range_is_rejected(self):
         # The bound is numpy's own: its sampler takes it and nothing above.
         rng = np.random.default_rng(0)
@@ -296,6 +303,8 @@ class TestRenderImage:
             NoiseModel(photon_budget=-1.0)
         with pytest.raises(ValueError):
             NoiseModel(readout_sigma=-0.1)
+        with pytest.raises(ValueError):
+            NoiseModel(readout_sigma=POISSON_LAM_MAX)
 
 
 class TestCalibration:

@@ -48,8 +48,13 @@ from dualitysim.fringes import (
 from dualitysim.weak import gaussian_wavefunction, grid_positions, normalized
 
 from oracles import (
+    KET_BOT,
+    KET_TOP,
     brute_density,
     brute_postselect,
+    brute_predictability,
+    brute_state,
+    brute_visibility,
     loop_reconstruct_profile,
     lstsq_harmonic_fit,
 )
@@ -238,6 +243,20 @@ def test_port_powers_are_the_postselection_probabilities(theta, alpha, path_phas
     p_h, p_v = postselection_probabilities(theta, alpha)
     for port, probability in (("h", p_h), ("v", p_v)):
         assert abs(sum(syn.intensity_weights(port)[:2]) - probability) <= 1e-15
+
+
+@PROPERTY
+@given(ANGLE, ANGLE, ANGLE)
+def test_analytic_ports_match_the_brute_force_oracle(theta, alpha, path_phase):
+    # Without impurity, V is the |V>-branch visibility and P the |H>-branch
+    # predictability of the 4x4 oracle; a branch below P_MIN reads NaN.
+    rho4 = brute_density(brute_state(theta, alpha))
+    expected = []
+    for ket, measure in ((KET_BOT, brute_visibility), (KET_TOP, brute_predictability)):
+        branch, probability = brute_postselect(rho4, np.outer(ket, ket.conj()))
+        expected.append(measure(branch) if probability >= P_MIN else math.nan)
+    analytic = analytic_ports(synthesize_ports(StateParams(theta, alpha), path_phase=path_phase))
+    np.testing.assert_allclose(analytic, expected, rtol=0, atol=1e-12)
 
 
 @PROPERTY

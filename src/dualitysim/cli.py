@@ -150,21 +150,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     v_avg, p_avg = duality.closed_form_averaged(thetas, alphas)
     sum_avg = duality.averaged_sum_of_squares(thetas, alphas)
     p_h, p_v = duality.postselection_probabilities(thetas, alphas)
-    rows = np.column_stack((thetas, alphas, v_cond, np.ones(samples), sum_cond, v_avg, p_avg,
-                            sum_avg, p_h, p_v)).tolist()
+    table = np.column_stack((thetas, alphas, v_cond, np.ones(samples), sum_cond, v_avg, p_avg,
+                             sum_avg, p_h, p_v))
 
     columns = list(SWEEP_COLUMNS)
-    grid = optics.GridSpec(args.grid)
     if pipeline:
         columns += MEASURED_COLUMNS
-        for i, row in enumerate(rows):
-            syn = optics.synthesize_ports(
-                StateParams(float(thetas[i]), float(alphas[i])), l=args.l, grid=grid
-            )
-            m = fringes.measure_ports(syn, noise, row=i)
-            row += [m.visibility, m.predictability, m.sum_of_squares]
-            # Free this row's fields and frames before the next row renders.
-            del syn, m
+        grid = optics.GridSpec(args.grid)
+        syntheses = [optics.synthesize_ports(StateParams(theta, alpha), l=args.l, grid=grid)
+                     for theta, alpha in zip(thetas.tolist(), alphas.tolist())]
+        m = fringes.measure_rows(syntheses, noise)
+        table = np.column_stack((table, m.visibility, m.predictability, m.sum_of_squares))
+    rows = table.tolist()
 
     args.out.parent.mkdir(parents=True, exist_ok=True)
     csv_path = args.out.with_suffix(".csv")
@@ -172,7 +169,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     fringes.write_csv(csv_path, columns, rows)
     payload = {
         "columns": columns,
-        "rows": [[float(v) for v in row] for row in rows],
+        "rows": rows,
         "config": {
             "sweep": swept,
             "fixed": fixed,

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
-from functools import cache, lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -49,17 +49,23 @@ class AzimuthalProfile:
     ``values`` are per-bin means of the pixel intensities, ``stderr`` the
     standard error of each mean and ``counts`` the number of contributing
     pixels.  The bins tile [0, 360) from 0, so their number fixes
-    ``window_degrees`` and the bin centers ``angles_deg``.
+    ``window_degrees`` and the bin centers ``angles_deg``.  A stack of
+    profiles on one set of bins holds ``values`` and ``stderr`` as rows x
+    bins; ``row(i)`` is its profile i, and ``row(mask)`` the stack of the
+    rows a boolean mask picks.
     """
 
     values: np.ndarray
     stderr: np.ndarray
     counts: np.ndarray
-    window_degrees = property(lambda self: 360.0 / len(self.values))
-    angles_deg = property(lambda self: _bin_angles(len(self.values)))
+    window_degrees = property(lambda self: 360.0 / len(self.counts))
+    angles_deg = property(lambda self: _bin_angles(len(self.counts)))
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.counts)
+
+    def row(self, i: int | np.ndarray) -> AzimuthalProfile:
+        return AzimuthalProfile(self.values[i], self.stderr[i], self.counts)
 
 
 @dataclass(frozen=True)
@@ -208,48 +214,94 @@ def fit_operator(n_bins: int, l: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return design, pinv, inv_normal
 
 
-def _harmonic_fit(profile: AzimuthalProfile, l: int):
-    """Least-squares c0 + A cos(m phi) + B sin(m phi) with m = 2|l|."""
-    design, pinv, inv_normal = fit_operator(len(profile), abs(l))
-    coeffs = pinv @ profile.values
-    residuals = profile.values - design @ coeffs
-    dof = max(len(profile) - 3, 1)
-    sigma_sq = float(residuals @ residuals) / dof
-    return coeffs, sigma_sq * inv_normal
+def _harmonic_fits(values: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares c0 + A cos(m phi) + B sin(m phi), m = 2|l|, of each row of
+    ``values`` (rows x bins): the coefficients (rows x 3) and their
+    covariances (rows x 3 x 3)."""
+    design, pinv, inv_normal = fit_operator(values.shape[1], abs(l))
+    # Stacked matrix-vector products, one BLAS product per row: a row's
+    # result does not depend on the other rows.
+    coeffs = (pinv @ values[:, :, np.newaxis])[:, :, 0]
+    residuals = values - (design @ coeffs[:, :, np.newaxis])[:, :, 0]
+    dof = max(values.shape[1] - 3, 1)
+    sigma_sq = (residuals[:, np.newaxis, :] @ residuals[:, :, np.newaxis])[:, 0, 0] / dof
+    return coeffs, sigma_sq[:, np.newaxis, np.newaxis] * inv_normal
 
 
-def fringe_visibility(profile: AzimuthalProfile, l: int) -> tuple[float, float]:
+def _square(x: float) -> float:
+    return x**2
+
+
+def _per_float(fn: Callable[..., float], *arrays: np.ndarray) -> np.ndarray:
+    """``fn`` of each element as Python floats.
+
+    ``math.hypot`` and ``x**2`` (libm pow) round differently from
+    ``np.hypot`` and ``x * x`` in about one value in a thousand, so the
+    stacked steps keep the rounding of the scalar formulas this way.
+    """
+    return np.array(list(map(fn, *(a.tolist() for a in arrays))), dtype=float)
+
+
+def _fringe_rows(values: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """``fringe_visibility`` of each row of ``values`` (rows x bins): the
+    visibilities, their uncertainties and, per row, why it has none (None
+    when it has one); a row without one reads NaN."""
+    if abs(l) < 1:
+        raise ValueError("petal analysis needs |l| >= 1")
+    n_rows, n_bins = values.shape
+    visibility, uncertainty = np.full((2, n_rows), math.nan)
+    lit = np.any(values > 0.0, axis=1)
+    reasons = [None if row_lit else "profile carries no intensity" for row_lit in lit.tolist()]
+    rows = np.flatnonzero(lit)
+    try:
+        coeffs, covariance = _harmonic_fits(values[rows], l)
+    except DegenerateProfile as exc:
+        for i in rows.tolist():
+            reasons[i] = str(exc)
+        return visibility, uncertainty, reasons
+    flat = coeffs[:, 0] <= 0.0
+    for i, c0 in zip(rows[flat].tolist(), coeffs[flat, 0]):
+        reasons[i] = f"fitted baseline {c0!r} is not positive"
+    rows, covariance = rows[~flat], covariance[~flat]
+    c0, a, b = coeffs[~flat].T
+
+    attenuation = _window_attenuation(l, 360.0 / n_bins)
+    amplitude = _per_float(math.hypot, a, b)
+    visibility[rows] = np.minimum(amplitude / (attenuation * c0), 1.0)
+    fringe = amplitude > 0.0
+    scale = np.where(fringe, amplitude, 1.0) * c0
+    grad = np.where(
+        fringe[:, np.newaxis],
+        np.column_stack((-amplitude / _per_float(_square, c0), a / scale, b / scale)),
+        np.column_stack((np.zeros_like(c0), 1.0 / c0, 1.0 / c0)) / math.sqrt(2.0),
+    )
+    spread = (grad[:, np.newaxis, :] @ covariance @ grad[:, :, np.newaxis])[:, 0, 0]
+    uncertainty[rows] = np.sqrt(spread) / attenuation
+    return visibility, uncertainty, reasons
+
+
+def fringe_visibility(
+    profile: AzimuthalProfile, l: int
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Fringe visibility of a petal profile and its 1-sigma uncertainty.
 
     A least-squares fit of c0 + c1 cos(2|l| phi + delta) gives
     |c1| / c0 (window attenuation removed), clamped to [0, 1], with the
-    uncertainty propagated from the fit residuals.
+    uncertainty propagated from the fit residuals.  A stack of profiles
+    gives one array of each, with NaN for a row that has none.
 
     Raises:
-        DegenerateProfile: for an all-zero profile, a harmonic that
-            cannot be fitted on the profile's windows (see
-            ``fit_operator``), or a non-positive fitted baseline.
+        DegenerateProfile: for a single profile that is all zero, whose
+            harmonic cannot be fitted on its windows (see
+            ``fit_operator``), or whose fitted baseline is not positive.
     """
-    if abs(l) < 1:
-        raise ValueError("petal analysis needs |l| >= 1")
-    if not np.any(profile.values > 0.0):
-        raise DegenerateProfile("profile carries no intensity")
-    attenuation = _window_attenuation(l, profile.window_degrees)
-
-    coeffs, covariance = _harmonic_fit(profile, l)
-    c0, a, b = coeffs
-    if c0 <= 0.0:
-        raise DegenerateProfile(f"fitted baseline {c0!r} is not positive")
-    amplitude = math.hypot(a, b)
-    visibility = min(amplitude / (attenuation * c0), 1.0)
-    if amplitude > 0.0:
-        grad = np.array(
-            [-amplitude / c0**2, a / (amplitude * c0), b / (amplitude * c0)]
-        )
-    else:
-        grad = np.array([0.0, 1.0 / c0, 1.0 / c0]) / math.sqrt(2.0)
-    uncertainty = float(np.sqrt(grad @ covariance @ grad)) / attenuation
-    return visibility, uncertainty
+    if profile.values.ndim == 2:
+        visibility, uncertainty, _ = _fringe_rows(profile.values, l)
+        return visibility, uncertainty
+    (visibility,), (uncertainty,), (reason,) = _fringe_rows(profile.values[np.newaxis], l)
+    if reason is not None:
+        raise DegenerateProfile(reason)
+    return float(visibility), float(uncertainty)
 
 
 def predictability_from_arm_powers(i_plus: float, i_minus: float) -> float:
@@ -272,16 +324,23 @@ def predictability_from_images(plus_image: np.ndarray, minus_image: np.ndarray) 
     return predictability_from_arm_powers(float(np.sum(plus_image)), float(np.sum(minus_image)))
 
 
-def predictability_from_profile(profile: AzimuthalProfile, l: int) -> float:
+def predictability_from_profile(profile: AzimuthalProfile, l: int) -> float | np.ndarray:
     """Predictability of a coherent port inferred from its own profile.
 
     A coherent field a u(+l) + b u(-l) has fringe visibility
     V = 2|a||b| / (|a|^2 + |b|^2), so its mode powers give
     P = ||a|^2 - |b|^2| / (|a|^2 + |b|^2) = sqrt(1 - V^2), with V from
     ``fringe_visibility``.  A fringeless port gives 1, balanced petals 0.
+    A stack of profiles gives an array, NaN where V is.
     """
     visibility, _ = fringe_visibility(profile, l)
-    return math.sqrt(1.0 - visibility**2)
+    predictability = _coherent_predictability(np.atleast_1d(visibility))
+    return predictability if profile.values.ndim == 2 else float(predictability[0])
+
+
+def _coherent_predictability(visibility: np.ndarray) -> np.ndarray:
+    """sqrt(1 - V^2) of each coherent port's fitted V."""
+    return np.sqrt(1.0 - _per_float(_square, visibility))
 
 
 def count_petals(profile: AzimuthalProfile) -> int:
@@ -327,14 +386,25 @@ def _mode_moments(l: int, grid: GridSpec) -> tuple[AnnulusPlan, np.ndarray, np.n
     return plan, sums, pair_sums
 
 
+def _moment_profiles(weights: np.ndarray, l: int, grid: GridSpec) -> AzimuthalProfile:
+    """Stacked noiseless ``port_profile`` of ports whose ``intensity_weights``
+    are the rows of ``weights``."""
+    plan, sums, pair_sums = _mode_moments(l, grid)
+    # One BLAS vector-matrix product per row, as in ``_harmonic_fits``; the
+    # rows must be contiguous, since numpy's loop for strided rows rounds
+    # differently.
+    pair_weights = np.ascontiguousarray(weights[:, _PAIRS[0]] * weights[:, _PAIRS[1]])
+    return plan.profile((weights[:, np.newaxis, :] @ sums)[:, 0],
+                        (pair_weights[:, np.newaxis, :] @ pair_sums)[:, 0])
+
+
 def moment_profile(synthesis: PortSynthesis, port: str) -> AzimuthalProfile:
     """``port_profile`` of the noiseless ``port`` ("v" or "h") without a frame.
 
     It equals the profile of the rendered frame up to float round-off.
     """
-    plan, sums, pair_sums = _mode_moments(synthesis.l, synthesis.grid)
-    w = synthesis.intensity_weights(port)
-    return plan.profile(w @ sums, (w[_PAIRS[0]] * w[_PAIRS[1]]) @ pair_sums)
+    weights = synthesis.intensity_weights(port)[np.newaxis]
+    return _moment_profiles(weights, synthesis.l, synthesis.grid).row(0)
 
 
 @dataclass
@@ -366,56 +436,124 @@ class PortMeasurement:
         return 0 if math.isnan(self.visibility) else count_petals(self.v_profile)
 
 
-def _lit_ports(v_power: float, h_power: float) -> tuple[bool, bool]:
+@dataclass
+class PortRows:
+    """``PortMeasurement`` of a stack of rows: stacked ``v_profile`` and
+    ``h_profile`` (rows x bins), one ``visibility``, ``uncertainty`` and
+    ``predictability`` per row, and ``frame(k, port)``, frame ``port`` of
+    row k.  ``row(k)`` is row k as a ``PortMeasurement``."""
+
+    v_profile: AzimuthalProfile
+    h_profile: AzimuthalProfile
+    visibility: np.ndarray
+    uncertainty: np.ndarray
+    predictability: np.ndarray
+    frame: Callable[[int, int], np.ndarray]
+
+    @property
+    def sum_of_squares(self) -> np.ndarray:
+        return _per_float(_square, self.visibility) + _per_float(_square, self.predictability)
+
+    def row(self, k: int) -> PortMeasurement:
+        return PortMeasurement(
+            self.v_profile.row(k), self.h_profile.row(k), float(self.visibility[k]),
+            float(self.uncertainty[k]), float(self.predictability[k]), partial(self.frame, k),
+        )
+
+
+def _lit_ports(v_power, h_power):
     """Whether the V and H ports are lit: a port below ``P_MIN`` times both
-    ports' power is dark, so round-off light reads as undefined."""
+    ports' power is dark, so round-off light reads as undefined.  Works on
+    floats and elementwise on arrays."""
     floor = P_MIN * (v_power + h_power)
     return v_power >= floor, h_power >= floor
+
+
+def measure_rows(
+    syntheses: Sequence[PortSynthesis], noise: NoiseModel, first_row: int = 0
+) -> PortRows:
+    """Measure V and P on the two ports of each synthesis through the camera ``noise``.
+
+    The syntheses, one or more, share ``l`` and ``grid``.  Row k is seeded
+    as row ``first_row + k``: its frame ``port`` (0 V, 1 H, 2 H +l, 3 H -l)
+    is rendered with ``noise`` reseeded from ``SeedSequence(noise.seed,
+    spawn_key=(first_row + k, port))``.  For an ``exact`` noise model the
+    profiles are one stacked product of the port weights with the cached
+    mode moments, and a frame is rendered only when read; otherwise each
+    row's V and H frames are rendered and binned in turn, and only the last
+    row's stay cached.
+
+    V is fitted on the V-port profiles.  P comes from the H-port profiles
+    or, for a nonzero flip impurity, from the H port's +l and -l frames, as
+    an arm-by-arm acquisition records them.  A port that ``_lit_ports``
+    calls dark on the port powers reads NaN without a fit, and so does a
+    degenerate profile.  ``EmptyBin`` depends on the grid alone and
+    propagates.
+    """
+    if not syntheses or any((s.l, s.grid) != (syntheses[0].l, syntheses[0].grid)
+                            for s in syntheses):
+        raise ValueError("measure_rows needs one or more syntheses of one OAM charge and one grid")
+    l, grid = syntheses[0].l, syntheses[0].grid
+
+    def render(fields: list[np.ndarray], k: int, port: int) -> np.ndarray:
+        seeds = np.random.SeedSequence(noise.seed, spawn_key=(first_row + k, port))
+        return optics.render_image(fields, replace(noise, seed=seeds))
+
+    # One port's fields at a time; a flip impurity's arm frames reuse the H fields.
+    @lru_cache(maxsize=1)
+    def fields(k: int, port: str) -> list[np.ndarray]:
+        return syntheses[k].fields(port)
+
+    # A row's frames are freed when the next row renders; the last row's stay,
+    # so the frames of a one-row measurement are rendered once.
+    @lru_cache(maxsize=2)
+    def frame(k: int, port: int) -> np.ndarray:
+        return render(fields(k, "h" if port else "v"), k, port)
+
+    weights = [np.array([s.intensity_weights(port) for s in syntheses]) for port in "vh"]
+    # The modes have unit power, so a port's +l and -l powers are its first two weights.
+    v_lit, h_lit = _lit_ports(*(w[:, 0] + w[:, 1] for w in weights))
+    if noise.exact:
+        v_profile, h_profile = (_moment_profiles(w, l, grid) for w in weights)
+    else:
+        binned = [[port_profile(frame(k, port), grid) for port in (0, 1)]
+                  for k in range(len(syntheses))]
+        v_profile, h_profile = (
+            AzimuthalProfile(np.stack([p.values for p in profiles]),
+                             np.stack([p.stderr for p in profiles]), profiles[0].counts)
+            for profiles in zip(*binned)
+        )
+
+    # Each port's rows are fitted in one call of a public fit function, so a
+    # profiler that wraps those names sees every fit; a port with no row to
+    # fit makes no call, as a dark port made none when measured alone.
+    visibility, uncertainty, predictability = np.full((3, len(syntheses)), math.nan)
+    if v_lit.any():
+        visibility[v_lit], uncertainty[v_lit] = fringe_visibility(v_profile.row(v_lit), l)
+    impure = np.array([s.amplitudes["h"][2] != 0 for s in syntheses])
+    coherent = h_lit & ~impure
+    if coherent.any():
+        predictability[coherent] = predictability_from_profile(h_profile.row(coherent), l)
+    for k in np.flatnonzero(h_lit & impure).tolist():
+        # The unflipped impurity light is the H port's only +l content.
+        main, impurity = fields(k, "h")
+        try:
+            predictability[k] = predictability_from_images(
+                render([impurity], k, 2), render([main], k, 3)
+            )
+        except ZeroIntensity:
+            pass
+    return PortRows(v_profile, h_profile, visibility, uncertainty, predictability, frame)
 
 
 def measure_ports(synthesis: PortSynthesis, noise: NoiseModel, row: int = 0) -> PortMeasurement:
     """Measure V and P on the two ports of ``synthesis`` through the camera ``noise``.
 
-    V is fitted on the V-port profile.  P comes from the H-port profile
-    or, for a nonzero flip impurity, from the H port's +l and -l frames,
-    as an arm-by-arm acquisition records them.  A port that
-    ``_lit_ports`` calls dark on the profile means reads NaN without a
-    fit.  Frame ``port`` (0 V, 1 H, 2 H +l, 3 H -l) is rendered with ``noise`` reseeded from ``SeedSequence(noise.seed,
-    spawn_key=(row, port))``.  For an ``exact`` noise model the profiles
-    come from ``moment_profile``, and the V and H frames are rendered only
-    when read.  ``EmptyBin`` depends on the grid alone and propagates.
+    This is ``measure_rows`` of one row: frame ``port`` (0 V, 1 H, 2 H +l,
+    3 H -l) is rendered with ``noise`` reseeded from
+    ``SeedSequence(noise.seed, spawn_key=(row, port))``.
     """
-
-    def render(fields: list[np.ndarray], port: int) -> np.ndarray:
-        seeds = np.random.SeedSequence(noise.seed, spawn_key=(row, port))
-        return optics.render_image(fields, replace(noise, seed=seeds))
-
-    port_fields = cache(synthesis.fields)
-    frame = cache(lambda port: render(port_fields("h" if port else "v"), port))
-
-    l, grid = synthesis.l, synthesis.grid
-    if noise.exact:
-        v_profile, h_profile = moment_profile(synthesis, "v"), moment_profile(synthesis, "h")
-    else:
-        v_profile, h_profile = port_profile(frame(0), grid), port_profile(frame(1), grid)
-    v_lit, h_lit = _lit_ports(v_profile.values.mean(), h_profile.values.mean())
-    visibility = uncertainty = predictability = math.nan
-    if v_lit:
-        try:
-            visibility, uncertainty = fringe_visibility(v_profile, l)
-        except DegenerateProfile:
-            pass
-    if h_lit:
-        try:
-            if synthesis.amplitudes["h"][2] != 0:
-                # The unflipped impurity light is the H port's only +l content.
-                main, impurity = port_fields("h")
-                predictability = predictability_from_images(render([impurity], 2), render([main], 3))
-            else:
-                predictability = predictability_from_profile(h_profile, l)
-        except (DegenerateProfile, ZeroIntensity):
-            pass
-    return PortMeasurement(v_profile, h_profile, visibility, uncertainty, predictability, frame)
+    return measure_rows([synthesis], noise, first_row=row).row(0)
 
 
 def analytic_ports(synthesis: PortSynthesis) -> tuple[float, float]:

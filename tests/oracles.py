@@ -2,12 +2,17 @@
 
 Everything here is written with explicit loops and elementary
 constructions, deliberately sharing no code path with the package, so
-that agreement between the two is meaningful.  The one exception is
-``loop_reconstruct_profile``, the per-point reference of the sliver scan.
+that agreement between the two is meaningful.  The exceptions are
+``loop_reconstruct_profile``, the per-point reference of the sliver scan,
+and ``row_fringe_visibility``, the per-row reference of the stacked fit.
 """
+
+import math
 
 import numpy as np
 
+from dualitysim.errors import DegenerateProfile
+from dualitysim.fringes import fit_operator
 from dualitysim.weak import (
     SliverCoupling,
     apply_sliver,
@@ -231,3 +236,29 @@ def lstsq_harmonic_fit(profile, l):
     dof = max(len(profile) - 3, 1)
     sigma_sq = float(residuals @ residuals) / dof
     return coeffs, sigma_sq * np.linalg.inv(design.T @ design)
+
+
+def row_fringe_visibility(values, l):
+    """(V, uncertainty) of one profile row through the package's cached fit
+    operator with scalar float arithmetic, or (NaN, NaN) where it has none."""
+    if not np.any(values > 0.0):
+        return math.nan, math.nan
+    try:
+        design, pinv, inv_normal = fit_operator(len(values), abs(l))
+    except DegenerateProfile:
+        return math.nan, math.nan
+    coeffs = pinv @ values
+    residuals = values - design @ coeffs
+    covariance = float(residuals @ residuals) / max(len(values) - 3, 1) * inv_normal
+    c0, a, b = coeffs
+    if c0 <= 0.0:
+        return math.nan, math.nan
+    half_arg = abs(l) * math.radians(360.0 / len(values))
+    attenuation = math.sin(half_arg) / half_arg
+    amplitude = math.hypot(a, b)
+    if amplitude > 0.0:
+        grad = np.array([-amplitude / c0**2, a / (amplitude * c0), b / (amplitude * c0)])
+    else:
+        grad = np.array([0.0, 1.0 / c0, 1.0 / c0]) / math.sqrt(2.0)
+    uncertainty = float(np.sqrt(grad @ covariance @ grad)) / attenuation
+    return min(amplitude / (attenuation * c0), 1.0), uncertainty

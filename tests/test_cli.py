@@ -164,6 +164,18 @@ class TestSweepCommand:
         assert np.isnan(p_measured[[0, 2]]).all()
         assert p_measured[1] == pytest.approx(1.0, abs=1e-6)
 
+    def test_dark_h_port_under_readout_noise_reads_nan(self, tmp_path):
+        # The readout floor puts counts in the dark H ports of theta = 0 and
+        # 2 pi; the dark rule reads the port power, so their P stays NaN.
+        out = tmp_path / "sweep_k"
+        assert main(["sweep", "--samples", "9", "--photons", "1e5", "--readout-sigma", "2",
+                     "--grid", "64", "--out", str(out)]) == 0
+        header, rows = read_csv(out.with_suffix(".csv"))
+        p_measured = col(header, rows, "P_cond_H_measured")
+        assert np.isnan(p_measured[[0, -1]]).all()
+        assert not np.isnan(p_measured[1:-1]).any()
+        assert np.isnan(col(header, rows, "sum_cond_squares_measured")[[0, -1]]).all()
+
     def test_measure_ports_reproduces_noisy_rows(self, tmp_path):
         out = tmp_path / "sweep_i"
         assert main(["sweep", "--samples", "4", "--photons", "2e5", "--readout-sigma", "2",
@@ -257,6 +269,18 @@ class TestRenderCommand:
         out = tmp_path / "render5"
         assert main(["render", "--theta", "0", "--alpha", "0", "--impurity", "0.1",
                      "--grid", "64", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert math.isnan(report["P_measured"])
+        assert math.isnan(report["P_analytic"])
+
+    @pytest.mark.parametrize("impurity", ["0.1", "0"])
+    def test_dark_h_port_under_readout_noise_reads_nan(self, impurity, tmp_path):
+        # p_H = 0 exactly; the readout floor puts counts in every pixel of
+        # the dark port, and the dark rule reads the port power, not them.
+        out = tmp_path / "render14"
+        assert main(["render", "--theta", "0", "--alpha", "0", "--impurity", impurity,
+                     "--grid", "64", "--photons", "1e5", "--readout-sigma", "2",
+                     "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert math.isnan(report["P_measured"])
         assert math.isnan(report["P_analytic"])

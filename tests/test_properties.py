@@ -39,9 +39,11 @@ from dualitysim.duality import (
 )
 from dualitysim.fringes import (
     AzimuthalProfile,
-    _harmonic_fit,
+    _fringe_rows,
+    _harmonic_fits,
     analytic_ports,
     measure_ports,
+    measure_rows,
     moment_profile,
     port_profile,
 )
@@ -57,6 +59,7 @@ from oracles import (
     brute_visibility,
     loop_reconstruct_profile,
     lstsq_harmonic_fit,
+    row_fringe_visibility,
 )
 
 BOUND = 1.0 + 1e-9
@@ -211,6 +214,35 @@ def test_seeded_rendering_is_bit_identical(theta, alpha, seed, row, photons, rea
 
 @PROPERTY
 @given(
+    st.lists(st.tuples(ANGLE, ANGLE, AZIMUTH, st.sampled_from([0.0, 0.1])),
+             min_size=3, max_size=3),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=64, max_value=128),
+    st.sampled_from([NoiseModel(), NoiseModel(1e5, 1.0, 11)]),
+)
+def test_batch_rows_equal_one_row_measurements(rows, l, size, noise):
+    # Row i of a batch is seeded as row i, and no stacked step mixes rows.
+    grid = GridSpec(size)
+    syntheses = [
+        synthesize_ports(StateParams(theta, alpha), l=l, grid=grid, path_phase=phase,
+                         flip_impurity=impurity)
+        for theta, alpha, phase, impurity in rows
+    ]
+    batch = measure_rows(syntheses, noise)
+    for i, synthesis in enumerate(syntheses):
+        row, alone = batch.row(i), measure_ports(synthesis, noise, row=i)
+        np.testing.assert_array_equal(
+            [row.visibility, row.uncertainty, row.predictability, batch.sum_of_squares[i]],
+            [alone.visibility, alone.uncertainty, alone.predictability, alone.sum_of_squares],
+        )
+        for name in ("v_profile", "h_profile"):
+            np.testing.assert_array_equal(getattr(row, name).values, getattr(alone, name).values)
+            np.testing.assert_array_equal(getattr(row, name).stderr, getattr(alone, name).stderr)
+        assert row.petal_count == alone.petal_count
+
+
+@PROPERTY
+@given(
     st.integers(min_value=4, max_value=360),
     st.integers(min_value=1, max_value=32),
     st.sampled_from([1, -1]),
@@ -226,12 +258,37 @@ def test_cached_fit_matches_the_lstsq_oracle(n_bins, charge, sign, seed, scale):
         # |l| * window a multiple of 90 deg aliases the harmonic (180 deg) or
         # puts it at the bins' Nyquist rate (90 deg), where B is not identified.
         with pytest.raises(DegenerateProfile):
-            _harmonic_fit(profile, l)
+            _harmonic_fits(values[np.newaxis], l)
         return
-    coeffs, covariance = _harmonic_fit(profile, l)
+    (coeffs,), (covariance,) = _harmonic_fits(values[np.newaxis], l)
     ref_coeffs, ref_covariance = lstsq_harmonic_fit(profile, l)
     np.testing.assert_allclose(coeffs, ref_coeffs, rtol=0, atol=1e-12 * abs(ref_coeffs[0]))
     np.testing.assert_allclose(covariance, ref_covariance, rtol=1e-12, atol=0)
+
+
+@PROPERTY
+@given(
+    st.integers(min_value=4, max_value=360),
+    st.integers(min_value=1, max_value=32),
+    st.sampled_from([1, -1]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=1e-6, max_value=1e6),
+)
+def test_stacked_fit_rows_equal_the_per_row_fit(n_bins, charge, sign, seed, scale):
+    # Petal profiles with noise, some with a negative baseline, and one
+    # all-zero row; each stacked row must carry the per-row fit's bits.
+    rng = np.random.default_rng(seed)
+    phi = np.radians(np.arange(n_bins) * 360.0 / n_bins)
+    rows = 200
+    stack = scale * (
+        rng.uniform(-0.2, 1.0, (rows, 1))
+        + rng.uniform(0.0, 1.0, (rows, 1)) * np.cos(2 * charge * phi + rng.uniform(0, 7, (rows, 1)))
+        + 0.05 * rng.normal(size=(rows, n_bins))
+    )
+    stack[0] = 0.0
+    visibility, uncertainty, _ = _fringe_rows(stack, sign * charge)
+    reference = [row_fringe_visibility(values, sign * charge) for values in stack]
+    np.testing.assert_array_equal(np.column_stack((visibility, uncertainty)), reference)
 
 
 @PROPERTY

@@ -1,0 +1,72 @@
+"""Run the golden command list and rewrite its recorded hashes.
+
+``golden.json`` holds, for each CLI command, its arguments (with ``--out``
+relative to a fresh working directory), its exit code and the sha256 of
+its stdout and of every file it writes, next to the fingerprint of the
+platform the hashes were recorded on.  ``tests/test_golden.py`` reruns
+the list and compares bytes.  Refresh only on purpose, and name every
+changed file and the reason in ``CHANGES.md``:
+
+    PYTHONPATH=src python tests/golden/refresh.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import platform
+import shlex
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+GOLDEN = Path(__file__).with_name("golden.json")
+
+
+def fingerprint() -> dict:
+    """What the exact bytes may depend on: numpy, the CPU and the C library."""
+    return {"numpy": np.__version__, "machine": platform.machine(),
+            "libc": list(platform.libc_ver())}
+
+
+def run(command: str, workdir: Path) -> tuple[int, dict[str, str]]:
+    """Exit code of ``cli.main`` on the arguments ``command`` run in
+    ``workdir``, and the sha256 of its stdout and of each file it wrote
+    under its ``--out`` path."""
+    from dualitysim import cli
+
+    argv = shlex.split(command)
+    out = Path(argv[argv.index("--out") + 1])
+    root = out if argv[0] == "render" else out.parent
+    stdout = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main(argv)
+        hashes = {"stdout": hashlib.sha256(stdout.getvalue().encode()).hexdigest()}
+        for path in sorted(p for p in root.rglob("*") if p.is_file()):
+            hashes[path.as_posix()] = hashlib.sha256(path.read_bytes()).hexdigest()
+    finally:
+        os.chdir(cwd)
+    return code, hashes
+
+
+def main() -> int:
+    golden = json.loads(GOLDEN.read_text())
+    with tempfile.TemporaryDirectory() as tmp:
+        for record in golden["commands"]:
+            record["exit"], record["sha256"] = run(record["command"], Path(tmp))
+    golden["fingerprint"] = fingerprint()
+    GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")
+    print(f"rewrote {GOLDEN} for {golden['fingerprint']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

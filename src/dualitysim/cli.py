@@ -12,14 +12,18 @@ weak    Scan the wave-plate sliver across a transverse profile and export
         the reconstructed wavefunction ratio.
 
 Angles are given in radians and accept pi literals such as ``pi/12``,
-``2pi/3`` or ``-pi/2`` alongside plain decimals.  Exit codes: 0 success,
-1 usage error, 2 runtime error.
+``2pi/3`` or ``-pi/2`` alongside plain decimals; join a negative angle
+other than a plain decimal such as ``-0.5`` to its flag with ``=``
+(``--start=-pi/2``), as argparse reads a separate ``-pi/2`` as a flag.
+Exit codes: 0 success, 1 usage error, 2 runtime error (a failed
+allocation included).
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import re
@@ -156,10 +160,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     columns = list(SWEEP_COLUMNS)
     if pipeline:
         columns += MEASURED_COLUMNS
-        grid = optics.GridSpec(args.grid)
-        syntheses = [optics.synthesize_ports(StateParams(theta, alpha), l=args.l, grid=grid)
-                     for theta, alpha in zip(thetas.tolist(), alphas.tolist())]
-        m = fringes.measure_rows(syntheses, noise)
+        rows = [StateParams(*angles) for angles in zip(thetas.tolist(), alphas.tolist())]
+        syn = optics.synthesize_ports(rows, l=args.l, grid=optics.GridSpec(args.grid))
+        m = fringes.measure_rows(syn, noise)
         table = np.column_stack((table, m.visibility, m.predictability, m.sum_of_squares))
     rows = table.tolist()
 
@@ -211,8 +214,8 @@ def cmd_render(args: argparse.Namespace) -> int:
     syn = optics.synthesize_ports(
         params, l=l, grid=grid, path_phase=path_phase, flip_impurity=impurity
     )
-    m = fringes.measure_ports(syn, noise)
-    v_analytic, p_analytic = fringes.analytic_ports(syn)
+    m = fringes.measure_rows(syn, noise).row(0)
+    v_analytic, p_analytic = (float(value[0]) for value in fringes.analytic_ports(syn))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     for port, image, profile in (
@@ -369,7 +372,9 @@ def _add_common(parser: argparse.ArgumentParser, out: str) -> None:
                              "flags on the command line win")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="dualitysim",
         description="Conditional wave-particle duality simulator and analysis tools",
@@ -463,7 +468,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
-    except (UsageError, DualitySimError, OSError, ValueError) as exc:
+    except (UsageError, DualitySimError, OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, UsageError) else 2
 

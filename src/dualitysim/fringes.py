@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from pathlib import Path
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import optics
 from .errors import P_MIN, DegenerateProfile, EmptyBin, ZeroIntensity
-from .optics import GridSpec, NoiseModel, PortSynthesis
+from .optics import GridSpec, NoiseModel, PortSynthesis, _per_float
 
 INTENSITY_EPS = 1e-300  # floor below which a total intensity is "zero"
 PORT_ANNULUS = (0.5, 2.5)  # radii in beam-waist units enclosing the ring
@@ -232,16 +232,6 @@ def _square(x: float) -> float:
     return x**2
 
 
-def _per_float(fn: Callable[..., float], *arrays: np.ndarray) -> np.ndarray:
-    """``fn`` of each element as Python floats.
-
-    ``math.hypot`` and ``x**2`` (libm pow) round differently from
-    ``np.hypot`` and ``x * x`` in about one value in a thousand, so the
-    stacked steps keep the rounding of the scalar formulas this way.
-    """
-    return np.array(list(map(fn, *(a.tolist() for a in arrays))), dtype=float)
-
-
 def _fringe_rows(values: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray, list]:
     """``fringe_visibility`` of each row of ``values`` (rows x bins): the
     visibilities, their uncertainties and, per row, why it has none (None
@@ -386,25 +376,20 @@ def _mode_moments(l: int, grid: GridSpec) -> tuple[AnnulusPlan, np.ndarray, np.n
     return plan, sums, pair_sums
 
 
-def _moment_profiles(weights: np.ndarray, l: int, grid: GridSpec) -> AzimuthalProfile:
-    """Stacked noiseless ``port_profile`` of ports whose ``intensity_weights``
-    are the rows of ``weights``."""
-    plan, sums, pair_sums = _mode_moments(l, grid)
+def moment_profile(synthesis: PortSynthesis, port: str) -> AzimuthalProfile:
+    """Stacked ``port_profile`` of the noiseless ``port`` ("v" or "h") of every
+    row of ``synthesis`` (rows x bins), without a frame.
+
+    Each row equals the profile of its rendered frame up to float round-off.
+    """
+    weights = synthesis.intensity_weights(port)
+    plan, sums, pair_sums = _mode_moments(synthesis.l, synthesis.grid)
     # One BLAS vector-matrix product per row, as in ``_harmonic_fits``; the
     # rows must be contiguous, since numpy's loop for strided rows rounds
     # differently.
     pair_weights = np.ascontiguousarray(weights[:, _PAIRS[0]] * weights[:, _PAIRS[1]])
     return plan.profile((weights[:, np.newaxis, :] @ sums)[:, 0],
                         (pair_weights[:, np.newaxis, :] @ pair_sums)[:, 0])
-
-
-def moment_profile(synthesis: PortSynthesis, port: str) -> AzimuthalProfile:
-    """``port_profile`` of the noiseless ``port`` ("v" or "h") without a frame.
-
-    It equals the profile of the rendered frame up to float round-off.
-    """
-    weights = synthesis.intensity_weights(port)[np.newaxis]
-    return _moment_profiles(weights, synthesis.l, synthesis.grid).row(0)
 
 
 @dataclass
@@ -461,23 +446,20 @@ class PortRows:
         )
 
 
-def _lit_ports(v_power, h_power):
-    """Whether the V and H ports are lit: a port below ``P_MIN`` times both
-    ports' power is dark, so round-off light reads as undefined.  Works on
-    floats and elementwise on arrays."""
+def _lit_ports(v_power: np.ndarray, h_power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether the V and H ports of each row are lit: a port below ``P_MIN``
+    times both ports' power is dark, so round-off light reads as undefined."""
     floor = P_MIN * (v_power + h_power)
     return v_power >= floor, h_power >= floor
 
 
-def measure_rows(
-    syntheses: Sequence[PortSynthesis], noise: NoiseModel, first_row: int = 0
-) -> PortRows:
-    """Measure V and P on the two ports of each synthesis through the camera ``noise``.
+def measure_rows(synthesis: PortSynthesis, noise: NoiseModel, first_row: int = 0) -> PortRows:
+    """Measure V and P on the two ports of each row of ``synthesis`` through
+    the camera ``noise``.
 
-    The syntheses, one or more, share ``l`` and ``grid``.  Row k is seeded
-    as row ``first_row + k``: its frame ``port`` (0 V, 1 H, 2 H +l, 3 H -l)
-    is rendered with ``noise`` reseeded from ``SeedSequence(noise.seed,
-    spawn_key=(first_row + k, port))``.  For an ``exact`` noise model the
+    Row k is seeded as row ``first_row + k``: its frame ``port`` (0 V, 1 H,
+    2 H +l, 3 H -l) is rendered with ``noise`` reseeded from
+    ``SeedSequence(noise.seed, spawn_key=(first_row + k, port))``.  For an ``exact`` noise model the
     profiles are one stacked product of the port weights with the cached
     mode moments, and a frame is rendered only when read; otherwise each
     row's V and H frames are rendered and binned in turn, and only the last
@@ -490,10 +472,7 @@ def measure_rows(
     degenerate profile.  ``EmptyBin`` depends on the grid alone and
     propagates.
     """
-    if not syntheses or any((s.l, s.grid) != (syntheses[0].l, syntheses[0].grid)
-                            for s in syntheses):
-        raise ValueError("measure_rows needs one or more syntheses of one OAM charge and one grid")
-    l, grid = syntheses[0].l, syntheses[0].grid
+    l, grid, n_rows = synthesis.l, synthesis.grid, len(synthesis)
 
     def render(fields: list[np.ndarray], k: int, port: int) -> np.ndarray:
         seeds = np.random.SeedSequence(noise.seed, spawn_key=(first_row + k, port))
@@ -502,7 +481,7 @@ def measure_rows(
     # One port's fields at a time; a flip impurity's arm frames reuse the H fields.
     @lru_cache(maxsize=1)
     def fields(k: int, port: str) -> list[np.ndarray]:
-        return syntheses[k].fields(port)
+        return synthesis.fields(port, k)
 
     # A row's frames are freed when the next row renders; the last row's stay,
     # so the frames of a one-row measurement are rendered once.
@@ -510,14 +489,12 @@ def measure_rows(
     def frame(k: int, port: int) -> np.ndarray:
         return render(fields(k, "h" if port else "v"), k, port)
 
-    weights = [np.array([s.intensity_weights(port) for s in syntheses]) for port in "vh"]
     # The modes have unit power, so a port's +l and -l powers are its first two weights.
-    v_lit, h_lit = _lit_ports(*(w[:, 0] + w[:, 1] for w in weights))
+    v_lit, h_lit = _lit_ports(*(w[:, 0] + w[:, 1] for w in map(synthesis.intensity_weights, "vh")))
     if noise.exact:
-        v_profile, h_profile = (_moment_profiles(w, l, grid) for w in weights)
+        v_profile, h_profile = (moment_profile(synthesis, port) for port in "vh")
     else:
-        binned = [[port_profile(frame(k, port), grid) for port in (0, 1)]
-                  for k in range(len(syntheses))]
+        binned = [[port_profile(frame(k, port), grid) for port in (0, 1)] for k in range(n_rows)]
         v_profile, h_profile = (
             AzimuthalProfile(np.stack([p.values for p in profiles]),
                              np.stack([p.stderr for p in profiles]), profiles[0].counts)
@@ -527,10 +504,10 @@ def measure_rows(
     # Each port's rows are fitted in one call of a public fit function, so a
     # profiler that wraps those names sees every fit; a port with no row to
     # fit makes no call, as a dark port made none when measured alone.
-    visibility, uncertainty, predictability = np.full((3, len(syntheses)), math.nan)
+    visibility, uncertainty, predictability = np.full((3, n_rows), math.nan)
     if v_lit.any():
         visibility[v_lit], uncertainty[v_lit] = fringe_visibility(v_profile.row(v_lit), l)
-    impure = np.array([s.amplitudes["h"][2] != 0 for s in syntheses])
+    impure = synthesis.amplitudes["h"][:, 2] != 0
     coherent = h_lit & ~impure
     if coherent.any():
         predictability[coherent] = predictability_from_profile(h_profile.row(coherent), l)
@@ -546,30 +523,19 @@ def measure_rows(
     return PortRows(v_profile, h_profile, visibility, uncertainty, predictability, frame)
 
 
-def measure_ports(synthesis: PortSynthesis, noise: NoiseModel, row: int = 0) -> PortMeasurement:
-    """Measure V and P on the two ports of ``synthesis`` through the camera ``noise``.
-
-    This is ``measure_rows`` of one row: frame ``port`` (0 V, 1 H, 2 H +l,
-    3 H -l) is rendered with ``noise`` reseeded from
-    ``SeedSequence(noise.seed, spawn_key=(row, port))``.
-    """
-    return measure_rows([synthesis], noise, first_row=row).row(0)
-
-
-def analytic_ports(synthesis: PortSynthesis) -> tuple[float, float]:
-    """Noiseless (V, P) that ``measure_ports`` estimates, read off the port
-    weights; NaN for a port that ``measure_ports`` counts as dark.
+def analytic_ports(synthesis: PortSynthesis) -> tuple[np.ndarray, np.ndarray]:
+    """Noiseless V and P of each row that ``measure_rows`` estimates, read off
+    the port weights; NaN for a port that ``measure_rows`` counts as dark.
 
     V is the V port's petal contrast 2|p m| / (|p|^2 + |m|^2 + |e|^2), and
-    P the contrast of the H port's +l and -l mode powers.
+    P the contrast |I+ - I-| / (I+ + I-) of the H port's +l and -l mode powers.
     """
-    w_v, w_h = (synthesis.intensity_weights(port).tolist() for port in "vh")
-    v_lit, h_lit = _lit_ports(w_v[0] + w_v[1], w_h[0] + w_h[1])  # unit-power modes
-    visibility = predictability = math.nan
-    if v_lit:
-        visibility = math.hypot(w_v[2], w_v[3]) / (w_v[0] + w_v[1])
-    if h_lit:
-        predictability = predictability_from_arm_powers(w_h[0], w_h[1])
+    w_v, w_h = (synthesis.intensity_weights(port) for port in "vh")
+    v_power, h_power = w_v[:, 0] + w_v[:, 1], w_h[:, 0] + w_h[:, 1]  # unit-power modes
+    v_lit, h_lit = _lit_ports(v_power, h_power)
+    visibility, predictability = np.full((2, len(synthesis)), math.nan)
+    visibility[v_lit] = _per_float(math.hypot, w_v[v_lit, 2], w_v[v_lit, 3]) / v_power[v_lit]
+    predictability[h_lit] = np.abs(w_h[h_lit, 0] - w_h[h_lit, 1]) / h_power[h_lit]
     return visibility, predictability
 
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -166,27 +167,48 @@ def oam_mode(l: int, grid: GridSpec = GridSpec()) -> np.ndarray:
     return _mode_data(int(l), grid).copy()
 
 
+def _per_float(fn: Callable, *arrays: np.ndarray) -> np.ndarray:
+    """Array of ``fn`` of each element, evaluated on Python numbers.
+
+    ``abs`` of a complex, ``math.hypot`` and ``x**2`` (libm pow) can round
+    differently from ``np.abs``, ``np.hypot`` and ``x * x``, and numpy's
+    complex array product may fuse a multiply and an add, which keeps the
+    sign of an underflowed term; so the stacked steps keep the rounding of
+    the scalar formulas this way.
+    """
+    return np.array(list(map(fn, *(a.tolist() for a in arrays))))
+
+
+def _port_weights(plus: complex, minus: complex, impurity: complex) -> tuple[float, ...]:
+    cross = plus * minus.conjugate()
+    return abs(plus) ** 2 + abs(impurity) ** 2, abs(minus) ** 2, 2.0 * cross.real, -2.0 * cross.imag
+
+
 @dataclass
 class PortSynthesis:
-    """Interferometer outputs as mode amplitudes on one camera ``grid``.
+    """Interferometer outputs of one or more rows as mode amplitudes on one camera ``grid``.
 
-    ``amplitudes[port]`` holds port "h" or "v" as (p, m, e) on the cached
-    modes u+ = u(+l) and u- = u(-l): the coherent field p u+ + m u- and
-    the unflipped lower-arm light e u+, which adds to the images in
-    intensity, not amplitude.  ``fields(port)`` builds them.  The modes
-    have unit power, so the first two ``intensity_weights(port)`` are the
-    powers attributable to the +l and -l modes in a port, i.e. what an
-    arm-blocking power measurement would record.
+    ``amplitudes[port]`` holds port "h" or "v" as a rows x 3 array of
+    (p, m, e) on the cached modes u+ = u(+l) and u- = u(-l): the coherent
+    field p u+ + m u- and the unflipped lower-arm light e u+, which adds
+    to the images in intensity, not amplitude.  ``fields(port, row)``
+    builds one row's fields.  The modes have unit power, so the first two
+    ``intensity_weights(port)`` of a row are the powers attributable to
+    the +l and -l modes in a port, i.e. what an arm-blocking power
+    measurement would record.
     """
 
     l: int
     grid: GridSpec
-    amplitudes: dict[str, tuple[complex, complex, complex]]
+    amplitudes: dict[str, np.ndarray]
 
-    def fields(self, port: str) -> list[np.ndarray]:
-        """Mutually incoherent fields of ``port``: the coherent p u+ + m u-,
-        then, when e is nonzero, e u+."""
-        plus, minus, impurity = self.amplitudes[port]
+    def __len__(self) -> int:
+        return len(self.amplitudes["h"])
+
+    def fields(self, port: str, row: int = 0) -> list[np.ndarray]:
+        """Mutually incoherent fields of ``port`` in ``row``: the coherent
+        p u+ + m u-, then, when e is nonzero, e u+."""
+        plus, minus, impurity = self.amplitudes[port][row].tolist()
         main = minus * _mode_data(-self.l, self.grid)
         if plus != 0:
             main = plus * _mode_data(self.l, self.grid) + main
@@ -196,26 +218,25 @@ class PortSynthesis:
 
     def intensity_weights(self, port: str) -> np.ndarray:
         """Noiseless intensity |p u+ + m u-|^2 + |e u+|^2 of ``port`` ("v" or
-        "h") as weights on |u+|^2, |u-|^2, Re(u+ conj(u-)), Im(u+ conj(u-))."""
-        plus, minus, impurity = self.amplitudes[port]
-        cross = complex(plus * np.conj(minus))
-        return np.array([abs(plus) ** 2 + abs(impurity) ** 2, abs(minus) ** 2,
-                         2.0 * cross.real, -2.0 * cross.imag])
+        "h") as weights on |u+|^2, |u-|^2, Re(u+ conj(u-)), Im(u+ conj(u-)),
+        one row of four per row."""
+        return _per_float(_port_weights, *self.amplitudes[port].T)
 
 
 def synthesize_ports(
-    params: StateParams,
+    params: StateParams | Sequence[StateParams],
     l: int = DEFAULT_OAM,
     grid: GridSpec = GridSpec(),
     path_phase: float = 0.0,
     flip_impurity: float = 0.0,
 ) -> PortSynthesis:
     """Ports (upper, lower sqrt(1 - eps^2) e^{i path_phase}, lower eps), eps =
-    ``flip_impurity``, of the prepared state's amplitude-matrix columns (upper, lower).
+    ``flip_impurity``, of the prepared state's amplitude-matrix columns (upper, lower),
+    one row per ``params``; a single ``StateParams`` gives one row.
 
     Raises ``ChargeOutOfRange`` for |l| > ``MAX_OAM`` and ``ValueError``
-    for l = 0 (both arms would carry the one Gaussian, with no petals) or a
-    non-finite ``path_phase``.
+    for no ``params``, l = 0 (both arms would carry the one Gaussian, with
+    no petals) or a non-finite ``path_phase``.
     """
     _check_charge(l)  # up front: the modes are built only when a field is read
     if l == 0:
@@ -224,15 +245,19 @@ def synthesize_ports(
         raise ValueError("flip_impurity must be in [0, 1)")
     if not math.isfinite(path_phase):
         raise ValueError(f"path_phase must be finite, got {path_phase}")
+    rows = [params] if isinstance(params, StateParams) else list(params)
+    if not rows:
+        raise ValueError("synthesize_ports needs at least one StateParams")
     phase = np.exp(1j * path_phase)
     flip = math.sqrt(1.0 - flip_impurity**2)
-    columns = amplitude_matrix(state_vector(params)).T.tolist()
+    columns = [amplitude_matrix(state_vector(p)).T.tolist() for p in rows]
     return PortSynthesis(
         l=l,
         grid=grid,
         amplitudes={
-            port: (upper, (lower * flip) * phase, lower * flip_impurity)
-            for port, (upper, lower) in zip("hv", columns)
+            port: np.array([(upper, (lower * flip) * phase, lower * flip_impurity)
+                            for upper, lower in (row[i] for row in columns)])
+            for i, port in enumerate("hv")
         },
     )
 

@@ -27,10 +27,6 @@ import numpy as np
 
 from .errors import P_MIN, ZeroProbabilityPostselection
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
 TRACE_ATOL = 1e-12
 
 

@@ -4,15 +4,19 @@ Everything here is written with explicit loops and elementary
 constructions, deliberately sharing no code path with the package, so
 that agreement between the two is meaningful.  The exceptions are
 ``loop_reconstruct_profile``, the per-point reference of the sliver scan,
-and ``row_fringe_visibility``, the per-row reference of the stacked fit.
+``row_fringe_visibility``, the per-row reference of the stacked fit, and
+the ``row_port_*`` functions, the per-row reference of the stacked
+synthesis.
 """
 
 import math
 
 import numpy as np
 
-from dualitysim.errors import DegenerateProfile
+from dualitysim.errors import P_MIN, DegenerateProfile
 from dualitysim.fringes import fit_operator
+from dualitysim.optics import _mode_data
+from dualitysim.qubit import amplitude_matrix, state_vector
 from dualitysim.weak import (
     SliverCoupling,
     apply_sliver,
@@ -22,6 +26,9 @@ from dualitysim.weak import (
 
 KET_TOP = np.array([1.0, 0.0], dtype=complex)  # |l> or |H>
 KET_BOT = np.array([0.0, 1.0], dtype=complex)  # |-l> or |V>
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def kron2(a, b):
@@ -91,21 +98,21 @@ def swap_factors(psi):
 
 
 def brute_postselect(rho4, proj):
-    """Conditional reduced state and probability via the full sandwich."""
+    """Conditional reduced state and probability via the full sandwich; no
+    state for a zero or subnormal probability, by which complex division
+    overflows."""
     op = kron_op(np.eye(2, dtype=complex), proj)
     sandwiched = op @ rho4
     reduced = brute_partial_trace(sandwiched)
     p = float(np.trace(reduced).real)
-    if p <= 0.0:
+    if p < np.finfo(float).tiny:
         return None, p
     return reduced / p, p
 
 
 def brute_visibility(rho2):
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
     total = 0.0 + 0.0j
-    m = sx + 1j * sy
+    m = SIGMA_X + 1j * SIGMA_Y
     for i in range(2):
         for j in range(2):
             total += m[i, j] * rho2[j, i]
@@ -113,11 +120,10 @@ def brute_visibility(rho2):
 
 
 def brute_predictability(rho2):
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
     total = 0.0 + 0.0j
     for i in range(2):
         for j in range(2):
-            total += sz[i, j] * rho2[j, i]
+            total += SIGMA_Z[i, j] * rho2[j, i]
     return abs(total.real)
 
 
@@ -262,3 +268,41 @@ def row_fringe_visibility(values, l):
         grad = np.array([0.0, 1.0 / c0, 1.0 / c0]) / math.sqrt(2.0)
     uncertainty = float(np.sqrt(grad @ covariance @ grad)) / attenuation
     return min(amplitude / (attenuation * c0), 1.0), uncertainty
+
+
+def row_port_amplitudes(params, path_phase=0.0, flip_impurity=0.0):
+    """{port: (p, m, e)} of one row, formed from scalars as the one-row
+    synthesis formed them."""
+    phase = np.exp(1j * path_phase)
+    flip = math.sqrt(1.0 - flip_impurity**2)
+    columns = amplitude_matrix(state_vector(params)).T.tolist()
+    return {
+        port: (upper, (lower * flip) * phase, lower * flip_impurity)
+        for port, (upper, lower) in zip("hv", columns)
+    }
+
+
+def row_port_weights(plus, minus, impurity):
+    """Intensity weights on |u+|^2, |u-|^2, Re(u+ u-*), Im(u+ u-*) of one
+    port's (p, m, e), in scalar arithmetic."""
+    cross = complex(plus * np.conj(minus))
+    return np.array([abs(plus) ** 2 + abs(impurity) ** 2, abs(minus) ** 2,
+                     2.0 * cross.real, -2.0 * cross.imag])
+
+
+def row_port_fields(plus, minus, impurity, l, grid):
+    """Incoherent fields of one port's (p, m, e): p u+ + m u-, then e u+ if e != 0."""
+    main = minus * _mode_data(-l, grid)
+    if plus != 0:
+        main = plus * _mode_data(l, grid) + main
+    return [main] if impurity == 0 else [main, impurity * _mode_data(l, grid)]
+
+
+def row_port_analytic(w_v, w_h):
+    """(V, P) of one row from its V- and H-port weights in scalar
+    arithmetic; NaN for a port below P_MIN times both ports' power."""
+    v_power, h_power = w_v[0] + w_v[1], w_h[0] + w_h[1]
+    floor = P_MIN * (v_power + h_power)
+    visibility = math.hypot(w_v[2], w_v[3]) / v_power if v_power >= floor else math.nan
+    predictability = abs(w_h[0] - w_h[1]) / h_power if h_power >= floor else math.nan
+    return visibility, predictability

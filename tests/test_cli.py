@@ -15,8 +15,9 @@ from dualitysim import (
     render_image,
     synthesize_ports,
 )
-from dualitysim.cli import UsageError, main, parse_angle
-from dualitysim.fringes import measure_ports
+from dualitysim import fringes, optics, weak
+from dualitysim.cli import UsageError, build_parser, main, parse_angle
+from dualitysim.fringes import measure_rows
 from dualitysim.optics import write_pfm, write_pgm16
 
 
@@ -186,7 +187,7 @@ class TestSweepCommand:
             value = dict(zip(names, row))
             syn = synthesize_ports(StateParams(value["theta"], value["alpha"]),
                                    grid=GridSpec(64))
-            m = measure_ports(syn, NoiseModel(2e5, 2.0, 9), row=i)
+            m = measure_rows(syn, NoiseModel(2e5, 2.0, 9), first_row=i).row(0)
             np.testing.assert_array_equal(
                 [m.visibility, m.predictability],
                 [value["V_cond_V_measured"], value["P_cond_H_measured"]],
@@ -662,6 +663,45 @@ def test_grid_needs_a_pixel_in_every_port_window(size, command, tmp_path, capsys
         assert code == 0
 
 
+@pytest.mark.parametrize(
+    "argv,flag,value",
+    [(["render", "--alpha", "0", "--grid", "64"], "--theta", "-pi/3"),
+     (["sweep", "--samples", "3"], "--start", "-pi/2")],
+    ids=["theta", "start"],
+)
+def test_negative_angle_joins_its_flag_with_equals(argv, flag, value, tmp_path, capsys):
+    # argparse reads a separate "-pi/3" as a flag; "--theta=-pi/3" is one token.
+    assert main(argv + [flag, value, "--out", str(tmp_path / "a")]) == 1
+    assert f"argument {flag}: expected one argument" in capsys.readouterr().err
+    assert main(argv + [f"{flag}={value}", "--out", str(tmp_path / "b")]) == 0
+    if argv[0] == "render":
+        record = json.loads((tmp_path / "b" / "report.json").read_text())["params"]
+    else:
+        record = json.loads((tmp_path / "b.json").read_text())["config"]
+    assert record[flag[2:]] == parse_angle(value)
+
+
+@pytest.mark.parametrize(
+    "argv,module,name",
+    [
+        # Inside argparse: the --grid type builds the port annulus plan.
+        (["render", "--theta", "1", "--alpha", "1", "--grid", "64"], fringes, "port_plan"),
+        (["sweep", "--samples", "3", "--pipeline", "--grid", "64"], optics, "synthesize_ports"),
+        (["weak", "--n", "16"], weak, "reconstruct_profile"),
+    ],
+    ids=["render-grid", "sweep", "weak"],
+)
+def test_failed_allocation_is_a_runtime_error(argv, module, name, tmp_path, monkeypatch, capsys):
+    # Stands in for numpy's error on an out-of-reach size such as
+    # `render --grid 1000000`, without allocating anything large.
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(module, name, refuse)
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB for an array\n"
+
+
 def test_noiseless_budget_is_written_as_null(tmp_path):
     out = tmp_path / "r"
     assert main(["render", "--theta", "1", "--alpha", "1", "--grid", "64", "--photons", "inf",
@@ -690,6 +730,16 @@ class TestTopLevel:
 
     def test_unknown_command_is_usage_error(self):
         assert main(["frobnicate"]) == 1
+
+    def test_parser_is_built_once_and_flags_still_win_over_config(self, tmp_path, monkeypatch):
+        build_parser.cache_clear()
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"samples": 5}))
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", "--config", str(config), "--samples", "4", "--out", "a"]) == 0
+        assert main(["sweep", "--config", str(config), "--out", "b"]) == 0
+        assert build_parser.cache_info().misses == 1
+        assert [len(read_csv(tmp_path / f"{name}.csv")[1]) for name in "ab"] == [4, 5]
 
     @pytest.mark.parametrize("command", [["sweep"], ["render", "--theta", "1", "--alpha", "1"]])
     def test_negative_seed_is_usage_error(self, command, tmp_path, capsys):

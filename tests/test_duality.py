@@ -30,9 +30,8 @@ from dualitysim.duality import (
     conditional_visibility_v,
     postselection_probabilities,
 )
-from dualitysim.qubit import SIGMA_X, SIGMA_Y, SIGMA_Z
 
-from oracles import brute_predictability, brute_visibility
+from oracles import SIGMA_X, SIGMA_Y, SIGMA_Z, brute_predictability, brute_visibility
 
 GRID = np.linspace(0, 2 * np.pi, 64, endpoint=False)
 

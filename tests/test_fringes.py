@@ -34,7 +34,6 @@ from dualitysim.fringes import (
     annulus_plan,
     azimuthal_profile,
     fit_operator,
-    measure_ports,
     measure_rows,
     port_profile,
     profile_to_csv,
@@ -171,7 +170,7 @@ class TestMeasurePorts:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(optics, "render_image", counting_render)
-        m = measure_ports(syn, NoiseModel())
+        m = measure_rows(syn, NoiseModel()).row(0)
         assert not rendered
         np.testing.assert_array_equal(m.v_image, expected)
         assert m.v_image is m.v_image and len(rendered) == 1
@@ -179,7 +178,7 @@ class TestMeasurePorts:
     def test_noiseless_measures_match_the_pixel_path(self):
         grid = GridSpec(128)
         syn = synthesize_ports(StateParams(2.0, 1.1), grid=grid, path_phase=0.3)
-        m = measure_ports(syn, NoiseModel())
+        m = measure_rows(syn, NoiseModel()).row(0)
         v_pixel = fringe_visibility(port_profile(render_image(syn.fields("v")), grid), 3)
         p_pixel = predictability_from_profile(port_profile(render_image(syn.fields("h")), grid), 3)
         np.testing.assert_allclose([m.visibility, m.uncertainty], v_pixel, rtol=1e-9)
@@ -190,8 +189,8 @@ class TestMeasurePorts:
         # p_H = 2.5e-19 at theta = 1e-9 and p_V = 1e-18 at pi - 2e-9: each
         # value is NaN on both paths, or on neither.
         syn = synthesize_ports(StateParams(theta, 0.0), grid=GridSpec(64))
-        m = measure_ports(syn, NoiseModel())
-        analytic = analytic_ports(syn)
+        m = measure_rows(syn, NoiseModel()).row(0)
+        analytic = np.concatenate(analytic_ports(syn))
         assert np.isnan(analytic).any()
         np.testing.assert_array_equal(np.isnan(analytic),
                                       np.isnan([m.visibility, m.predictability]))
@@ -212,15 +211,6 @@ class TestMeasurePorts:
                      "--out", str(tmp_path / "s")]) == 0
         # p_H is 0 at theta = 0 and round-off at 2 pi: those H ports are dark.
         assert stack_sizes == [37, 35]
-
-    def test_rows_share_one_charge_and_grid(self):
-        base = synthesize_ports(StateParams(1.0, 0.7), grid=GridSpec(64))
-        for other in (synthesize_ports(StateParams(1.0, 0.7), l=4, grid=GridSpec(64)),
-                      synthesize_ports(StateParams(1.0, 0.7), grid=GridSpec(65))):
-            with pytest.raises(ValueError, match="one OAM charge and one grid"):
-                measure_rows([base, other], NoiseModel())
-        with pytest.raises(ValueError, match="one or more syntheses"):
-            measure_rows([], NoiseModel())
 
     @pytest.mark.parametrize("size", [64, 43])
     def test_moment_tables_read_the_minus_mode_as_built(self, size):

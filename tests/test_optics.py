@@ -209,8 +209,8 @@ class TestInterferometer:
     def test_impurity_bookkeeping(self):
         params, eps = calibrated_operating_point()
         syn = synthesize_ports(params, 3, GRID, flip_impurity=eps)
-        h_plus, h_minus = syn.intensity_weights("h")[:2]
-        v_plus, v_minus = syn.intensity_weights("v")[:2]
+        h_plus, h_minus = syn.intensity_weights("h")[0, :2]
+        v_plus, v_minus = syn.intensity_weights("v")[0, :2]
         assert h_plus + h_minus + v_plus + v_minus == pytest.approx(1.0, abs=1e-12)
         # The impurity ratio fixes the H-port mode split.
         assert h_plus / (h_plus + h_minus) == pytest.approx(eps**2, abs=1e-12)
@@ -226,6 +226,15 @@ class TestInterferometer:
         with pytest.raises(ValueError, match="nonzero OAM charge"):
             synthesize_ports(StateParams(1.0, 1.0), l=0, grid=GridSpec(64))
         assert np.array_equal(oam_mode(0, GRID), meshgrid_mode(0, GRID))
+
+    def test_one_row_per_params(self):
+        rows = [StateParams(1.0, 0.7), StateParams(2.0, 0.1), StateParams(0.3, 3.0)]
+        syn = synthesize_ports(rows, grid=GridSpec(64))
+        assert len(syn) == 3 and syn.intensity_weights("v").shape == (3, 4)
+        assert all(a.shape == (3, 3) for a in syn.amplitudes.values())
+        assert len(synthesize_ports(rows[0], grid=GridSpec(64))) == 1
+        with pytest.raises(ValueError, match="at least one StateParams"):
+            synthesize_ports([], grid=GridSpec(64))
 
     @pytest.mark.parametrize("path_phase", [np.nan, np.inf, -np.inf])
     def test_non_finite_path_phase_is_rejected(self, path_phase):

@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dualitysim import (
@@ -42,7 +42,6 @@ from dualitysim.fringes import (
     _fringe_rows,
     _harmonic_fits,
     analytic_ports,
-    measure_ports,
     measure_rows,
     moment_profile,
     port_profile,
@@ -60,6 +59,10 @@ from oracles import (
     loop_reconstruct_profile,
     lstsq_harmonic_fit,
     row_fringe_visibility,
+    row_port_amplitudes,
+    row_port_analytic,
+    row_port_fields,
+    row_port_weights,
 )
 
 BOUND = 1.0 + 1e-9
@@ -151,10 +154,10 @@ def test_fitted_visibility_does_not_depend_on_path_phase(theta, alpha, phase):
     # moves the fitted V by a few 1e-3 at 128^2, and by far more at 64^2.
     grid = GridSpec(128)
     v_zero, v_phase = (
-        measure_ports(
+        measure_rows(
             synthesize_ports(StateParams(theta, alpha), grid=grid, path_phase=path_phase),
             NoiseModel(),
-        ).visibility
+        ).visibility[0]
         for path_phase in (0.0, phase)
     )
     if math.isnan(v_zero):
@@ -180,7 +183,7 @@ def test_moment_profile_matches_pixel_profile(theta, alpha, phase, impurity, l, 
         StateParams(theta, alpha), l=l, grid=grid, path_phase=phase, flip_impurity=impurity
     )
     for port in ("v", "h"):
-        fast = moment_profile(syn, port)
+        fast = moment_profile(syn, port).row(0)
         pixel = port_profile(render_image(syn.fields(port)), grid)
         np.testing.assert_array_equal(fast.counts, pixel.counts)
         assert np.abs(fast.values - pixel.values).max() <= 1e-12 * pixel.values.max()
@@ -197,10 +200,10 @@ def test_moment_profile_matches_pixel_profile(theta, alpha, phase, impurity, l, 
     st.floats(min_value=0.0, max_value=5.0),
 )
 def test_seeded_rendering_is_bit_identical(theta, alpha, seed, row, photons, readout_sigma):
-    # A flip impurity makes measure_ports render all four frames.
+    # A flip impurity makes measure_rows render all four frames.
     syn = synthesize_ports(StateParams(theta, alpha), grid=GridSpec(64), flip_impurity=0.1)
     noise = NoiseModel(photons, readout_sigma, seed)
-    first, second = (measure_ports(syn, noise, row=row) for _ in range(2))
+    first, second = (measure_rows(syn, noise, first_row=row).row(0) for _ in range(2))
     for name in ("v_image", "h_image"):
         np.testing.assert_array_equal(getattr(first, name), getattr(second, name))
     for name in ("v_profile", "h_profile"):
@@ -214,23 +217,58 @@ def test_seeded_rendering_is_bit_identical(theta, alpha, seed, row, photons, rea
 
 @PROPERTY
 @given(
-    st.lists(st.tuples(ANGLE, ANGLE, AZIMUTH, st.sampled_from([0.0, 0.1])),
-             min_size=3, max_size=3),
+    st.lists(st.tuples(ANGLE, ANGLE), min_size=1, max_size=6),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    AZIMUTH,
+    st.sampled_from([0.0, 0.1, 0.3]),
+    st.sampled_from([1, -2, 3]),
+)
+# Underflowed products, where a fused multiply-add keeps a sign of zero that
+# the scalar formulas drop: in (lower * flip) * phase, and in p * conj(m).
+@example([(-2.5214769578725817e-289, 0.0)], 0, 1.0265993321445783e-116, 0.0, 1)
+@example([(2.5, 0.0)], 0, 5e-324, 0.0, 1)
+def test_stacked_synthesis_rows_equal_the_scalar_rows(angles, seed, path_phase, impurity, l):
+    # 200 more random rows, as abs, hypot and pow differ from their array
+    # forms in one value in a thousand or more.
+    angles = angles + np.random.default_rng(seed).uniform(-10.0, 10.0, (200, 2)).tolist()
+    grid = GridSpec(16)
+    rows = [StateParams(theta, alpha) for theta, alpha in angles]
+    syn = synthesize_ports(rows, l=l, grid=grid, path_phase=path_phase, flip_impurity=impurity)
+    analytic = np.column_stack(analytic_ports(syn))
+    stacked_weights = {port: syn.intensity_weights(port) for port in "hv"}
+    for k, params in enumerate(rows):
+        amplitudes = row_port_amplitudes(params, path_phase, impurity)
+        weights = {port: row_port_weights(*amplitudes[port]) for port in "hv"}
+        for port in "hv":
+            assert syn.amplitudes[port][k].tobytes() == np.array(amplitudes[port]).tobytes()
+            assert stacked_weights[port][k].tobytes() == weights[port].tobytes()
+            fields = syn.fields(port, k)
+            expected = row_port_fields(*amplitudes[port], l, grid)
+            assert [f.tobytes() for f in fields] == [f.tobytes() for f in expected]
+        expected = np.array(row_port_analytic(weights["v"], weights["h"]))
+        assert analytic[k].tobytes() == expected.tobytes()
+
+
+@PROPERTY
+@given(
+    st.lists(st.tuples(ANGLE, ANGLE), min_size=3, max_size=3),
+    AZIMUTH,
+    st.sampled_from([0.0, 0.1]),
     st.integers(min_value=1, max_value=4),
     st.integers(min_value=64, max_value=128),
     st.sampled_from([NoiseModel(), NoiseModel(1e5, 1.0, 11)]),
 )
-def test_batch_rows_equal_one_row_measurements(rows, l, size, noise):
+def test_batch_rows_equal_one_row_measurements(angles, phase, impurity, l, size, noise):
     # Row i of a batch is seeded as row i, and no stacked step mixes rows.
     grid = GridSpec(size)
-    syntheses = [
-        synthesize_ports(StateParams(theta, alpha), l=l, grid=grid, path_phase=phase,
-                         flip_impurity=impurity)
-        for theta, alpha, phase, impurity in rows
-    ]
-    batch = measure_rows(syntheses, noise)
-    for i, synthesis in enumerate(syntheses):
-        row, alone = batch.row(i), measure_ports(synthesis, noise, row=i)
+    rows = [StateParams(theta, alpha) for theta, alpha in angles]
+    batch = measure_rows(
+        synthesize_ports(rows, l=l, grid=grid, path_phase=phase, flip_impurity=impurity), noise
+    )
+    for i, params in enumerate(rows):
+        synthesis = synthesize_ports(params, l=l, grid=grid, path_phase=phase,
+                                     flip_impurity=impurity)
+        row, alone = batch.row(i), measure_rows(synthesis, noise, first_row=i).row(0)
         np.testing.assert_array_equal(
             [row.visibility, row.uncertainty, row.predictability, batch.sum_of_squares[i]],
             [alone.visibility, alone.uncertainty, alone.predictability, alone.sum_of_squares],
@@ -299,7 +337,7 @@ def test_port_powers_are_the_postselection_probabilities(theta, alpha, path_phas
     syn = synthesize_ports(StateParams(theta, alpha), path_phase=path_phase, flip_impurity=eps)
     p_h, p_v = postselection_probabilities(theta, alpha)
     for port, probability in (("h", p_h), ("v", p_v)):
-        assert abs(sum(syn.intensity_weights(port)[:2]) - probability) <= 1e-15
+        assert abs(sum(syn.intensity_weights(port)[0, :2]) - probability) <= 1e-15
 
 
 @PROPERTY
@@ -312,7 +350,9 @@ def test_analytic_ports_match_the_brute_force_oracle(theta, alpha, path_phase):
     for ket, measure in ((KET_BOT, brute_visibility), (KET_TOP, brute_predictability)):
         branch, probability = brute_postselect(rho4, np.outer(ket, ket.conj()))
         expected.append(measure(branch) if probability >= P_MIN else math.nan)
-    analytic = analytic_ports(synthesize_ports(StateParams(theta, alpha), path_phase=path_phase))
+    analytic = np.concatenate(
+        analytic_ports(synthesize_ports(StateParams(theta, alpha), path_phase=path_phase))
+    )
     np.testing.assert_allclose(analytic, expected, rtol=0, atol=1e-12)
 
 
@@ -322,8 +362,8 @@ def test_analytic_ports_of_a_lit_h_port(theta, alpha, eps, path_phase):
     # The H-port mode powers (|e|^2, |m|^2) = b^2 (eps^2, 1 - eps^2) come
     # from the amplitudes; the impurity scales the V contrast by sqrt(1 - eps^2).
     syn = synthesize_ports(StateParams(theta, alpha), path_phase=path_phase, flip_impurity=eps)
-    assume(sum(syn.intensity_weights("h")[:2]) >= P_MIN)
-    visibility, predictability = analytic_ports(syn)
+    assume(sum(syn.intensity_weights("h")[0, :2]) >= P_MIN)
+    (visibility,), (predictability,) = analytic_ports(syn)
     assert abs(predictability - abs(1.0 - 2.0 * eps**2)) <= 1e-15
     expected = conditional_visibility_v(theta, alpha) * math.sqrt(1.0 - eps**2)
     np.testing.assert_allclose(visibility, expected, rtol=0, atol=1e-15)

@@ -16,10 +16,12 @@ from dualitysim import (
     projector_v,
     state_vector,
 )
-from dualitysim.qubit import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 from oracles import (
     IDENTITY,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     brute_density,
     brute_partial_trace,
     brute_partial_trace_first,

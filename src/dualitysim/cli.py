@@ -160,8 +160,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     columns = list(SWEEP_COLUMNS)
     if pipeline:
         columns += MEASURED_COLUMNS
-        rows = [StateParams(*angles) for angles in zip(thetas.tolist(), alphas.tolist())]
-        syn = optics.synthesize_ports(rows, l=args.l, grid=optics.GridSpec(args.grid))
+        states = [StateParams(*angles) for angles in zip(thetas.tolist(), alphas.tolist())]
+        syn = optics.synthesize_ports(states, l=args.l, grid=optics.GridSpec(args.grid))
         m = fringes.measure_rows(syn, noise)
         table = np.column_stack((table, m.visibility, m.predictability, m.sum_of_squares))
     rows = table.tolist()

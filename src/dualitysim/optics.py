@@ -218,8 +218,8 @@ class PortSynthesis:
 
     def intensity_weights(self, port: str) -> np.ndarray:
         """Noiseless intensity |p u+ + m u-|^2 + |e u+|^2 of ``port`` ("v" or
-        "h") as weights on |u+|^2, |u-|^2, Re(u+ conj(u-)), Im(u+ conj(u-)),
-        one row of four per row."""
+        "h") in each row, as rows x 4 weights on |u+|^2, |u-|^2,
+        Re(u+ conj(u-)) and Im(u+ conj(u-))."""
         return _per_float(_port_weights, *self.amplitudes[port].T)
 
 
@@ -256,8 +256,8 @@ def synthesize_ports(
         grid=grid,
         amplitudes={
             port: np.array([(upper, (lower * flip) * phase, lower * flip_impurity)
-                            for upper, lower in (row[i] for row in columns)])
-            for i, port in enumerate("hv")
+                            for upper, lower in port_columns])
+            for port, port_columns in zip("hv", zip(*columns))
         },
     )
 

@@ -134,8 +134,41 @@ def _noise(args: argparse.Namespace, photons: float = math.inf) -> optics.NoiseM
     return optics.NoiseModel(budget, args.readout_sigma, args.seed)
 
 
+def _rows_json(rows) -> str | None:
+    """``rows`` as ``json.dumps`` with ``indent=2`` writes a top-level value,
+    for a nonempty list of nonempty flat lists; None for any other value.
+
+    With ``indent`` set, ``json`` falls back to its pure-Python encoder, so
+    the C encoder writes the cells with the cell separator of that layout
+    (the same ``float.__repr__`` and ``NaN``/``Infinity`` tokens) and only
+    the row boundaries are re-indented.  An encoded string holds no raw
+    newline, so the boundary marker occurs only between rows.
+    """
+    if not (isinstance(rows, list) and rows and all(isinstance(row, list) for row in rows)):
+        return None
+    text = json.dumps(rows, separators=(",\n      ", ": "))
+    # One "[" per row and none inside a row: no nested list, and no string holding "[".
+    if text.count("[") != len(rows) + 1 or "{" in text or "[]" in text:
+        return None
+    cells = text[2:-2].replace("],\n      [", "\n    ],\n    [\n      ")
+    return "[\n    [\n      " + cells + "\n    ]\n  ]"
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """``payload`` as ``json.dumps(payload, indent=2, sort_keys=True)`` writes it,
+    with a ``rows`` table of flat rows encoded by ``_rows_json``."""
+    rows = _rows_json(payload.get("rows"))
+    if rows is None:
+        text = json.dumps(payload, indent=2, sort_keys=True)
+    else:
+        # Indenting is additive: each top-level value is encoded alone and shifted in.
+        values = {key: json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+                  for key, value in payload.items() if key != "rows"}
+        values["rows"] = rows
+        text = "{\n  " + ",\n  ".join(
+            f"{json.dumps(key)}: {values[key]}" for key in sorted(values)
+        ) + "\n}"
+    path.write_text(text + "\n")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

@@ -45,13 +45,13 @@ import json
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ChargeOutOfRange
-from .qubit import StateParams, amplitude_matrix, state_vector
+from .qubit import StateParams, state_amplitudes
 
 DEFAULT_OAM = 3
 EXTENT = 4.0  # half-width of every camera in beam-waist units
@@ -195,7 +195,8 @@ class PortSynthesis:
     builds one row's fields.  The modes have unit power, so the first two
     ``intensity_weights(port)`` of a row are the powers attributable to
     the +l and -l modes in a port, i.e. what an arm-blocking power
-    measurement would record.
+    measurement would record.  Both ports' weights are formed once, on
+    first read, as read-only arrays.
     """
 
     l: int
@@ -218,9 +219,17 @@ class PortSynthesis:
 
     def intensity_weights(self, port: str) -> np.ndarray:
         """Noiseless intensity |p u+ + m u-|^2 + |e u+|^2 of ``port`` ("v" or
-        "h") in each row, as rows x 4 weights on |u+|^2, |u-|^2,
+        "h") in each row, as read-only rows x 4 weights on |u+|^2, |u-|^2,
         Re(u+ conj(u-)) and Im(u+ conj(u-))."""
-        return _per_float(_port_weights, *self.amplitudes[port].T)
+        return self._weights[port]
+
+    @cached_property
+    def _weights(self) -> dict[str, np.ndarray]:
+        weights = {port: _per_float(_port_weights, *amplitudes.T)
+                   for port, amplitudes in self.amplitudes.items()}
+        for array in weights.values():
+            array.setflags(write=False)
+        return weights
 
 
 def synthesize_ports(
@@ -250,14 +259,15 @@ def synthesize_ports(
         raise ValueError("synthesize_ports needs at least one StateParams")
     phase = np.exp(1j * path_phase)
     flip = math.sqrt(1.0 - flip_impurity**2)
-    columns = [amplitude_matrix(state_vector(p)).T.tolist() for p in rows]
+    states = list(map(state_amplitudes, rows))
+    # Column pol of A[oam, pol] is (upper, lower) = (psi[pol], psi[2 + pol]).
     return PortSynthesis(
         l=l,
         grid=grid,
         amplitudes={
-            port: np.array([(upper, (lower * flip) * phase, lower * flip_impurity)
-                            for upper, lower in port_columns])
-            for port, port_columns in zip("hv", zip(*columns))
+            port: np.array([(psi[pol], (psi[2 + pol] * flip) * phase, psi[2 + pol] * flip_impurity)
+                            for psi in states])
+            for pol, port in enumerate("hv")
         },
     )
 
@@ -328,7 +338,7 @@ def calibrated_operating_point(
     v_ideal = v_target / math.sqrt(1.0 - eps**2)
     if not 0.0 < v_ideal < 1.0:
         raise ValueError("targets are outside the reachable range")
-    s = state_vector(StateParams(math.pi, alpha))[3].real  # |-l, V> of the lower arm alone
+    s = state_amplitudes(StateParams(math.pi, alpha))[3]  # |-l, V> of the lower arm alone
     if s <= 0.0:
         raise ValueError("alpha must give a nonzero lower-arm V component")
     # V_ideal = 2 t s / (1 + t^2 s^2) for t = tan(theta/2); smaller root

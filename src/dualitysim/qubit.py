@@ -48,23 +48,26 @@ class StateParams:
             raise ValueError("theta and alpha must be finite")
 
 
+def state_amplitudes(params: StateParams) -> tuple[float, float, float, float]:
+    """The four real amplitudes of ``state_vector(params)`` as Python floats,
+    in the product-basis order, so A[oam, pol] is entry 2 oam + pol."""
+    half_t = 0.5 * params.theta
+    half_a = 0.5 * params.alpha
+    return (
+        0.0,
+        math.cos(half_t),
+        math.sin(half_t) * math.cos(half_a),
+        math.sin(half_t) * math.sin(half_a),
+    )
+
+
 def state_vector(params: StateParams) -> np.ndarray:
     """Amplitude 4-vector of the prepared pure state.
 
     Returns cos(theta/2)|l,V> + sin(theta/2) |-l> (cos(alpha/2)|H> +
     sin(alpha/2)|V>); unit norm by construction for any real angles.
     """
-    half_t = 0.5 * params.theta
-    half_a = 0.5 * params.alpha
-    return np.array(
-        [
-            0.0,
-            math.cos(half_t),
-            math.sin(half_t) * math.cos(half_a),
-            math.sin(half_t) * math.sin(half_a),
-        ],
-        dtype=complex,
-    )
+    return np.array(state_amplitudes(params), dtype=complex)
 
 
 def amplitude_matrix(state: np.ndarray) -> np.ndarray:

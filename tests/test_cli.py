@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dualitysim import (
     GridSpec,
@@ -15,7 +17,7 @@ from dualitysim import (
     render_image,
     synthesize_ports,
 )
-from dualitysim import fringes, optics, weak
+from dualitysim import cli, fringes, optics, weak
 from dualitysim.cli import UsageError, build_parser, main, parse_angle
 from dualitysim.fringes import measure_rows
 from dualitysim.optics import write_pfm, write_pgm16
@@ -712,6 +714,43 @@ def test_noiseless_budget_is_written_as_null(tmp_path):
                  "--out", str(tmp_path / "s")]) == 0
     config = json.loads((tmp_path / "s.json").read_text())["config"]
     assert config["photon_budget"] is None and config["pipeline"]
+
+
+# Number cells as a sweep writes them, and cells the row encoder must hand
+# back to the standard encoder: strings (with brackets, braces or newlines),
+# nested lists and objects.
+JSON_NUMBERS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, 0, -7]),
+    st.floats(),
+    st.integers(),
+)
+JSON_CELLS = st.one_of(
+    JSON_NUMBERS,
+    st.text(alphabet="[]{},\n\"a ", max_size=4),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), min_size=1, max_size=2),
+)
+
+
+@settings(derandomize=True, deadline=None, database=None)
+@given(
+    st.tuples(st.integers(min_value=0, max_value=4), st.sampled_from([JSON_NUMBERS, JSON_CELLS]))
+    .flatmap(lambda shape: st.lists(st.lists(shape[1], min_size=shape[0], max_size=shape[0]),
+                                    max_size=5)),
+    st.dictionaries(st.text(max_size=5), st.one_of(JSON_CELLS, st.none()), max_size=3),
+)
+@example(rows=[[1.5, math.nan, -math.inf]], head={})  # one row
+@example(rows=[[0.1], [-0.0], [5e-324]], head={})  # one column
+@example(rows=[], head={})
+@example(rows=[[], []], head={})  # rows with no columns
+@example(rows=[[[1]], 5], head={})  # a row that is not a list
+@example(rows=[[1.0, 2]], head={"zz": [1.0, {"b": 2, "a": None}], "a": "\u00e9"})
+def test_json_writer_bytes_equal_the_stdlib_layout(tmp_path_factory, rows, head):
+    path = tmp_path_factory.mktemp("json") / "payload.json"
+    payload = {**head, "columns": [f"c{i}" for i in range(len(rows[0]) if rows else 0)],
+               "rows": rows}
+    cli._write_json(path, payload)
+    assert path.read_bytes() == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
 
 
 class TestTopLevel:

@@ -212,6 +212,27 @@ class TestMeasurePorts:
         # p_H is 0 at theta = 0 and round-off at 2 pi: those H ports are dark.
         assert stack_sizes == [37, 35]
 
+    def test_noiseless_measurement_forms_each_port_weight_once(self, monkeypatch):
+        # measure_rows, moment_profile and analytic_ports read one array per port.
+        calls = []
+        original = optics._port_weights
+
+        def counting_weights(*amplitudes):
+            calls.append(amplitudes)
+            return original(*amplitudes)
+
+        monkeypatch.setattr(optics, "_port_weights", counting_weights)
+        rows = [StateParams(theta, 0.7) for theta in (0.5, 1.0, 2.0, 3.0)]
+        syn = synthesize_ports(rows, grid=GridSpec(64))
+        assert not calls
+        measure_rows(syn, NoiseModel())
+        assert len(calls) == 2 * len(rows)
+        analytic_ports(syn)
+        assert len(calls) == 2 * len(rows)
+        for port in "vh":
+            with pytest.raises(ValueError):
+                syn.intensity_weights(port)[0, 0] = 1.0
+
     @pytest.mark.parametrize("size", [64, 43])
     def test_moment_tables_read_the_minus_mode_as_built(self, size):
         grid = GridSpec(size)

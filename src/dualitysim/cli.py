@@ -176,7 +176,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if fixed is None:
         fixed = math.pi / 12 if swept == "theta" else math.pi / 2
     noise = _noise(args)
-    pipeline = args.pipeline or args.photons is not None
+    pipeline = args.pipeline or args.photons is not None or args.readout_sigma > 0
 
     values = np.linspace(start, end, samples)
     thetas = values if swept == "theta" else np.full(samples, fixed)
@@ -247,13 +247,16 @@ def cmd_render(args: argparse.Namespace) -> int:
     syn = optics.synthesize_ports(
         params, l=l, grid=grid, path_phase=path_phase, flip_impurity=impurity
     )
-    m = fringes.measure_rows(syn, noise).row(0)
+    m = fringes.measure_rows(syn, noise)
+    visibility, uncertainty, predictability, sum_squares = (
+        float(x[0]) for x in (m.visibility, m.uncertainty, m.predictability, m.sum_of_squares)
+    )
     v_analytic, p_analytic = (float(value[0]) for value in fringes.analytic_ports(syn))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     for port, image, profile in (
-        ("h", m.h_image, m.h_profile),
-        ("v", m.v_image, m.v_profile),
+        ("h", m.frame(0, 1), m.h_profile.row(0)),
+        ("v", m.frame(0, 0), m.v_profile.row(0)),
     ):
         optics.write_pfm(out_dir / f"{port}_port.pfm", image)
         optics.write_pgm16(out_dir / f"{port}_port.pgm", image)
@@ -270,18 +273,18 @@ def cmd_render(args: argparse.Namespace) -> int:
     }
     fringes.analysis_report_json(
         out_dir / "report.json",
-        visibility=m.visibility,
-        uncertainty=m.uncertainty,
-        predictability=m.predictability,
+        visibility=visibility,
+        uncertainty=uncertainty,
+        predictability=predictability,
         params=params_info,
         extra={
-            "V_measured": m.visibility,
-            "P_measured": m.predictability,
-            "sum_squares": m.sum_of_squares,
+            "V_measured": visibility,
+            "P_measured": predictability,
+            "sum_squares": sum_squares,
             "V_analytic": v_analytic,
             "P_analytic": p_analytic,
             "sum_squares_analytic": v_analytic**2 + p_analytic**2,
-            "petal_count": m.petal_count,
+            "petal_count": m.petal_count(0),
         },
     )
     optics.write_metadata(
@@ -297,7 +300,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     else:
         print(
             f"wrote images and report to {out_dir} "
-            f"(V={m.visibility:.4f}, P={m.predictability:.4f})"
+            f"(V={visibility:.4f}, P={predictability:.4f})"
         )
     return 0
 
@@ -339,7 +342,10 @@ def _load_psi(spec: str, n: int) -> np.ndarray:
             values.append(value)
         if len(values) < 2:
             raise UsageError(f"--psi: {path}: need at least two samples")
-        return weak.normalized(np.array(values, dtype=complex))
+        try:
+            return weak.normalized(np.array(values, dtype=complex))
+        except ValueError as exc:
+            raise UsageError(f"--psi: {path}: {exc}") from None
     raise UsageError(f"--psi: unknown wavefunction spec {spec!r}")
 
 
@@ -427,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="number of samples (181 is 2-degree steps)")
     p_sweep.add_argument("--pipeline", action=argparse.BooleanOptionalAction, default=False,
                          help="also measure each row through the image pipeline "
-                              "(implied by --photons)")
+                              "(implied by --photons or a nonzero --readout-sigma)")
     _add_camera(p_sweep)
     _add_common(p_sweep, "sweep")
     p_sweep.set_defaults(func=cmd_sweep)

@@ -23,7 +23,7 @@ import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -393,40 +393,12 @@ def moment_profile(synthesis: PortSynthesis, port: str) -> AzimuthalProfile:
 
 
 @dataclass
-class PortMeasurement:
-    """Profiles of both output ports and the measures they give.
-
-    ``visibility`` and its 1-sigma ``uncertainty`` come from the V port,
-    ``predictability`` from the H port; each is NaN when its port is dark
-    or its profile degenerate, and ``petal_count`` is 0 when V is NaN.
-    ``v_image`` and ``h_image`` are ``frame(0)`` and ``frame(1)``, each
-    rendered on first access.
-    """
-
-    v_profile: AzimuthalProfile
-    h_profile: AzimuthalProfile
-    visibility: float
-    uncertainty: float
-    predictability: float
-    frame: Callable[[int], np.ndarray]
-    v_image = property(lambda self: self.frame(0))
-    h_image = property(lambda self: self.frame(1))
-
-    @property
-    def sum_of_squares(self) -> float:
-        return self.visibility**2 + self.predictability**2
-
-    @property
-    def petal_count(self) -> int:
-        return 0 if math.isnan(self.visibility) else count_petals(self.v_profile)
-
-
-@dataclass
 class PortRows:
-    """``PortMeasurement`` of a stack of rows: stacked ``v_profile`` and
-    ``h_profile`` (rows x bins), one ``visibility``, ``uncertainty`` and
-    ``predictability`` per row, and ``frame(k, port)``, frame ``port`` of
-    row k.  ``row(k)`` is row k as a ``PortMeasurement``."""
+    """Both ports' stacked profiles (rows x bins) and the measures of each row:
+    ``visibility`` and its 1-sigma ``uncertainty`` from the V port and
+    ``predictability`` from the H port, each NaN for a dark port or a
+    degenerate profile.  ``frame(k, port)`` is frame ``port`` (0 V, 1 H) of
+    row k, rendered on first access."""
 
     v_profile: AzimuthalProfile
     h_profile: AzimuthalProfile
@@ -439,11 +411,9 @@ class PortRows:
     def sum_of_squares(self) -> np.ndarray:
         return _per_float(_square, self.visibility) + _per_float(_square, self.predictability)
 
-    def row(self, k: int) -> PortMeasurement:
-        return PortMeasurement(
-            self.v_profile.row(k), self.h_profile.row(k), float(self.visibility[k]),
-            float(self.uncertainty[k]), float(self.predictability[k]), partial(self.frame, k),
-        )
+    def petal_count(self, k: int) -> int:
+        """``count_petals`` of row k's V profile; 0 where its V is NaN."""
+        return 0 if math.isnan(self.visibility[k]) else count_petals(self.v_profile.row(k))
 
 
 def _lit_ports(v_power: np.ndarray, h_power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

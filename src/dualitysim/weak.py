@@ -78,6 +78,16 @@ def zero_frequency_amplitude(psi: np.ndarray) -> complex:
     return complex(psi.sum() / math.sqrt(len(psi)))
 
 
+def _zero_momentum(psi: np.ndarray) -> complex:
+    """``zero_frequency_amplitude``, or ``ZeroProbabilityPostselection`` below ``P_MIN``."""
+    amplitude = zero_frequency_amplitude(psi)
+    if abs(amplitude) < P_MIN:
+        raise ZeroProbabilityPostselection(
+            f"zero-momentum amplitude {abs(amplitude):.3e} below {P_MIN:.1e}"
+        )
+    return amplitude
+
+
 @dataclass(frozen=True)
 class SliverCoupling:
     """Wave-plate sliver location, rotation angle and coupling model.
@@ -140,11 +150,7 @@ def postselect_zero_momentum(joint: JointState) -> tuple[np.ndarray, float]:
         ZeroProbabilityPostselection: when the transmitted beam has no
             zero-momentum component (e.g. an odd-parity profile).
     """
-    s_v = zero_frequency_amplitude(joint.v)
-    if abs(s_v) < P_MIN:
-        raise ZeroProbabilityPostselection(
-            f"zero-momentum amplitude {abs(s_v):.3e} below {P_MIN:.1e}"
-        )
+    s_v = _zero_momentum(joint.v)
     s_h = complex(joint.h.sum())
     pointer = np.array([s_h, s_v], dtype=complex)
     probability = float(np.sum(np.abs(pointer) ** 2))
@@ -186,9 +192,13 @@ def reconstruct_weak_value(pointer: np.ndarray, phi: float) -> complex:
 
 
 def true_ratio(psi: np.ndarray) -> np.ndarray:
-    """Reference profile psi(x)/psi0 the reconstruction converges to."""
+    """Reference profile psi(x)/psi0 the reconstruction converges to.
+
+    Raises ``ZeroProbabilityPostselection`` when |psi0| is below ``P_MIN``,
+    as for an odd-parity profile.
+    """
     psi = np.asarray(psi, dtype=complex)
-    return psi / zero_frequency_amplitude(psi)
+    return psi / _zero_momentum(psi)
 
 
 def reconstruct_profile(psi: np.ndarray, phi: float, mode: str = "linearized") -> np.ndarray:

@@ -179,6 +179,19 @@ class TestSweepCommand:
         assert not np.isnan(p_measured[1:-1]).any()
         assert np.isnan(col(header, rows, "sum_cond_squares_measured")[[0, -1]]).all()
 
+    def test_readout_sigma_alone_turns_on_the_pipeline(self, tmp_path):
+        # A nonzero readout sigma implies the pipeline, as --photons does.
+        alone, explicit = tmp_path / "sweep_l", tmp_path / "sweep_m"
+        args = ["sweep", "--samples", "3", "--readout-sigma", "2", "--grid", "64"]
+        assert main(args + ["--out", str(alone)]) == 0
+        assert main(args + ["--pipeline", "--out", str(explicit)]) == 0
+        header, _ = read_csv(alone.with_suffix(".csv"))
+        assert header[-3:] == cli.MEASURED_COLUMNS
+        assert json.loads(alone.with_suffix(".json").read_text())["config"]["pipeline"] is True
+        for suffix in (".csv", ".json"):
+            assert (alone.with_suffix(suffix).read_bytes()
+                    == explicit.with_suffix(suffix).read_bytes())
+
     def test_measure_ports_reproduces_noisy_rows(self, tmp_path):
         out = tmp_path / "sweep_i"
         assert main(["sweep", "--samples", "4", "--photons", "2e5", "--readout-sigma", "2",
@@ -189,9 +202,9 @@ class TestSweepCommand:
             value = dict(zip(names, row))
             syn = synthesize_ports(StateParams(value["theta"], value["alpha"]),
                                    grid=GridSpec(64))
-            m = measure_rows(syn, NoiseModel(2e5, 2.0, 9), first_row=i).row(0)
+            m = measure_rows(syn, NoiseModel(2e5, 2.0, 9), first_row=i)
             np.testing.assert_array_equal(
-                [m.visibility, m.predictability],
+                [m.visibility[0], m.predictability[0]],
                 [value["V_cond_V_measured"], value["P_cond_H_measured"]],
             )
 
@@ -225,6 +238,25 @@ class TestRenderCommand:
         assert report["V_measured"] == pytest.approx(0.93, abs=0.02)
         assert report["sum_squares"] == pytest.approx(1.83, abs=0.05)
         assert report["petal_count"] == 6
+
+    @pytest.mark.parametrize("argv,renders", [
+        # Two port frames and a flip impurity's two arm frames, each drawn once.
+        (["render", "--calibrated"], 4),
+        # The exact frames are rendered only for the image files.
+        (["render", "--theta", "1", "--alpha", "0.7"], 2),
+        (["sweep", "--samples", "5", "--photons", "inf"], 0),
+    ])
+    def test_render_image_calls(self, argv, renders, tmp_path, monkeypatch):
+        calls = []
+        original = optics.render_image
+
+        def counting_render(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(optics, "render_image", counting_render)
+        assert main(argv + ["--grid", "64", "--out", str(tmp_path / "r")]) == 0
+        assert len(calls) == renders
 
     def test_missing_angles_is_usage_error(self, tmp_path):
         assert main(["render", "--out", str(tmp_path / "x")]) == 1
@@ -421,6 +453,7 @@ class TestWeakCommand:
         ("gaussian:0", "'0'"),
         ("file:0.1 0\nnan 0\n", ":2:"),
         ("file:0.1 0\n0.2 -inf\n", ":2:"),
+        ("file:0 0\n0 0\n", "zero wavefunction"),
     ])
     def test_bad_psi_is_a_usage_error(self, spec, named, tmp_path, capsys):
         if spec.startswith("file:"):
@@ -434,6 +467,17 @@ class TestWeakCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "--psi" in err and named in err
+        assert not list(tmp_path.glob("w*"))
+
+    def test_odd_parity_file_is_a_runtime_error(self, tmp_path, capsys):
+        # psi0 = 0: the postselection error, with no numpy warning before it.
+        samples = tmp_path / "psi.txt"
+        samples.write_text("1 0\n-1 0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["weak", "--psi", f"file:{samples}", "--out", str(tmp_path / "w")])
+        assert code == 2
+        assert "zero-momentum amplitude" in capsys.readouterr().err
         assert not list(tmp_path.glob("w*"))
 
     @pytest.mark.parametrize("n,code", [(15, 0), (16, 1)])

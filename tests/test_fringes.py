@@ -170,30 +170,30 @@ class TestMeasurePorts:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(optics, "render_image", counting_render)
-        m = measure_rows(syn, NoiseModel()).row(0)
+        m = measure_rows(syn, NoiseModel())
         assert not rendered
-        np.testing.assert_array_equal(m.v_image, expected)
-        assert m.v_image is m.v_image and len(rendered) == 1
+        np.testing.assert_array_equal(m.frame(0, 0), expected)
+        assert m.frame(0, 0) is m.frame(0, 0) and len(rendered) == 1
 
     def test_noiseless_measures_match_the_pixel_path(self):
         grid = GridSpec(128)
         syn = synthesize_ports(StateParams(2.0, 1.1), grid=grid, path_phase=0.3)
-        m = measure_rows(syn, NoiseModel()).row(0)
+        m = measure_rows(syn, NoiseModel())
         v_pixel = fringe_visibility(port_profile(render_image(syn.fields("v")), grid), 3)
         p_pixel = predictability_from_profile(port_profile(render_image(syn.fields("h")), grid), 3)
-        np.testing.assert_allclose([m.visibility, m.uncertainty], v_pixel, rtol=1e-9)
-        assert m.predictability == pytest.approx(p_pixel, abs=1e-9)
+        np.testing.assert_allclose([m.visibility[0], m.uncertainty[0]], v_pixel, rtol=1e-9)
+        assert m.predictability[0] == pytest.approx(p_pixel, abs=1e-9)
 
     @pytest.mark.parametrize("theta", [1e-9, np.pi - 2e-9])
     def test_analytic_and_measured_ports_agree_on_dark(self, theta):
         # p_H = 2.5e-19 at theta = 1e-9 and p_V = 1e-18 at pi - 2e-9: each
         # value is NaN on both paths, or on neither.
         syn = synthesize_ports(StateParams(theta, 0.0), grid=GridSpec(64))
-        m = measure_rows(syn, NoiseModel()).row(0)
+        m = measure_rows(syn, NoiseModel())
         analytic = np.concatenate(analytic_ports(syn))
         assert np.isnan(analytic).any()
         np.testing.assert_array_equal(np.isnan(analytic),
-                                      np.isnan([m.visibility, m.predictability]))
+                                      np.isnan([m.visibility[0], m.predictability[0]]))
 
     def test_noiseless_sweep_fits_once_per_port(self, monkeypatch, tmp_path):
         # The rows are fitted as one stack per port, not one fit per row,
@@ -211,6 +211,15 @@ class TestMeasurePorts:
                      "--out", str(tmp_path / "s")]) == 0
         # p_H is 0 at theta = 0 and round-off at 2 pi: those H ports are dark.
         assert stack_sizes == [37, 35]
+
+    def test_petal_count_reads_zero_on_a_dark_v_row(self):
+        # theta = pi, alpha = 0 puts no light in the V port, so its V is NaN.
+        syn = synthesize_ports([StateParams(1.0, 0.7), StateParams(np.pi, 0.0)],
+                               grid=GridSpec(128))
+        m = measure_rows(syn, NoiseModel())
+        assert not math.isnan(m.visibility[0]) and math.isnan(m.visibility[1])
+        assert m.petal_count(0) == count_petals(m.v_profile.row(0)) == 6
+        assert m.petal_count(1) == 0
 
     def test_noiseless_measurement_forms_each_port_weight_once(self, monkeypatch):
         # measure_rows, moment_profile and analytic_ports read one array per port.
@@ -423,8 +432,7 @@ class TestPredictability:
         np.testing.assert_array_equal(fringes._coherent_predictability(visibility), expected)
         rows = fringes.PortRows(None, None, visibility, visibility, visibility[::-1], None)
         np.testing.assert_array_equal(rows.sum_of_squares, [
-            fringes.PortMeasurement(None, None, v, v, p, None).sum_of_squares
-            for v, p in zip(visibility.tolist(), visibility[::-1].tolist())
+            v**2 + p**2 for v, p in zip(visibility.tolist(), visibility[::-1].tolist())
         ])
 
     def test_arm_power_examples(self):

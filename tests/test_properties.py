@@ -203,9 +203,9 @@ def test_seeded_rendering_is_bit_identical(theta, alpha, seed, row, photons, rea
     # A flip impurity makes measure_rows render all four frames.
     syn = synthesize_ports(StateParams(theta, alpha), grid=GridSpec(64), flip_impurity=0.1)
     noise = NoiseModel(photons, readout_sigma, seed)
-    first, second = (measure_rows(syn, noise, first_row=row).row(0) for _ in range(2))
-    for name in ("v_image", "h_image"):
-        np.testing.assert_array_equal(getattr(first, name), getattr(second, name))
+    first, second = (measure_rows(syn, noise, first_row=row) for _ in range(2))
+    for port in (0, 1):
+        np.testing.assert_array_equal(first.frame(0, port), second.frame(0, port))
     for name in ("v_profile", "h_profile"):
         np.testing.assert_array_equal(getattr(first, name).values, getattr(second, name).values)
         np.testing.assert_array_equal(getattr(first, name).stderr, getattr(second, name).stderr)
@@ -268,15 +268,18 @@ def test_batch_rows_equal_one_row_measurements(angles, phase, impurity, l, size,
     for i, params in enumerate(rows):
         synthesis = synthesize_ports(params, l=l, grid=grid, path_phase=phase,
                                      flip_impurity=impurity)
-        row, alone = batch.row(i), measure_rows(synthesis, noise, first_row=i).row(0)
+        alone = measure_rows(synthesis, noise, first_row=i)
         np.testing.assert_array_equal(
-            [row.visibility, row.uncertainty, row.predictability, batch.sum_of_squares[i]],
-            [alone.visibility, alone.uncertainty, alone.predictability, alone.sum_of_squares],
+            [batch.visibility[i], batch.uncertainty[i], batch.predictability[i],
+             batch.sum_of_squares[i]],
+            [alone.visibility[0], alone.uncertainty[0], alone.predictability[0],
+             alone.sum_of_squares[0]],
         )
         for name in ("v_profile", "h_profile"):
-            np.testing.assert_array_equal(getattr(row, name).values, getattr(alone, name).values)
-            np.testing.assert_array_equal(getattr(row, name).stderr, getattr(alone, name).stderr)
-        assert row.petal_count == alone.petal_count
+            row, one = getattr(batch, name), getattr(alone, name)
+            np.testing.assert_array_equal(row.values[i], one.values[0])
+            np.testing.assert_array_equal(row.stderr[i], one.stderr[0])
+        assert batch.petal_count(i) == alone.petal_count(0)
 
 
 @PROPERTY

@@ -114,6 +114,15 @@ class TestPostselection:
         with pytest.raises(ZeroProbabilityPostselection):
             postselect_zero_momentum(joint)
 
+    def test_odd_profile_has_no_true_ratio(self):
+        # psi0 = 0 raises before the division, so no numpy warning leaks.
+        x = grid_positions(64)
+        psi = normalized(x * np.exp(-(x**2) / 200.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ZeroProbabilityPostselection, match="zero-momentum amplitude"):
+                true_ratio(psi)
+
     def test_uniform_profile_closed_form(self):
         n, phi = 64, 0.01
         psi = uniform_wavefunction(n)

@@ -41,7 +41,7 @@ import numpy as np
 from .errors import P_MIN, ZeroProbabilityPostselection
 from .qubit import (
     StateParams,
-    amplitude_matrix,
+    basis_branches,
     partial_trace_env,
     postselect_env,
     state_vector,
@@ -178,8 +178,7 @@ def averaged_duality(params: StateParams) -> DualityReport:
     already the probability-weighted ones.  A dark branch contributes
     zero, and the averages are total functions of the preparation angles.
     """
-    amps = amplitude_matrix(state_vector(params))
-    branches = [col[:, None] * col.conj() for col in amps.T]
+    branches = basis_branches(state_vector(params))
     return DualityReport(
         visibility=sum(visibility(rho) for rho in branches),
         predictability=sum(predictability(rho) for rho in branches),

@@ -12,10 +12,13 @@ i.e. OAM is the slow (first) tensor factor and polarization the fast one.
 The prepared state is pure, so every routine takes its complex 4-vector
 psi and works on the 2x2 amplitude matrix A[oam, pol] = psi.reshape(2, 2):
 the reduced OAM state is A A^dagger and the branch left by a polarization
-projector P is A P^T A^dagger.  Only the reduced and conditional OAM
-states are 2x2 density matrices.  The independent cross-check is the
-brute-force oracle of the test suite, which builds the full 4x4 density
-matrix term by term and shares no code with this module.
+projector P is A P^T A^dagger.  These 2x2 products run on the four
+amplitudes as Python complexes (``amplitude_entries``), since numpy's
+fixed cost per call on 2-element arrays outweighs the arithmetic; an
+ndarray is built only for the 2x2 density matrix that is returned.  The
+independent cross-check is the brute-force oracle of the test suite,
+which builds the full 4x4 density matrix term by term and shares no code
+with this module.
 """
 
 from __future__ import annotations
@@ -70,18 +73,57 @@ def state_vector(params: StateParams) -> np.ndarray:
     return np.array(state_amplitudes(params), dtype=complex)
 
 
-def amplitude_matrix(state: np.ndarray) -> np.ndarray:
-    """Amplitude matrix A[oam, pol] of a pure 4-vector."""
+def amplitude_entries(state: np.ndarray) -> list[complex]:
+    """Entries A[0, 0], A[0, 1], A[1, 0], A[1, 1] of the amplitude matrix of
+    a pure 4-vector, as Python complexes (the vector itself, in order)."""
     psi = np.asarray(state, dtype=complex)
     if psi.shape != (4,):
         raise ValueError(f"expected a pure-state 4-vector, got shape {psi.shape}")
-    return psi.reshape(2, 2)
+    return psi.tolist()
+
+
+def _abs_sq(z: complex) -> float:
+    return z.real * z.real + z.imag * z.imag
+
+
+def _finite_norm_sq(norm_sq: float, what: str) -> float:
+    # Float products overflow to inf rather than raising, so this one test
+    # catches NaN, inf and overflowing amplitudes alike.
+    if not math.isfinite(norm_sq):
+        raise ValueError(f"{what} has squared norm {norm_sq}; amplitudes must be finite")
+    return norm_sq
+
+
+def _hermitian(d0: float, c: complex, d1: float) -> np.ndarray:
+    """The 2x2 matrix [[d0, c*], [c, d1]]."""
+    return np.array([[d0, c.conjugate()], [c, d1]], dtype=complex)
 
 
 def partial_trace_env(state: np.ndarray) -> np.ndarray:
-    """Reduced 2x2 OAM state A A^dagger after tracing out polarization."""
-    amps = amplitude_matrix(state)
-    return amps @ amps.conj().T
+    """Reduced 2x2 OAM state A A^dagger after tracing out polarization.
+
+    Raises:
+        ValueError: if the state is not a 4-vector, or an amplitude is
+            not finite or overflows when squared.
+    """
+    a00, a01, a10, a11 = amplitude_entries(state)
+    d0 = _abs_sq(a00) + _abs_sq(a01)
+    d1 = _abs_sq(a10) + _abs_sq(a11)
+    _finite_norm_sq(d0 + d1, "state")
+    return _hermitian(d0, a10 * a00.conjugate() + a11 * a01.conjugate(), d1)
+
+
+def basis_branches(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unnormalized OAM branches left by |H><H| and |V><V|.
+
+    The branch of outcome k is u u^dagger for the column u = A[:, k], so
+    its trace is the outcome's probability and a dark branch is zero.
+    """
+    a00, a01, a10, a11 = amplitude_entries(state)
+    return (
+        _hermitian(_abs_sq(a00), a10 * a00.conjugate(), _abs_sq(a10)),
+        _hermitian(_abs_sq(a01), a11 * a01.conjugate(), _abs_sq(a11)),
+    )
 
 
 def projector_h() -> np.ndarray:
@@ -125,24 +167,32 @@ def postselect_env(state: np.ndarray, projector: np.ndarray) -> tuple[np.ndarray
     round-off even for a faint branch, and p = |b|^2.
 
     Raises:
-        ValueError: if the projector is not 2x2 or its trace is not 1.
+        ValueError: if the state is not a 4-vector, the projector is not
+            2x2 or its trace is not 1, or the branch norm is not finite
+            (a non-finite or overflowing entry).
         ZeroProbabilityPostselection: if p < P_MIN, in which case the
             conditional state is undefined.
     """
-    amps = amplitude_matrix(state)
+    a00, a01, a10, a11 = amplitude_entries(state)
     proj = np.asarray(projector, dtype=complex)
     if proj.shape != (2, 2):
         raise ValueError(f"expected a 2x2 polarization projector, got shape {proj.shape}")
-    w0 = proj[0, 0].real
-    w1 = proj[1, 1].real
+    (p00, p01), (p10, p11) = proj.tolist()
+    w0 = p00.real
+    w1 = p11.real
     if not abs(w0 + w1 - 1.0) <= TRACE_ATOL:
-        raise ValueError(f"projector trace {float(w0 + w1)} is not 1; need a rank-1 projector")
-    j, weight = (0, w0) if w0 >= w1 else (1, w1)
-    branch = amps @ proj[:, j].conj()
-    norm_sq = float(np.vdot(branch, branch).real)
-    probability = norm_sq / float(weight)
+        raise ValueError(f"projector trace {w0 + w1} is not 1; need a rank-1 projector")
+    weight, c0, c1 = (w0, p00, p10) if w0 >= w1 else (w1, p01, p11)
+    c0 = c0.conjugate()
+    c1 = c1.conjugate()
+    b0 = a00 * c0 + a01 * c1  # A conj(P[:, j]) = k_j b
+    b1 = a10 * c0 + a11 * c1
+    d0 = _abs_sq(b0)
+    d1 = _abs_sq(b1)
+    norm_sq = _finite_norm_sq(d0 + d1, "postselected branch")
+    probability = norm_sq / weight
     if probability < P_MIN:
         raise ZeroProbabilityPostselection(
             f"postselection probability {probability:.3e} below {P_MIN:.1e}"
         )
-    return branch[:, None] * branch.conj() / norm_sq, probability
+    return _hermitian(d0 / norm_sq, b1 * b0.conjugate() / norm_sq, d1 / norm_sq), probability

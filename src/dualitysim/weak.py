@@ -38,17 +38,33 @@ WEAKNESS_WARN_THRESHOLD = 0.1
 """Warn when the pointer deflection |(phi/2) psi(x0)/psi0| exceeds this."""
 
 
+NORM_FLOOR = math.ldexp(1.0, -511)
+"""Smallest norm whose square, the sum of squares, is a normal float."""
+
+
 def normalized(psi: np.ndarray) -> np.ndarray:
     """Copy of ``psi`` normalized to unit discrete norm.
+
+    A profile whose sum of squares overflows or underflows is first scaled
+    by the power of two that brings its largest real or imaginary part
+    into [0.5, 1), which is exact and so leaves the result unchanged.
 
     Raises ``ValueError`` for a non-finite sample or the zero wavefunction.
     """
     psi = np.asarray(psi, dtype=complex)
     if not np.isfinite(psi).all():
         raise ValueError("wavefunction has non-finite samples")
-    norm = np.linalg.norm(psi)
-    if norm == 0.0:
-        raise ValueError("cannot normalize the zero wavefunction")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(psi)
+    if not NORM_FLOOR <= norm < math.inf:
+        largest = float(np.max(np.abs([psi.real, psi.imag]), initial=0.0))
+        if largest == 0.0:
+            raise ValueError("cannot normalize the zero wavefunction")
+        exponent = -math.frexp(largest)[1]
+        scaled = np.empty_like(psi)
+        scaled.real = np.ldexp(psi.real, exponent)
+        scaled.imag = np.ldexp(psi.imag, exponent)
+        psi, norm = scaled, np.linalg.norm(scaled)
     return psi / norm
 
 

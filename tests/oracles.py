@@ -16,7 +16,7 @@ import numpy as np
 from dualitysim.errors import P_MIN, DegenerateProfile
 from dualitysim.fringes import fit_operator
 from dualitysim.optics import _mode_data
-from dualitysim.qubit import amplitude_matrix, state_vector
+from dualitysim.qubit import amplitude_entries, state_vector
 from dualitysim.weak import (
     SliverCoupling,
     apply_sliver,
@@ -275,7 +275,8 @@ def row_port_amplitudes(params, path_phase=0.0, flip_impurity=0.0):
     synthesis formed them."""
     phase = np.exp(1j * path_phase)
     flip = math.sqrt(1.0 - flip_impurity**2)
-    columns = amplitude_matrix(state_vector(params)).T.tolist()
+    a00, a01, a10, a11 = amplitude_entries(state_vector(params))
+    columns = ((a00, a10), (a01, a11))
     return {
         port: (upper, (lower * flip) * phase, lower * flip_impurity)
         for port, (upper, lower) in zip("hv", columns)

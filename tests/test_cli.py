@@ -438,6 +438,15 @@ class TestWeakCommand:
         _, rows = read_csv(tmp_path / "weak4_phi0.05.csv")
         assert rows.shape == (64, 4)
 
+    def test_file_samples_near_the_float_ceiling_normalize(self, tmp_path):
+        samples = tmp_path / "big.txt"
+        samples.write_text("1e308 0\n1e308 0\n")
+        out = tmp_path / "big"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["weak", "--psi", f"file:{samples}", "--out", str(out)]) == 0
+        assert (tmp_path / "big_phi0.1.csv").exists()
+
     def test_file_parse_error_reports_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("0.1 0.0\n0.2 forty\n")

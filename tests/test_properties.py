@@ -24,13 +24,19 @@ from dualitysim import (
     averaged_duality,
     closed_form_averaged,
     conditional_duality,
+    partial_trace_env,
     postselect_env,
+    predictability,
     projector_bloch,
     projector_from_ket,
+    projector_h,
+    projector_v,
     reconstruct_profile,
     render_image,
     state_vector,
     synthesize_ports,
+    unconditional_duality,
+    visibility,
 )
 from dualitysim.duality import (
     conditional_sum_of_squares,
@@ -46,12 +52,14 @@ from dualitysim.fringes import (
     moment_profile,
     port_profile,
 )
+from dualitysim.qubit import basis_branches
 from dualitysim.weak import gaussian_wavefunction, grid_positions, normalized
 
 from oracles import (
     KET_BOT,
     KET_TOP,
     brute_density,
+    brute_partial_trace,
     brute_postselect,
     brute_predictability,
     brute_state,
@@ -134,6 +142,45 @@ def test_averaged_duality_matches_closed_form(theta, alpha):
     assert abs(report.visibility - v_bar) <= 1e-10
     assert abs(report.predictability - p_bar) <= 1e-10
     assert report.sum_of_squares <= BOUND
+
+
+@PROPERTY
+@given(ANGLE, ANGLE, POLAR, AZIMUTH)
+def test_scalar_state_algebra_matches_the_oracle(theta, alpha, polar, azimuth):
+    # Each report holds the measures of the array its qubit routine returns,
+    # bit for bit, and the oracle's within 1e-14.
+    params = StateParams(theta, alpha)
+    psi = state_vector(params)
+    rho4 = brute_density(brute_state(theta, alpha))
+
+    def agrees(report, rho, rho_ref, p_ref):
+        assert report.visibility == visibility(rho)
+        assert report.predictability == predictability(rho)
+        assert abs(report.visibility - brute_visibility(rho_ref)) <= 1e-14
+        assert abs(report.predictability - brute_predictability(rho_ref)) <= 1e-14
+        assert abs(report.probability - p_ref) <= 1e-14
+
+    agrees(unconditional_duality(params), partial_trace_env(psi),
+           brute_partial_trace(rho4), 1.0)
+    for proj in (projector_bloch(polar, azimuth),
+                 projector_bloch(math.pi - polar, azimuth + math.pi)):
+        rho_ref, p_ref = brute_postselect(rho4, proj)
+        try:
+            rho, p = postselect_env(psi, proj)
+        except ZeroProbabilityPostselection:
+            assert p_ref < P_MIN + 1e-15
+            continue
+        agrees(conditional_duality(params, proj), rho, rho_ref, p_ref)
+    branches = basis_branches(psi)
+    refs = [brute_postselect(rho4, proj) for proj in (projector_h(), projector_v())]
+    report = averaged_duality(params)
+    assert report.visibility == sum(map(visibility, branches))
+    assert report.predictability == sum(map(predictability, branches))
+    v_ref = sum(p * brute_visibility(rho) for rho, p in refs if rho is not None)
+    p_ref = sum(p * brute_predictability(rho) for rho, p in refs if rho is not None)
+    assert abs(report.visibility - v_ref) <= 1e-14
+    assert abs(report.predictability - p_ref) <= 1e-14
+    assert report.probability == 1.0
 
 
 @PROPERTY

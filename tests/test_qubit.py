@@ -1,6 +1,7 @@
 """State algebra: preparation, partial trace, postselection."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,17 @@ class TestPartialTrace:
                 partial_trace_env(bad)
             with pytest.raises(ValueError, match="4-vector"):
                 postselect_env(bad, projector_h())
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e200])
+    def test_non_finite_or_overflowing_state_is_rejected(self, value):
+        psi = np.full(4, value, dtype=complex)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="squared norm"):
+                partial_trace_env(psi)
+            for proj in (projector_h(), projector_v(), projector_bloch(1.0, 0.3)):
+                with pytest.raises(ValueError, match="squared norm"):
+                    postselect_env(psi, proj)
 
     def test_reduced_state_is_valid(self):
         rng = np.random.default_rng(6)

@@ -50,6 +50,14 @@ class TestWavefunctions:
         with pytest.raises(ValueError, match="non-finite"):
             normalized(psi)
 
+    def test_normalized_survives_an_overflowing_norm(self):
+        # The plain sum of squares is inf; the power-of-two rescale is exact.
+        np.testing.assert_array_equal(normalized([1e308, 1e308]), [1 / np.sqrt(2)] * 2)
+
+    def test_normalized_survives_an_underflowing_norm(self):
+        psi = np.array([3.0, 4.0j])
+        np.testing.assert_array_equal(normalized(psi * 2.0**-1020), normalized(psi))
+
     def test_gaussian_needs_positive_width(self):
         for sigma in (0.0, -3.0, np.inf, np.nan):
             with pytest.raises(ValueError):

@@ -341,15 +341,9 @@ def count_petals(profile: AzimuthalProfile) -> int:
     fringe amplitude.
     """
     values = profile.values
-    mid = 0.5 * (values.max() + values.min())
-    above = values > mid
-    if above.all() or not above.any():
-        return 0
-    # Rotate so the sequence starts below mid, then count rising edges.
-    start = int(np.argmin(above))
-    rolled = np.roll(above, -start)
-    rising = np.sum(rolled[1:] & ~rolled[:-1]) + int(rolled[0])
-    return int(rising)
+    above = values > 0.5 * (values.max() + values.min())
+    # A run starts at each bin above mid whose circular predecessor is not.
+    return int(np.count_nonzero(above & ~np.roll(above, 1)))
 
 
 # The 10 pairs i <= j of the four mode terms, and the multiplicity of

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +120,9 @@ class TestAzimuthalProfile:
         v = synthesize_ports(StateParams(np.pi / 2, np.pi / 2), 3, GRID).fields("v")
         prof = port_profile(render_image(v), GRID)
         assert count_petals(prof) == 6
+        # A flat profile has no bin above its mid-level, so no lobe.
+        flat = AzimuthalProfile(np.ones(len(prof)), np.zeros(len(prof)), prof.counts)
+        assert count_petals(flat) == 0
 
 
 # (shape, center, r_min, r_max): centred and off-centre annuli on square,
@@ -220,6 +224,15 @@ class TestMeasurePorts:
         assert not math.isnan(m.visibility[0]) and math.isnan(m.visibility[1])
         assert m.petal_count(0) == count_petals(m.v_profile.row(0)) == 6
         assert m.petal_count(1) == 0
+
+    def test_impure_h_port_without_counts_reads_nan(self):
+        # At 1e-6 photons the lit, impure H port's frames hold no counts,
+        # so its image-based P raises ZeroIntensity and the row reads NaN.
+        syn = synthesize_ports(StateParams(1.0, 0.7), grid=GridSpec(64), flip_impurity=0.2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = measure_rows(syn, NoiseModel(1e-6))
+        assert math.isnan(m.predictability[0])
 
     def test_noiseless_measurement_forms_each_port_weight_once(self, monkeypatch):
         # measure_rows, moment_profile and analytic_ports read one array per port.

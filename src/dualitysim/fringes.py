@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Callable
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
@@ -305,12 +306,9 @@ def predictability_from_arm_powers(i_plus: float, i_minus: float) -> float:
 
 
 def predictability_from_images(plus_image: np.ndarray, minus_image: np.ndarray) -> float:
-    """Predictability from two mode-attributed intensity images.
-
-    The images hold the intensity attributable to the +l and -l content
-    of the port under analysis (e.g. recorded arm by arm); their total
-    counts play the role of I+ and I-.
-    """
+    """Predictability from two mode-attributed intensity images, of the +l
+    content and of the -l content of the port under analysis, each recorded
+    alone; their total counts play the role of I+ and I-."""
     return predictability_from_arm_powers(float(np.sum(plus_image)), float(np.sum(minus_image)))
 
 
@@ -334,13 +332,15 @@ def _coherent_predictability(visibility: np.ndarray) -> np.ndarray:
 
 
 def count_petals(profile: AzimuthalProfile) -> int:
-    """Number of azimuthal intensity lobes above the mid-level.
+    """Number of azimuthal intensity lobes above the mid-level of one profile.
 
     Counts the circular runs of bins whose value exceeds the midpoint of
     the profile extrema; robust against per-bin noise well below the
-    fringe amplitude.
+    fringe amplitude.  A stack of profiles raises ``ValueError``.
     """
     values = profile.values
+    if values.ndim != 1:
+        raise ValueError(f"count_petals needs one profile, got values of shape {values.shape}")
     above = values > 0.5 * (values.max() + values.min())
     # A run starts at each bin above mid whose circular predecessor is not.
     return int(np.count_nonzero(above & ~np.roll(above, 1)))
@@ -429,29 +429,33 @@ def measure_rows(synthesis: PortSynthesis, noise: NoiseModel, first_row: int = 0
     row's V and H frames are rendered and binned in turn, and only the last
     row's stay cached.
 
-    V is fitted on the V-port profiles.  P comes from the H-port profiles
-    or, for a nonzero flip impurity, from the H port's +l and -l frames, as
-    an arm-by-arm acquisition records them.  A port that ``_lit_ports``
-    calls dark on the port powers reads NaN without a fit, and so does a
-    degenerate profile.  ``EmptyBin`` depends on the grid alone and
-    propagates.
+    V is fitted on the V-port profiles.  P comes from the H-port profile of a row
+    whose H port has one nonzero component, and otherwise from the H port's +l and
+    -l frames, as a mode-by-mode acquisition records them.  A port that ``_lit_ports``
+    calls dark on the port powers reads NaN without a fit, and so does a degenerate
+    profile.  ``EmptyBin`` depends on the grid alone and propagates.
     """
     l, grid, n_rows = synthesis.l, synthesis.grid, len(synthesis)
+    h = synthesis.amplitudes["h"]
 
     def render(fields: list[np.ndarray], k: int, port: int) -> np.ndarray:
         seeds = np.random.SeedSequence(noise.seed, spawn_key=(first_row + k, port))
         return optics.render_image(fields, replace(noise, seed=seeds))
 
-    # One port's fields at a time; a flip impurity's arm frames reuse the H fields.
-    @lru_cache(maxsize=1)
-    def fields(k: int, port: str) -> list[np.ndarray]:
-        return synthesis.fields(port, k)
+    # The H port's terms (two at most in the H/V basis) are kept for its +l and -l frames.
+    @lru_cache(maxsize=2)
+    def h_term(amplitude: complex, mode: int) -> np.ndarray:
+        return amplitude * optics._mode_data(-l if mode else l, grid)
 
-    # A row's frames are freed when the next row renders; the last row's stay,
-    # so the frames of a one-row measurement are rendered once.
+    # One port's fields at a time.  A row's frames are freed when the next row
+    # renders; the last row's stay, so a one-row measurement renders each once.
+    @lru_cache(maxsize=1)
+    def fields(k: int, port: int) -> list[np.ndarray]:
+        return optics._fields(h[k].tolist(), h_term) if port else synthesis.fields("v", k)
+
     @lru_cache(maxsize=2)
     def frame(k: int, port: int) -> np.ndarray:
-        return render(fields(k, "h" if port else "v"), k, port)
+        return render(fields(k, port), k, port)
 
     # The modes have unit power, so a port's +l and -l powers are its first two weights.
     v_lit, h_lit = _lit_ports(*(w[:, 0] + w[:, 1] for w in map(synthesis.intensity_weights, "vh")))
@@ -471,19 +475,14 @@ def measure_rows(synthesis: PortSynthesis, noise: NoiseModel, first_row: int = 0
     visibility, uncertainty, predictability = np.full((3, n_rows), math.nan)
     if v_lit.any():
         visibility[v_lit], uncertainty[v_lit] = fringe_visibility(v_profile.row(v_lit), l)
-    impure = synthesis.amplitudes["h"][:, 2] != 0
-    coherent = h_lit & ~impure
+    coherent = h_lit & (np.count_nonzero(h.any(axis=2), axis=1) <= 1)
     if coherent.any():
         predictability[coherent] = predictability_from_profile(h_profile.row(coherent), l)
-    for k in np.flatnonzero(h_lit & impure).tolist():
-        # The unflipped impurity light is the H port's only +l content.
-        main, impurity = fields(k, "h")
-        try:
-            predictability[k] = predictability_from_images(
-                render([impurity], k, 2), render([main], k, 3)
-            )
-        except ZeroIntensity:
-            pass
+    for k in np.flatnonzero(h_lit & ~coherent).tolist():
+        # Frames 2 and 3 render the H port's components cut to their +l and -l parts.
+        plus, minus = (optics._fields((h[k] * part).tolist(), h_term) for part in ((1, 0), (0, 1)))
+        with suppress(ZeroIntensity):
+            predictability[k] = predictability_from_images(render(plus, k, 2), render(minus, k, 3))
     return PortRows(v_profile, h_profile, visibility, uncertainty, predictability, frame)
 
 
@@ -491,8 +490,8 @@ def analytic_ports(synthesis: PortSynthesis) -> tuple[np.ndarray, np.ndarray]:
     """Noiseless V and P of each row that ``measure_rows`` estimates, read off
     the port weights; NaN for a port that ``measure_rows`` counts as dark.
 
-    V is the V port's petal contrast 2|p m| / (|p|^2 + |m|^2 + |e|^2), and
-    P the contrast |I+ - I-| / (I+ + I-) of the H port's +l and -l mode powers.
+    V is the V port's petal contrast 2|sum a b*| / sum(|a|^2 + |b|^2) over its
+    components (a, b), and P the H port's mode-power contrast |I+ - I-| / (I+ + I-).
     """
     w_v, w_h = (synthesis.intensity_weights(port) for port in "vh")
     v_power, h_power = w_v[:, 0] + w_v[:, 1], w_h[:, 0] + w_h[:, 1]  # unit-power modes

@@ -28,15 +28,16 @@ branch of the prepared state, i.e. one column of ``qubit``'s amplitude
 matrix A[oam, pol]: port "h" is column 0 and port "v" column 1.  A
 column's row 0 is the upper arm's amplitude of mode +l and its row 1 the
 lower arm's amplitude of mode -l (the Dove prism reverses handedness).
-A ``PortSynthesis`` stores each port as these amplitudes alone.  An
-optional relative path phase on the lower arm rotates the petal pattern
-without changing any power or visibility.
+A ``PortSynthesis`` stores each port as mutually incoherent components,
+pairs of amplitudes on the modes (+l, -l), of which the column is the
+first.  An optional relative path phase on the lower arm rotates the
+petal pattern without changing any power or visibility.
 
 The Dove prism flip may be given a small impurity: a fraction of the
-lower-arm amplitude keeps its original handedness and is treated as
-incoherent with the flipped light (its intensity adds to the images, it
-does not interfere).  This is the documented calibration knob used to
-reproduce measured predictability values below 1; the default is 0.
+lower-arm amplitude keeps its original handedness, +l, and is a second
+component (its intensity adds to the images, it does not interfere).
+This is the documented calibration knob used to reproduce measured
+predictability values below 1; the default 0 adds no component.
 """
 
 from __future__ import annotations
@@ -179,23 +180,29 @@ def _per_float(fn: Callable, *arrays: np.ndarray) -> np.ndarray:
     return np.array(list(map(fn, *(a.tolist() for a in arrays))))
 
 
-def _port_weights(plus: complex, minus: complex, impurity: complex) -> tuple[float, ...]:
+def _fields(components: list[list[complex]], term: Callable) -> list[np.ndarray]:
+    """One field per component (a, b): the sum of its terms ``term(a, 0)`` = a u(+l) and
+    ``term(b, 1)`` = b u(-l) of nonzero amplitudes; a dark port's one field is zero."""
+    # Each component's terms are summed before the next component's are formed.
+    terms = ([term(a, i) for i, a in enumerate(c) if a != 0] for c in components)
+    return [sum(t[1:], t[0]) for t in terms if t] or [term(components[0][1], 1)]
+
+
+def _port_weights(plus: complex, minus: complex) -> tuple[float, ...]:
     cross = plus * minus.conjugate()
-    return abs(plus) ** 2 + abs(impurity) ** 2, abs(minus) ** 2, 2.0 * cross.real, -2.0 * cross.imag
+    return abs(plus) ** 2, abs(minus) ** 2, 2.0 * cross.real, -2.0 * cross.imag
 
 
 @dataclass
 class PortSynthesis:
     """Interferometer outputs of one or more rows as mode amplitudes on one camera ``grid``.
 
-    ``amplitudes[port]`` holds port "h" or "v" as a rows x 3 array of
-    (p, m, e) on the cached modes u+ = u(+l) and u- = u(-l): the coherent
-    field p u+ + m u- and the unflipped lower-arm light e u+, which adds
-    to the images in intensity, not amplitude.  ``fields(port, row)``
+    ``amplitudes[port]`` holds port "h" or "v" as a rows x components x 2
+    array: the amplitudes (a, b) of mutually incoherent fields a u+ + b u-
+    on the cached modes u+ = u(+l) and u- = u(-l).  ``fields(port, row)``
     builds one row's fields.  The modes have unit power, so the first two
-    ``intensity_weights(port)`` of a row are the powers attributable to
-    the +l and -l modes in a port, i.e. what an arm-blocking power
-    measurement would record.  Both ports' weights are formed once, on
+    ``intensity_weights(port)`` of a row are the powers attributable to the
+    +l and -l modes in a port.  Both ports' weights are formed once, on
     first read, as read-only arrays.
     """
 
@@ -207,28 +214,26 @@ class PortSynthesis:
         return len(self.amplitudes["h"])
 
     def fields(self, port: str, row: int = 0) -> list[np.ndarray]:
-        """Mutually incoherent fields of ``port`` in ``row``: the coherent
-        p u+ + m u-, then, when e is nonzero, e u+."""
-        plus, minus, impurity = self.amplitudes[port][row].tolist()
-        main = minus * _mode_data(-self.l, self.grid)
-        if plus != 0:
-            main = plus * _mode_data(self.l, self.grid) + main
-        if impurity == 0:
-            return [main]
-        return [main, impurity * _mode_data(self.l, self.grid)]
+        """Mutually incoherent fields of ``port`` in ``row``: ``_fields`` of its components."""
+        modes = _mode_data(self.l, self.grid), _mode_data(-self.l, self.grid)
+        return _fields(self.amplitudes[port][row].tolist(), lambda a, i: a * modes[i])
 
     def intensity_weights(self, port: str) -> np.ndarray:
-        """Noiseless intensity |p u+ + m u-|^2 + |e u+|^2 of ``port`` ("v" or
-        "h") in each row, as read-only rows x 4 weights on |u+|^2, |u-|^2,
-        Re(u+ conj(u-)) and Im(u+ conj(u-))."""
+        """Noiseless intensity of ``port`` ("v" or "h") in each row, summed over its
+        components (a, b), as read-only rows x 4 weights |a|^2, |b|^2, 2 Re(a b*)
+        and -2 Im(a b*) on |u+|^2, |u-|^2, Re(u+ conj(u-)) and Im(u+ conj(u-))."""
         return self._weights[port]
 
     @cached_property
     def _weights(self) -> dict[str, np.ndarray]:
-        weights = {port: _per_float(_port_weights, *amplitudes.T)
-                   for port, amplitudes in self.amplitudes.items()}
-        for array in weights.values():
-            array.setflags(write=False)
+        weights = {}
+        for port, amplitudes in self.amplitudes.items():
+            total, *rest = (_per_float(_port_weights, *c.T) for c in amplitudes.swapaxes(0, 1))
+            for part in rest:
+                # A zero weight adds nothing: adding +0.0 turns a -0.0 cross weight into +0.0.
+                total = np.where(part != 0, total + part, total)
+            total.setflags(write=False)
+            weights[port] = total
         return weights
 
 
@@ -239,9 +244,10 @@ def synthesize_ports(
     path_phase: float = 0.0,
     flip_impurity: float = 0.0,
 ) -> PortSynthesis:
-    """Ports (upper, lower sqrt(1 - eps^2) e^{i path_phase}, lower eps), eps =
-    ``flip_impurity``, of the prepared state's amplitude-matrix columns (upper, lower),
-    one row per ``params``; a single ``StateParams`` gives one row.
+    """Ports of the prepared state's amplitude-matrix columns (upper, lower), one
+    row per ``params``; a single ``StateParams`` gives one row.  A port's component
+    0 is (upper, lower sqrt(1 - eps^2) e^{i path_phase}) and, only for eps =
+    ``flip_impurity`` > 0, its component 1 is (lower eps, 0).
 
     Raises ``ChargeOutOfRange`` for |l| > ``MAX_OAM`` and ``ValueError``
     for no ``params``, l = 0 (both arms would carry the one Gaussian, with
@@ -260,16 +266,15 @@ def synthesize_ports(
     phase = np.exp(1j * path_phase)
     flip = math.sqrt(1.0 - flip_impurity**2)
     states = list(map(state_amplitudes, rows))
-    # Column pol of A[oam, pol] is (upper, lower) = (psi[pol], psi[2 + pol]).
-    return PortSynthesis(
-        l=l,
-        grid=grid,
-        amplitudes={
-            port: np.array([(psi[pol], (psi[2 + pol] * flip) * phase, psi[2 + pol] * flip_impurity)
-                            for psi in states])
-            for pol, port in enumerate("hv")
-        },
-    )
+
+    def port(pol: int) -> np.ndarray:
+        # Column pol of A[oam, pol] is (upper, lower) = (psi[pol], psi[2 + pol]).
+        components = [[(psi[pol], (psi[2 + pol] * flip) * phase) for psi in states]]
+        if flip_impurity:
+            components.append([(psi[2 + pol] * flip_impurity, 0.0) for psi in states])
+        return np.stack(components, axis=1)
+
+    return PortSynthesis(l=l, grid=grid, amplitudes={"h": port(0), "v": port(1)})
 
 
 def render_image(

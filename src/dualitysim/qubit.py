@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import P_MIN, ZeroProbabilityPostselection
 
-TRACE_ATOL = 1e-12
+TRACE_ATOL = 1e-12  # on a projector's trace and on a state's squared norm
 
 
 @dataclass(frozen=True)
@@ -74,24 +74,21 @@ def state_vector(params: StateParams) -> np.ndarray:
 
 
 def amplitude_entries(state: np.ndarray) -> list[complex]:
-    """Entries A[0, 0], A[0, 1], A[1, 0], A[1, 1] of the amplitude matrix of
-    a pure 4-vector, as Python complexes (the vector itself, in order)."""
+    """Entries A[0, 0], A[0, 1], A[1, 0], A[1, 1] of the amplitude matrix of a pure
+    4-vector, as Python complexes (the vector itself, in order); ``ValueError`` for
+    another shape or a squared norm off 1 by more than ``TRACE_ATOL`` (NaN, inf too)."""
     psi = np.asarray(state, dtype=complex)
     if psi.shape != (4,):
         raise ValueError(f"expected a pure-state 4-vector, got shape {psi.shape}")
-    return psi.tolist()
+    a, b, c, d = entries = psi.tolist()
+    norm = math.hypot(abs(a), abs(b), abs(c), abs(d))
+    if not abs(norm * norm - 1.0) <= TRACE_ATOL:  # a float product overflows to inf
+        raise ValueError(f"state has squared norm {norm * norm}, not 1 within {TRACE_ATOL:g}")
+    return entries
 
 
 def _abs_sq(z: complex) -> float:
     return z.real * z.real + z.imag * z.imag
-
-
-def _finite_norm_sq(norm_sq: float, what: str) -> float:
-    # Float products overflow to inf rather than raising, so this one test
-    # catches NaN, inf and overflowing amplitudes alike.
-    if not math.isfinite(norm_sq):
-        raise ValueError(f"{what} has squared norm {norm_sq}; amplitudes must be finite")
-    return norm_sq
 
 
 def _hermitian(d0: float, c: complex, d1: float) -> np.ndarray:
@@ -102,14 +99,11 @@ def _hermitian(d0: float, c: complex, d1: float) -> np.ndarray:
 def partial_trace_env(state: np.ndarray) -> np.ndarray:
     """Reduced 2x2 OAM state A A^dagger after tracing out polarization.
 
-    Raises:
-        ValueError: if the state is not a 4-vector, or an amplitude is
-            not finite or overflows when squared.
+    Raises ``ValueError`` as ``amplitude_entries`` does.
     """
     a00, a01, a10, a11 = amplitude_entries(state)
     d0 = _abs_sq(a00) + _abs_sq(a01)
     d1 = _abs_sq(a10) + _abs_sq(a11)
-    _finite_norm_sq(d0 + d1, "state")
     return _hermitian(d0, a10 * a00.conjugate() + a11 * a01.conjugate(), d1)
 
 
@@ -167,9 +161,9 @@ def postselect_env(state: np.ndarray, projector: np.ndarray) -> tuple[np.ndarray
     round-off even for a faint branch, and p = |b|^2.
 
     Raises:
-        ValueError: if the state is not a 4-vector, the projector is not
-            2x2 or its trace is not 1, or the branch norm is not finite
-            (a non-finite or overflowing entry).
+        ValueError: as ``amplitude_entries`` does, if the projector is
+            not 2x2 or its trace is not 1, or if the branch norm is not
+            finite (a non-finite or overflowing projector entry).
         ZeroProbabilityPostselection: if p < P_MIN, in which case the
             conditional state is undefined.
     """
@@ -189,7 +183,9 @@ def postselect_env(state: np.ndarray, projector: np.ndarray) -> tuple[np.ndarray
     b1 = a10 * c0 + a11 * c1
     d0 = _abs_sq(b0)
     d1 = _abs_sq(b1)
-    norm_sq = _finite_norm_sq(d0 + d1, "postselected branch")
+    norm_sq = d0 + d1
+    if not math.isfinite(norm_sq):  # float products overflow to inf, not raising
+        raise ValueError(f"postselected branch has squared norm {norm_sq}; entries must be finite")
     probability = norm_sq / weight
     if probability < P_MIN:
         raise ZeroProbabilityPostselection(

@@ -40,6 +40,7 @@ from dualitysim.fringes import (
     profile_to_csv,
     write_csv,
 )
+from dualitysim.optics import PortSynthesis
 
 from oracles import bin_average_cos, mask_azimuthal_profile
 
@@ -123,6 +124,14 @@ class TestAzimuthalProfile:
         # A flat profile has no bin above its mid-level, so no lobe.
         flat = AzimuthalProfile(np.ones(len(prof)), np.zeros(len(prof)), prof.counts)
         assert count_petals(flat) == 0
+
+    def test_stacked_profile_is_rejected(self):
+        # One count over a flattened stack means nothing; each row has its own.
+        m = measure_rows(synthesize_ports([StateParams(1.0, 0.7)] * 2, grid=GridSpec(128)),
+                         NoiseModel())
+        assert [m.petal_count(k) for k in (0, 1)] == [6, 6]
+        with pytest.raises(ValueError, match=r"shape \(2, 120\)"):
+            count_petals(m.v_profile)
 
 
 # (shape, center, r_min, r_max): centred and off-centre annuli on square,
@@ -233,6 +242,31 @@ class TestMeasurePorts:
             warnings.simplefilter("error")
             m = measure_rows(syn, NoiseModel(1e-6))
         assert math.isnan(m.predictability[0])
+
+    def test_mode_frames_render_each_components_part_on_its_mode(self):
+        # Two incoherent components, both on +l: the -l frame is a zero
+        # frame, not an error, and P is 1 without and with shot noise.
+        syn = PortSynthesis(3, GridSpec(64), {
+            "h": np.array([[[0.6, 0.0], [0.8, 0.0]]]),
+            "v": np.array([[[0.6, 0.8]]]),
+        })
+        assert len(syn.fields("h")) == 2
+        for noise in (NoiseModel(), NoiseModel(1e5, 0.0, 3)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert measure_rows(syn, noise).predictability[0] == 1.0
+
+    def test_zero_amplitudes_form_no_field(self):
+        # The H port's upper amplitude is 0: its coherent field is m u- alone,
+        # and the unflipped light e u+ is the second field.
+        syn = synthesize_ports(StateParams(1.0, 0.7), grid=GridSpec(64), flip_impurity=0.2)
+        (_, m), (e, _) = syn.amplitudes["h"][0].tolist()
+        fields = syn.fields("h")
+        np.testing.assert_array_equal(fields[0], m * optics._mode_data(-3, GridSpec(64)))
+        np.testing.assert_array_equal(fields[1], e * optics._mode_data(3, GridSpec(64)))
+        # A dark port still yields one field, an all-zero one.
+        [dark] = synthesize_ports(StateParams(0.0, 0.7), grid=GridSpec(64)).fields("h")
+        assert not dark.any()
 
     def test_noiseless_measurement_forms_each_port_weight_once(self, monkeypatch):
         # measure_rows, moment_profile and analytic_ports read one array per port.

@@ -231,7 +231,7 @@ class TestInterferometer:
         rows = [StateParams(1.0, 0.7), StateParams(2.0, 0.1), StateParams(0.3, 3.0)]
         syn = synthesize_ports(rows, grid=GridSpec(64))
         assert len(syn) == 3 and syn.intensity_weights("v").shape == (3, 4)
-        assert all(a.shape == (3, 3) for a in syn.amplitudes.values())
+        assert all(a.shape == (3, 1, 2) for a in syn.amplitudes.values())
         assert len(synthesize_ports(rows[0], grid=GridSpec(64))) == 1
         with pytest.raises(ValueError, match="at least one StateParams"):
             synthesize_ports([], grid=GridSpec(64))

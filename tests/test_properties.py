@@ -287,7 +287,9 @@ def test_stacked_synthesis_rows_equal_the_scalar_rows(angles, seed, path_phase, 
         amplitudes = row_port_amplitudes(params, path_phase, impurity)
         weights = {port: row_port_weights(*amplitudes[port]) for port in "hv"}
         for port in "hv":
-            assert syn.amplitudes[port][k].tobytes() == np.array(amplitudes[port]).tobytes()
+            p, m, e = amplitudes[port]
+            expected = np.array([(p, m), (e, 0.0)])[:2 if impurity else 1]
+            assert syn.amplitudes[port][k].tobytes() == expected.tobytes()
             assert stacked_weights[port][k].tobytes() == weights[port].tobytes()
             fields = syn.fields(port, k)
             expected = row_port_fields(*amplitudes[port], l, grid)
@@ -327,6 +329,27 @@ def test_batch_rows_equal_one_row_measurements(angles, phase, impurity, l, size,
             np.testing.assert_array_equal(row.values[i], one.values[0])
             np.testing.assert_array_equal(row.stderr[i], one.stderr[0])
         assert batch.petal_count(i) == alone.petal_count(0)
+
+
+@PROPERTY
+@given(
+    st.lists(st.tuples(ANGLE, ANGLE), min_size=1, max_size=4),
+    st.floats(min_value=1e-6, max_value=0.99),
+    AZIMUTH,
+    st.integers(min_value=1, max_value=8),
+    st.sampled_from([1, -1]),
+)
+def test_mode_frame_predictability_equals_the_closed_form(angles, impurity, phase, charge, sign):
+    # An impure H port has two nonzero components, so its P is the contrast
+    # of its exact +l and -l frames' totals, which the port weights give.
+    syn = synthesize_ports([StateParams(theta, alpha) for theta, alpha in angles],
+                           l=sign * charge, grid=GridSpec(64), path_phase=phase,
+                           flip_impurity=impurity)
+    measured = measure_rows(syn, NoiseModel()).predictability
+    _, analytic = analytic_ports(syn)
+    lit = ~np.isnan(analytic)
+    np.testing.assert_array_equal(np.isnan(measured), ~lit)
+    assert np.all(np.abs(measured[lit] - analytic[lit]) <= 1e-12)
 
 
 @PROPERTY

@@ -17,6 +17,7 @@ from dualitysim import (
     projector_v,
     state_vector,
 )
+from dualitysim.qubit import basis_branches
 
 from oracles import (
     IDENTITY,
@@ -137,6 +138,21 @@ class TestPartialTrace:
             for proj in (projector_h(), projector_v(), projector_bloch(1.0, 0.3)):
                 with pytest.raises(ValueError, match="squared norm"):
                     postselect_env(psi, proj)
+
+    def test_non_unit_state_is_rejected(self):
+        # A 4-vector of squared norm 4 once gave p = 4 and a trace-4 state.
+        for psi in (np.array([2, 0, 0, 0]), np.array([0, 1, 0, 1]), np.zeros(4)):
+            with pytest.raises(ValueError, match="squared norm"):
+                partial_trace_env(psi)
+            with pytest.raises(ValueError, match="squared norm"):
+                basis_branches(psi)
+            for proj in (projector_h(), projector_v()):
+                with pytest.raises(ValueError, match="squared norm"):
+                    postselect_env(psi, proj)
+        # Round-off of a normalised state stays inside TRACE_ATOL; 1e-11 does not.
+        assert np.trace(partial_trace_env(np.array([1 + 4e-13, 0, 0, 0]))).real > 1
+        with pytest.raises(ValueError, match="not 1 within 1e-12"):
+            partial_trace_env(np.array([1 + 1e-11, 0, 0, 0]))
 
     def test_reduced_state_is_valid(self):
         rng = np.random.default_rng(6)

@@ -5,9 +5,11 @@ For a single OAM qubit with density matrix rho (basis |l>, |-l>):
     visibility      V = |Tr[(sigma_x + i sigma_y) rho]| = 2 |rho_10|
     predictability  P = |Re Tr[sigma_z rho]| = |Re(rho_00 - rho_11)|
 
-The routines read these entries directly.  For any finite 2x2 rho the
-Pauli products only add exact zeros and scale by exact factors of 2, so
-the entry reads equal the traces bit for bit, Hermitian or not.
+``visibility`` and ``predictability`` read these entries of an array; the
+reports read the same entries, (d0, c, d1), off ``qubit``'s scalar core,
+bit for bit alike.  For any finite 2x2 rho the Pauli products only add
+exact zeros and scale by exact factors of 2, so the entry reads equal the
+traces bit for bit, Hermitian or not.
 
 Both lie in [0, 1] and satisfy V^2 + P^2 <= 1 for any physical state.
 Conditional variants apply the same measures to the OAM state obtained
@@ -39,13 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import P_MIN, ZeroProbabilityPostselection
-from .qubit import (
-    StateParams,
-    basis_branches,
-    partial_trace_env,
-    postselect_env,
-    state_vector,
-)
+from .qubit import StateParams, _branches, _postselected, _reduced, state_amplitudes
+from .qubit import postselect_env, state_vector  # noqa: F401  (names perfbench's tracer wraps)
 
 
 @dataclass(frozen=True)
@@ -87,13 +84,8 @@ def predictability(rho: np.ndarray) -> float:
 
 def unconditional_duality(params: StateParams) -> DualityReport:
     """Measures of the reduced OAM state, environment ignored."""
-    rho = partial_trace_env(state_vector(params))
-    return DualityReport(
-        visibility=visibility(rho),
-        predictability=predictability(rho),
-        probability=1.0,
-        label="unconditional",
-    )
+    d0, c, d1 = _reduced(*state_amplitudes(params))
+    return DualityReport(abs(2 * c), abs(d0 - d1), 1.0, "unconditional")
 
 
 def conditional_duality(
@@ -101,14 +93,10 @@ def conditional_duality(
     projector: np.ndarray,
     label: str = "projector",
 ) -> DualityReport:
-    """Measures of the OAM state conditioned on one polarization outcome."""
-    rho, probability = postselect_env(state_vector(params), projector)
-    return DualityReport(
-        visibility=visibility(rho),
-        predictability=predictability(rho),
-        probability=probability,
-        label=label,
-    )
+    """Measures of the OAM state conditioned on one polarization outcome;
+    raises as ``postselect_env`` does, with the same messages."""
+    d0, c, d1, probability = _postselected(*state_amplitudes(params), projector)
+    return DualityReport(abs(2 * c), abs(d0 - d1), probability, label)
 
 
 def postselection_probabilities(theta, alpha):
@@ -178,13 +166,8 @@ def averaged_duality(params: StateParams) -> DualityReport:
     already the probability-weighted ones.  A dark branch contributes
     zero, and the averages are total functions of the preparation angles.
     """
-    branches = basis_branches(state_vector(params))
-    return DualityReport(
-        visibility=sum(visibility(rho) for rho in branches),
-        predictability=sum(predictability(rho) for rho in branches),
-        probability=1.0,
-        label="averaged",
-    )
+    (h0, hc, h1), (v0, vc, v1) = _branches(*state_amplitudes(params))
+    return DualityReport(abs(2 * hc) + abs(2 * vc), abs(h0 - h1) + abs(v0 - v1), 1.0, "averaged")
 
 
 def conditional_sum_of_squares(theta, alpha):

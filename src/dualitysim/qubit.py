@@ -12,13 +12,16 @@ i.e. OAM is the slow (first) tensor factor and polarization the fast one.
 The prepared state is pure, so every routine takes its complex 4-vector
 psi and works on the 2x2 amplitude matrix A[oam, pol] = psi.reshape(2, 2):
 the reduced OAM state is A A^dagger and the branch left by a polarization
-projector P is A P^T A^dagger.  These 2x2 products run on the four
-amplitudes as Python complexes (``amplitude_entries``), since numpy's
-fixed cost per call on 2-element arrays outweighs the arithmetic; an
-ndarray is built only for the 2x2 density matrix that is returned.  The
-independent cross-check is the brute-force oracle of the test suite,
-which builds the full 4x4 density matrix term by term and shares no code
-with this module.
+projector P is A P^T A^dagger.  One private scalar core (``_reduced``,
+``_branches``, ``_postselected``) forms these 2x2 products on the four
+amplitudes as Python numbers, since numpy's fixed cost per call on
+2-element arrays outweighs the arithmetic.  It returns (d0, c, d1): the
+diagonal and the entry [1, 0].  The public functions check the 4-vector
+(``amplitude_entries``) and build the 2x2 ndarray from the core's result;
+``duality``'s reports feed it ``state_amplitudes``, unit norm by
+construction, and build none.  The independent cross-check is the
+brute-force oracle of the test suite, which builds the full 4x4 density
+matrix term by term and shares no code with this module.
 """
 
 from __future__ import annotations
@@ -29,8 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import P_MIN, ZeroProbabilityPostselection
+from .weak import NORM_FLOOR, normalized
 
-TRACE_ATOL = 1e-12  # on a projector's trace and on a state's squared norm
+TRACE_ATOL = 1e-12  # on a state's squared norm; a projector's trace, Hermitian defect, determinant
 
 
 @dataclass(frozen=True)
@@ -91,6 +95,51 @@ def _abs_sq(z: complex) -> float:
     return z.real * z.real + z.imag * z.imag
 
 
+def _reduced(a00, a01, a10, a11) -> tuple[float, complex, float]:
+    """(d0, c, d1) of A A^dagger: its diagonal and its entry [1, 0]."""
+    return (
+        _abs_sq(a00) + _abs_sq(a01),
+        a10 * a00.conjugate() + a11 * a01.conjugate(),
+        _abs_sq(a10) + _abs_sq(a11),
+    )
+
+
+def _branches(a00, a01, a10, a11) -> tuple[tuple[float, complex, float], ...]:
+    """(d0, c, d1) of the branches u u^dagger, u = A[:, k], left by |H><H| and |V><V|."""
+    return (
+        (_abs_sq(a00), a10 * a00.conjugate(), _abs_sq(a10)),
+        (_abs_sq(a01), a11 * a01.conjugate(), _abs_sq(a11)),
+    )
+
+
+def _postselected(a00, a01, a10, a11, projector) -> tuple[float, complex, float, float]:
+    """(d0, c, d1, p) of the branch that ``postselect_env`` returns, with all its checks."""
+    proj = np.asarray(projector, dtype=complex)
+    if proj.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 polarization projector, got shape {proj.shape}")
+    (p00, p01), (p10, p11) = proj.tolist()
+    w0, w1 = p00.real, p11.real
+    if not abs(w0 + w1 - 1.0) <= TRACE_ATOL:
+        raise ValueError(f"projector trace {w0 + w1} is not 1; need a rank-1 projector")
+    skew = abs(p01 - p10.conjugate()) + abs(p00.imag) + abs(p11.imag)
+    det = abs(p00 * p11 - p01 * p10)
+    if not (skew <= TRACE_ATOL and det <= TRACE_ATOL):  # NaN and inf fail here too
+        raise ValueError(f"projector has Hermitian defect {skew:.3g} and determinant "
+                         f"{det:.3g}, not 0 within {TRACE_ATOL:g}; need a rank-1 projector")
+    weight, c0, c1 = (w0, p00, p10) if w0 >= w1 else (w1, p01, p11)
+    c0, c1 = c0.conjugate(), c1.conjugate()
+    b0 = a00 * c0 + a01 * c1  # A conj(P[:, j]) = k_j b
+    b1 = a10 * c0 + a11 * c1
+    d0, d1 = _abs_sq(b0), _abs_sq(b1)
+    norm_sq = d0 + d1
+    probability = norm_sq / weight
+    if probability < P_MIN:
+        raise ZeroProbabilityPostselection(
+            f"postselection probability {probability:.3e} below {P_MIN:.1e}"
+        )
+    return d0 / norm_sq, b1 * b0.conjugate() / norm_sq, d1 / norm_sq, probability
+
+
 def _hermitian(d0: float, c: complex, d1: float) -> np.ndarray:
     """The 2x2 matrix [[d0, c*], [c, d1]]."""
     return np.array([[d0, c.conjugate()], [c, d1]], dtype=complex)
@@ -101,10 +150,7 @@ def partial_trace_env(state: np.ndarray) -> np.ndarray:
 
     Raises ``ValueError`` as ``amplitude_entries`` does.
     """
-    a00, a01, a10, a11 = amplitude_entries(state)
-    d0 = _abs_sq(a00) + _abs_sq(a01)
-    d1 = _abs_sq(a10) + _abs_sq(a11)
-    return _hermitian(d0, a10 * a00.conjugate() + a11 * a01.conjugate(), d1)
+    return _hermitian(*_reduced(*amplitude_entries(state)))
 
 
 def basis_branches(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -113,11 +159,8 @@ def basis_branches(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The branch of outcome k is u u^dagger for the column u = A[:, k], so
     its trace is the outcome's probability and a dark branch is zero.
     """
-    a00, a01, a10, a11 = amplitude_entries(state)
-    return (
-        _hermitian(_abs_sq(a00), a10 * a00.conjugate(), _abs_sq(a10)),
-        _hermitian(_abs_sq(a01), a11 * a01.conjugate(), _abs_sq(a11)),
-    )
+    h, v = _branches(*amplitude_entries(state))
+    return _hermitian(*h), _hermitian(*v)
 
 
 def projector_h() -> np.ndarray:
@@ -131,19 +174,24 @@ def projector_v() -> np.ndarray:
 
 
 def projector_from_ket(ket: np.ndarray) -> np.ndarray:
-    """Rank-1 projector onto an arbitrary pure polarization state."""
+    """Rank-1 projector onto an arbitrary pure polarization state.  A ket that is zero,
+    not finite, or whose plain norm over- or underflows goes through ``weak.normalized``."""
     ket = np.asarray(ket, dtype=complex)
     if ket.shape != (2,):
         raise ValueError(f"polarization ket must be a 2-vector, got {ket.shape}")
-    norm = np.linalg.norm(ket)
-    if norm == 0.0:
-        raise ValueError("cannot project onto the zero vector")
-    ket = ket / norm
+    k0, k1 = ket.tolist()
+    size = abs(k0.real) + abs(k0.imag) + abs(k1.real) + abs(k1.imag)  # norm <= size <= 2 norm
+    if 2.0 * NORM_FLOOR <= size < 1.0 / NORM_FLOOR:  # False for NaN and inf
+        ket = ket / np.linalg.norm(ket)
+    else:
+        ket = normalized(ket, "polarization ket")
     return np.outer(ket, ket.conj())
 
 
 def projector_bloch(polar: float, azimuth: float) -> np.ndarray:
     """Projector onto cos(polar/2)|H> + exp(i*azimuth) sin(polar/2)|V>."""
+    if not (math.isfinite(polar) and math.isfinite(azimuth)):
+        raise ValueError("polar and azimuth must be finite")
     ket = np.array(
         [math.cos(0.5 * polar), np.exp(1j * azimuth) * math.sin(0.5 * polar)],
         dtype=complex,
@@ -161,34 +209,12 @@ def postselect_env(state: np.ndarray, projector: np.ndarray) -> tuple[np.ndarray
     round-off even for a faint branch, and p = |b|^2.
 
     Raises:
-        ValueError: as ``amplitude_entries`` does, if the projector is
-            not 2x2 or its trace is not 1, or if the branch norm is not
-            finite (a non-finite or overflowing projector entry).
+        ValueError: as ``amplitude_entries`` does, or if the projector is
+            not 2x2, or not rank 1: its trace off 1, its Hermitian defect
+            or its determinant off 0 by more than ``TRACE_ATOL`` (NaN and
+            inf entries fail these checks too).
         ZeroProbabilityPostselection: if p < P_MIN, in which case the
             conditional state is undefined.
     """
-    a00, a01, a10, a11 = amplitude_entries(state)
-    proj = np.asarray(projector, dtype=complex)
-    if proj.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 polarization projector, got shape {proj.shape}")
-    (p00, p01), (p10, p11) = proj.tolist()
-    w0 = p00.real
-    w1 = p11.real
-    if not abs(w0 + w1 - 1.0) <= TRACE_ATOL:
-        raise ValueError(f"projector trace {w0 + w1} is not 1; need a rank-1 projector")
-    weight, c0, c1 = (w0, p00, p10) if w0 >= w1 else (w1, p01, p11)
-    c0 = c0.conjugate()
-    c1 = c1.conjugate()
-    b0 = a00 * c0 + a01 * c1  # A conj(P[:, j]) = k_j b
-    b1 = a10 * c0 + a11 * c1
-    d0 = _abs_sq(b0)
-    d1 = _abs_sq(b1)
-    norm_sq = d0 + d1
-    if not math.isfinite(norm_sq):  # float products overflow to inf, not raising
-        raise ValueError(f"postselected branch has squared norm {norm_sq}; entries must be finite")
-    probability = norm_sq / weight
-    if probability < P_MIN:
-        raise ZeroProbabilityPostselection(
-            f"postselection probability {probability:.3e} below {P_MIN:.1e}"
-        )
-    return _hermitian(d0 / norm_sq, b1 * b0.conjugate() / norm_sq, d1 / norm_sq), probability
+    d0, c, d1, probability = _postselected(*amplitude_entries(state), projector)
+    return _hermitian(d0, c, d1), probability

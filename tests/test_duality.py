@@ -16,6 +16,7 @@ from dualitysim import (
     closed_form_conditional,
     conditional_duality,
     partial_trace_env,
+    postselect_env,
     predictability,
     projector_bloch,
     projector_h,
@@ -30,6 +31,7 @@ from dualitysim.duality import (
     conditional_visibility_v,
     postselection_probabilities,
 )
+from dualitysim.qubit import basis_branches
 
 from oracles import SIGMA_X, SIGMA_Y, SIGMA_Z, brute_predictability, brute_visibility
 
@@ -247,6 +249,56 @@ class TestAveraged:
     def test_no_violation_at_near_optimal_point(self):
         rep = averaged_duality(StateParams(np.pi - np.pi / 12, np.pi / 12))
         assert rep.sum_of_squares <= 1.0 + 1e-9
+
+
+EXACT = [0.0, np.pi / 2, np.pi, 3 * np.pi / 2, 2 * np.pi]
+
+
+def _hex(*values):
+    return [float(v).hex() for v in values]
+
+
+class TestScalarCoreParity:
+    """The reports read V, P and p off qubit's scalar core; the public array
+    functions wrap the same core.  Both must agree bit for bit, including at
+    the exact angles where a branch goes dark or a zero carries a sign."""
+
+    ANGLES = EXACT + [-np.pi / 2, 0.3, 1.9, 2.8, 4.4, 5.9]
+    PROJECTORS = [projector_h(), projector_v()] + [
+        projector_bloch(polar, azimuth) for polar in EXACT for azimuth in (0.0, np.pi / 2, 2.2)
+    ] + [
+        np.eye(2) / 2,
+        0.5 * projector_h(),
+        np.array([[0.7, 0.2], [0.9, 0.3]]),
+        np.array([[1, 2e-6], [2e-6, 0]]),
+        np.full((2, 2), np.nan),
+        np.zeros((3, 3)),
+    ]
+
+    def test_reports_equal_the_public_array_path_bit_for_bit(self):
+        for theta in self.ANGLES:
+            for alpha in self.ANGLES:
+                params = StateParams(theta, alpha)
+                psi = state_vector(params)
+                rep = unconditional_duality(params)
+                rho = partial_trace_env(psi)
+                assert _hex(rep.visibility, rep.predictability, rep.probability) == _hex(
+                    visibility(rho), predictability(rho), 1.0)
+                rep = averaged_duality(params)
+                h, v = basis_branches(psi)
+                assert _hex(rep.visibility, rep.predictability, rep.probability) == _hex(
+                    visibility(h) + visibility(v), predictability(h) + predictability(v), 1.0)
+                for proj in self.PROJECTORS:
+                    try:
+                        rho, p = postselect_env(psi, proj)
+                    except (ValueError, ZeroProbabilityPostselection) as error:
+                        with pytest.raises(type(error), match=re.escape(str(error))) as raised:
+                            conditional_duality(params, proj)
+                        assert raised.type is type(error)
+                        continue
+                    rep = conditional_duality(params, proj)
+                    assert _hex(rep.visibility, rep.predictability, rep.probability) == _hex(
+                        visibility(rho), predictability(rho), p)
 
 
 class TestVectorizedHelpers:

@@ -193,6 +193,39 @@ class TestProjectors:
         with pytest.raises(ValueError):
             projector_from_ket(np.zeros(2))
 
+    def test_ordinary_ket_keeps_the_plain_normalization_bits(self):
+        rng = np.random.default_rng(21)
+        for ket in rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2)):
+            unit = ket / np.linalg.norm(ket)
+            np.testing.assert_array_equal(projector_from_ket(ket), np.outer(unit, unit.conj()))
+
+    @pytest.mark.parametrize("ket", [[np.inf, 0], [np.nan, 1], [0, complex(1, np.inf)]])
+    def test_non_finite_ket_is_rejected_without_numpy_warnings(self, ket):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                projector_from_ket(np.array(ket, dtype=complex))
+
+    @pytest.mark.parametrize("angles", [(np.nan, 0.0), (0.0, np.nan), (1.0, np.inf)])
+    def test_non_finite_bloch_angles_are_rejected(self, angles):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                projector_bloch(*angles)
+
+    @pytest.mark.parametrize("scale", [2.0**1020, 2.0**-1060, 2.0**-1070])
+    def test_overflowing_or_underflowing_ket_is_rescaled_exactly(self, scale):
+        # The plain sum of squares overflows, underflows or is subnormal; a
+        # power-of-two scale changes no bit of the projector.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for ket in (np.array([3.0, 4.0j]), np.array([1.0, 1.0])):
+                expected = projector_from_ket(ket)
+                np.testing.assert_array_equal(projector_from_ket(ket * scale), expected)
+            np.testing.assert_allclose(projector_from_ket([1e-320, 0]), projector_h(), atol=1e-15)
+            np.testing.assert_array_equal(projector_from_ket([1e308, 1e308]),
+                                          projector_from_ket([1.0, 1.0]))
+
 
 class TestPostselection:
     def test_impossible_outcome_raises(self):
@@ -253,6 +286,28 @@ class TestPostselection:
             with pytest.raises(ValueError, match="trace") as error:
                 postselect_env(psi, bad)
             assert "np.float64" not in str(error.value)
+
+    @pytest.mark.parametrize("projector", [
+        np.eye(2) / 2,  # trace 1, Hermitian, full rank: the oracle's p is 0.5
+        [[1, 0.3], [0.3, 0]],  # Hermitian with a negative eigenvalue
+        [[0.7, 0.2], [0.9, 0.3]],  # not Hermitian: once gave p = 1.198
+        [[1, 1], [0, 0]],  # determinant 0, not Hermitian
+        [[1, 2e-6], [2e-6, 0]],  # determinant -4e-12
+    ])
+    def test_rejects_projector_that_is_not_rank_1(self, projector):
+        psi = state_vector(StateParams(1.0, 0.7))
+        with pytest.raises(ValueError, match="need a rank-1 projector") as error:
+            postselect_env(psi, np.array(projector, dtype=complex))
+        assert "trace" not in str(error.value)
+
+    def test_round_off_of_a_rank_1_projector_is_accepted(self):
+        psi = state_vector(StateParams(1.0, 0.7))
+        ket = np.array([0.6, 0.8j])
+        proj = np.outer(ket, ket.conj()) + np.array([[1e-13j, 3e-13], [-2e-13, 0]])
+        rho, p = postselect_env(psi, proj)
+        expected, p_expected = brute_postselect(brute_density(psi), projector_from_ket(ket))
+        assert abs(p - p_expected) < 1e-12
+        np.testing.assert_allclose(rho, expected, atol=1e-12)
 
     @pytest.mark.parametrize("shape", [(2,), (3, 3), (4, 4), (2, 2, 2)])
     def test_rejects_non_qubit_projector_shape(self, shape):

@@ -19,7 +19,9 @@ amplitudes as Python numbers, since numpy's fixed cost per call on
 diagonal and the entry [1, 0].  The public functions check the 4-vector
 (``amplitude_entries``) and build the 2x2 ndarray from the core's result;
 ``duality``'s reports feed it ``state_amplitudes``, unit norm by
-construction, and build none.  The independent cross-check is the
+construction, and build none.  ``normalized``, the unit-norm step of
+``projector_from_ket`` and of ``weak``'s profiles, lives here so that this
+bottom layer imports no other.  The independent cross-check is the
 brute-force oracle of the test suite, which builds the full 4x4 density
 matrix term by term and shares no code with this module.
 """
@@ -32,9 +34,39 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import P_MIN, ZeroProbabilityPostselection
-from .weak import NORM_FLOOR, normalized
 
 TRACE_ATOL = 1e-12  # on a state's squared norm; a projector's trace, Hermitian defect, determinant
+
+
+NORM_FLOOR = math.ldexp(1.0, -511)
+"""Smallest norm whose square, the sum of squares, is a normal float."""
+
+
+def normalized(psi: np.ndarray, what: str = "wavefunction") -> np.ndarray:
+    """Copy of the vector ``psi`` normalized to unit discrete norm.
+
+    A vector whose sum of squares overflows or underflows is first scaled
+    by the power of two that brings its largest real or imaginary part
+    into [0.5, 1), which is exact and so leaves the result unchanged.
+
+    Raises ``ValueError``, naming ``psi`` as ``what``, for a non-finite entry
+    or the zero vector.
+    """
+    psi = np.asarray(psi, dtype=complex)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(psi)
+    if not NORM_FLOOR <= norm < math.inf:  # also NaN and inf entries
+        if not np.isfinite(psi).all():
+            raise ValueError(f"{what} has non-finite samples")
+        largest = float(np.max(np.abs([psi.real, psi.imag]), initial=0.0))
+        if largest == 0.0:
+            raise ValueError(f"cannot normalize the zero {what}")
+        exponent = -math.frexp(largest)[1]
+        scaled = np.empty_like(psi)
+        scaled.real = np.ldexp(psi.real, exponent)
+        scaled.imag = np.ldexp(psi.imag, exponent)
+        psi, norm = scaled, np.linalg.norm(scaled)
+    return psi / norm
 
 
 @dataclass(frozen=True)
@@ -174,17 +206,12 @@ def projector_v() -> np.ndarray:
 
 
 def projector_from_ket(ket: np.ndarray) -> np.ndarray:
-    """Rank-1 projector onto an arbitrary pure polarization state.  A ket that is zero,
-    not finite, or whose plain norm over- or underflows goes through ``weak.normalized``."""
+    """Rank-1 projector onto an arbitrary pure polarization state, normalized by
+    ``normalized``: a zero or non-finite ket raises ``ValueError``."""
     ket = np.asarray(ket, dtype=complex)
     if ket.shape != (2,):
         raise ValueError(f"polarization ket must be a 2-vector, got {ket.shape}")
-    k0, k1 = ket.tolist()
-    size = abs(k0.real) + abs(k0.imag) + abs(k1.real) + abs(k1.imag)  # norm <= size <= 2 norm
-    if 2.0 * NORM_FLOOR <= size < 1.0 / NORM_FLOOR:  # False for NaN and inf
-        ket = ket / np.linalg.norm(ket)
-    else:
-        ket = normalized(ket, "polarization ket")
+    ket = normalized(ket, "polarization ket")
     return np.outer(ket, ket.conj())
 
 

@@ -33,40 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import P_MIN, InvalidCoupling, ZeroProbabilityPostselection
+from .qubit import normalized
 
 WEAKNESS_WARN_THRESHOLD = 0.1
 """Warn when the pointer deflection |(phi/2) psi(x0)/psi0| exceeds this."""
-
-
-NORM_FLOOR = math.ldexp(1.0, -511)
-"""Smallest norm whose square, the sum of squares, is a normal float."""
-
-
-def normalized(psi: np.ndarray, what: str = "wavefunction") -> np.ndarray:
-    """Copy of ``psi`` normalized to unit discrete norm.
-
-    A profile whose sum of squares overflows or underflows is first scaled
-    by the power of two that brings its largest real or imaginary part
-    into [0.5, 1), which is exact and so leaves the result unchanged.
-
-    Raises ``ValueError``, naming ``psi`` as ``what``, for a non-finite sample
-    or the zero vector.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    if not np.isfinite(psi).all():
-        raise ValueError(f"{what} has non-finite samples")
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(psi)
-    if not NORM_FLOOR <= norm < math.inf:
-        largest = float(np.max(np.abs([psi.real, psi.imag]), initial=0.0))
-        if largest == 0.0:
-            raise ValueError(f"cannot normalize the zero {what}")
-        exponent = -math.frexp(largest)[1]
-        scaled = np.empty_like(psi)
-        scaled.real = np.ldexp(psi.real, exponent)
-        scaled.imag = np.ldexp(psi.imag, exponent)
-        psi, norm = scaled, np.linalg.norm(scaled)
-    return psi / norm
 
 
 def grid_positions(n: int) -> np.ndarray:

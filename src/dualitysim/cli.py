@@ -3,8 +3,8 @@
 Subcommands
 -----------
 sweep   Tabulate conditional and averaged duality measures along a theta
-        or alpha sweep (CSV + JSON); optionally re-measure each row
-        through the full image pipeline.
+        or alpha sweep (CSV + JSON); with ``--photons``, also measure
+        each row through the full image pipeline.
 render  Synthesize the two output-port images for one configuration,
         export rasters and profiles, and report measured versus analytic
         visibility/predictability.
@@ -131,7 +131,10 @@ def grid_size(text: str) -> int:
 def _noise(args: argparse.Namespace, photons: float = math.inf) -> optics.NoiseModel:
     """The camera of ``args``, with ``photons`` as the budget when ``--photons`` is unset."""
     budget = photons if args.photons is None else args.photons
-    return optics.NoiseModel(budget, args.readout_sigma, args.seed)
+    try:
+        return optics.NoiseModel(budget, args.readout_sigma, args.seed)
+    except ValueError as exc:  # the flag types leave only a readout sigma without a budget
+        raise UsageError(f"--readout-sigma needs a finite --photons budget: {exc}") from None
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -144,18 +147,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if fixed is None:
         fixed = math.pi / 12 if swept == "theta" else math.pi / 2
     noise = _noise(args)
-    pipeline = args.pipeline or args.photons is not None or args.readout_sigma > 0
+    pipeline = args.photons is not None
 
     values = np.linspace(start, end, samples)
     thetas = values if swept == "theta" else np.full(samples, fixed)
     alphas = values if swept == "alpha" else np.full(samples, fixed)
 
-    v_cond = duality.conditional_visibility_v(thetas, alphas)
-    sum_cond = duality.conditional_sum_of_squares(thetas, alphas)
+    v_cond, p_cond = duality.conditional_visibility_v(thetas, alphas), np.ones(samples)
     v_avg, p_avg = duality.closed_form_averaged(thetas, alphas)
     sum_avg = duality.averaged_sum_of_squares(thetas, alphas)
     p_h, p_v = duality.postselection_probabilities(thetas, alphas)
-    table = np.column_stack((thetas, alphas, v_cond, np.ones(samples), sum_cond, v_avg, p_avg,
+    table = np.column_stack((thetas, alphas, v_cond, p_cond, v_cond**2 + p_cond**2, v_avg, p_avg,
                              sum_avg, p_h, p_v))
 
     columns = list(SWEEP_COLUMNS)
@@ -195,6 +197,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
+    noise = _noise(args, photons=1e6 if args.calibrated else math.inf)
     if args.calibrated:
         conflicts = [f"--{name}" for name in ("theta", "alpha", "impurity")
                      if getattr(args, name) is not None]
@@ -202,13 +205,11 @@ def cmd_render(args: argparse.Namespace) -> int:
             raise UsageError("--calibrated sets theta, alpha and impurity itself; "
                              f"it conflicts with {', '.join(conflicts)}")
         params, impurity = optics.calibrated_operating_point()
-        noise = _noise(args, photons=1e6)
     else:
         if args.theta is None or args.alpha is None:
             raise UsageError("render needs --theta and --alpha (or --calibrated)")
         params = StateParams(args.theta, args.alpha)
         impurity = 0.0 if args.impurity is None else args.impurity
-        noise = _noise(args)
     l, path_phase, out_dir = args.l, args.path_phase, args.out
 
     grid = optics.GridSpec(args.grid)
@@ -362,10 +363,11 @@ def _add_camera(parser: argparse.ArgumentParser) -> None:
                         help="camera resolution (N x N pixels, with a pixel in every "
                              "window of the port annulus: odd N >= 43 or any N >= 63)")
     parser.add_argument("--photons", type=photon_budget, default=None, metavar="B",
-                        help="photon budget per unit power ('inf' for noiseless)")
+                        help="photon budget per unit power, 'inf' for noiseless frames; "
+                             "sweep runs the image pipeline exactly when this is given")
     parser.add_argument("--readout-sigma", default=0.0, metavar="S",
                         type=at_least(0.0, float, below=optics.POISSON_LAM_MAX),
-                        help="readout noise (counts)")
+                        help="readout noise (counts, so it needs a finite --photons)")
     parser.add_argument("--l", type=oam_charge, default=optics.DEFAULT_OAM,
                         help="OAM charge (nonzero)")
 
@@ -399,9 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--end", type=parse_angle, default="2pi", help="sweep end")
     p_sweep.add_argument("--samples", type=at_least(2), default=181,
                          help="number of samples (181 is 2-degree steps)")
-    p_sweep.add_argument("--pipeline", action=argparse.BooleanOptionalAction, default=False,
-                         help="also measure each row through the image pipeline "
-                              "(implied by --photons or a nonzero --readout-sigma)")
     _add_camera(p_sweep)
     _add_common(p_sweep, "sweep")
     p_sweep.set_defaults(func=cmd_sweep)

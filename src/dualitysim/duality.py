@@ -130,7 +130,9 @@ def closed_form_conditional(params: StateParams) -> tuple[float, float]:
 
     The scalar form of ``conditional_visibility_v``.  P given |H><H| is
     identically 1: the horizontal output contains a single OAM mode
-    whenever it contains anything at all.
+    whenever it contains anything at all.  It stays 1 where p_H is below
+    ``P_MIN`` too, because the paper's maximum V^2 + P^2 = 2 lies exactly
+    where the H port goes dark: that limit is the fair-sampling point.
 
     Raises:
         ZeroProbabilityPostselection: when the vertical postselection
@@ -168,12 +170,6 @@ def averaged_duality(params: StateParams) -> DualityReport:
     """
     (h0, hc, h1), (v0, vc, v1) = _branches(*state_amplitudes(params))
     return DualityReport(abs(2 * hc) + abs(2 * vc), abs(h0 - h1) + abs(v0 - v1), 1.0, "averaged")
-
-
-def conditional_sum_of_squares(theta, alpha):
-    """V(given V)^2 + P(given H)^2 in closed form; broadcasts, NaN-safe."""
-    v = conditional_visibility_v(theta, alpha)
-    return v**2 + 1.0
 
 
 def averaged_sum_of_squares(theta, alpha):

@@ -447,12 +447,14 @@ def measure_rows(synthesis: PortSynthesis, noise: NoiseModel, first_row: int = 0
     def h_term(amplitude: complex, mode: int) -> np.ndarray:
         return amplitude * optics._mode_data(-l if mode else l, grid)
 
-    # One port's fields at a time.  A row's frames are freed when the next row
-    # renders; the last row's stay, so a one-row measurement renders each once.
+    # Never hits (``frame`` renders each (row, port) once), but holding the last
+    # port's fields until the next port's are formed spares glibc a heap trim and
+    # regrow per frame: forming them inside ``frame`` cost 10-12% of renders/s.
     @lru_cache(maxsize=1)
     def fields(k: int, port: int) -> list[np.ndarray]:
         return optics._fields(h[k].tolist(), h_term) if port else synthesis.fields("v", k)
 
+    # The last row's frames stay, so a one-row measurement renders each once.
     @lru_cache(maxsize=2)
     def frame(k: int, port: int) -> np.ndarray:
         return render(fields(k, port), k, port)

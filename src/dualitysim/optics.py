@@ -99,13 +99,13 @@ class NoiseModel:
 
     ``photon_budget`` is the expected number of detected photons per unit
     of optical power, i.e. a unit-power field integrates to this many
-    counts; ``inf`` (the default) draws no shot noise.  ``readout_sigma``
-    is the standard deviation of the additive readout noise in photon
-    counts, below the ``POISSON_LAM_MAX`` ceiling on counts per pixel;
-    negative pixel values are clamped to zero.  ``seed`` is
-    anything ``numpy.random.default_rng`` accepts; identical seed and
-    inputs give bit-identical images.  ``record`` is the model as JSON
-    writes it, with a ``null`` budget for no shot noise.
+    counts; ``inf`` (the default) gives ``exact`` frames with no noise.
+    ``readout_sigma``, the standard deviation of the additive readout noise,
+    is in photon counts below the ``POISSON_LAM_MAX`` ceiling, so a nonzero
+    one needs a finite budget; negative pixel values are clamped to zero.
+    ``seed`` is anything ``numpy.random.default_rng`` accepts; identical
+    seed and inputs give bit-identical images.  ``record`` is the model as
+    JSON writes it, with a ``null`` budget for an exact model.
     """
 
     photon_budget: float = math.inf
@@ -117,11 +117,13 @@ class NoiseModel:
             raise ValueError("photon_budget must be >= 0")
         if not 0.0 <= self.readout_sigma < POISSON_LAM_MAX:
             raise ValueError(f"readout_sigma must be in [0, {POISSON_LAM_MAX:.3g}) counts")
+        if self.readout_sigma > 0.0 and self.photon_budget == math.inf:
+            raise ValueError("readout noise is in counts, so it needs a finite photon budget")
 
     @property
     def exact(self) -> bool:
-        """True when a frame is the exact intensity: no shot or readout noise."""
-        return self.photon_budget == math.inf and self.readout_sigma == 0.0
+        """True for an infinite budget, whose frame is the exact intensity."""
+        return self.photon_budget == math.inf
 
     @property
     def record(self) -> dict:
@@ -290,7 +292,7 @@ def render_image(
 
     An ``exact`` noise model returns the summed |amplitude|^2.  Otherwise
     one generator seeded from ``noise.seed`` draws, in this order, the
-    shot noise of a finite photon budget (the intensity scaled to expected
+    shot noise of the finite photon budget (the intensity scaled to expected
     counts, budget x power, and Poisson-sampled per pixel) and the readout
     noise, and the frame is clamped at zero.  A budget that puts more
     expected counts in one pixel than the Poisson sampler accepts raises
@@ -308,16 +310,15 @@ def render_image(
     if noise.exact:
         return intensity
 
+    expected_counts = intensity * GridSpec(shape[0]).pixel_area * noise.photon_budget
+    peak = float(expected_counts.max())
+    if peak > POISSON_LAM_MAX:
+        raise ValueError(
+            f"photon budget {noise.photon_budget:g} puts {peak:.3g} expected counts "
+            f"in one pixel, above the Poisson sampler's limit of {POISSON_LAM_MAX:.3g}"
+        )
     rng = np.random.default_rng(noise.seed)
-    if noise.photon_budget < math.inf:
-        expected_counts = intensity * GridSpec(shape[0]).pixel_area * noise.photon_budget
-        peak = float(expected_counts.max())
-        if peak > POISSON_LAM_MAX:
-            raise ValueError(
-                f"photon budget {noise.photon_budget:g} puts {peak:.3g} expected counts "
-                f"in one pixel, above the Poisson sampler's limit of {POISSON_LAM_MAX:.3g}"
-            )
-        intensity = rng.poisson(expected_counts).astype(float)
+    intensity = rng.poisson(expected_counts).astype(float)
     if noise.readout_sigma > 0.0:
         intensity += rng.normal(0.0, noise.readout_sigma, intensity.shape)
     return np.clip(intensity, 0.0, None)

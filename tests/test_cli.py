@@ -186,18 +186,30 @@ class TestSweepCommand:
         assert not np.isnan(p_measured[1:-1]).any()
         assert np.isnan(col(header, rows, "sum_cond_squares_measured")[[0, -1]]).all()
 
-    def test_readout_sigma_alone_turns_on_the_pipeline(self, tmp_path):
-        # A nonzero readout sigma implies the pipeline, as --photons does.
-        alone, explicit = tmp_path / "sweep_l", tmp_path / "sweep_m"
-        args = ["sweep", "--samples", "3", "--readout-sigma", "2", "--grid", "64"]
-        assert main(args + ["--out", str(alone)]) == 0
-        assert main(args + ["--pipeline", "--out", str(explicit)]) == 0
-        header, _ = read_csv(alone.with_suffix(".csv"))
-        assert header[-3:] == cli.MEASURED_COLUMNS
-        assert json.loads(alone.with_suffix(".json").read_text())["config"]["pipeline"] is True
-        for suffix in (".csv", ".json"):
-            assert (alone.with_suffix(suffix).read_bytes()
-                    == explicit.with_suffix(suffix).read_bytes())
+    def test_readout_sigma_without_a_budget_is_usage_error(self, tmp_path, capsys):
+        # Readout sigma is in counts, which an unset or infinite budget does not give.
+        for budget in ([], ["--photons", "inf"]):
+            assert main(["sweep", "--samples", "3", "--readout-sigma", "2", "--grid", "64",
+                         *budget, "--out", str(tmp_path / "sweep_l")]) == 1
+            err = capsys.readouterr().err
+            assert "--readout-sigma" in err and "--photons" in err
+            assert not any(tmp_path.iterdir())
+
+    def test_photons_alone_turns_on_the_pipeline(self, tmp_path, capsys):
+        for name, budget, pipeline in (("sweep_m", [], False),
+                                       ("sweep_n", ["--photons", "inf"], True),
+                                       ("sweep_o", ["--photons", "1e5"], True)):
+            out = tmp_path / name
+            assert main(["sweep", "--samples", "3", "--grid", "64", *budget,
+                         "--out", str(out)]) == 0
+            header, _ = read_csv(out.with_suffix(".csv"))
+            assert (header[-3:] == cli.MEASURED_COLUMNS) is pipeline
+            config = json.loads(out.with_suffix(".json").read_text())["config"]
+            assert config["pipeline"] is pipeline
+        for flag in ("--pipeline", "--no-pipeline"):
+            assert main(["sweep", "--samples", "3", flag, "--out", str(tmp_path / "sweep_p")]) == 1
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+            assert not list(tmp_path.glob("sweep_p*"))
 
     def test_measure_ports_reproduces_noisy_rows(self, tmp_path):
         out = tmp_path / "sweep_i"
@@ -307,6 +319,21 @@ class TestRenderCommand:
         assert "argument --readout-sigma:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_readout_sigma_without_a_budget_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "render15"
+        assert main(["render", "--theta", "1", "--alpha", "1", "--readout-sigma", "2",
+                     "--grid", "64", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "--readout-sigma" in err and "--photons" in err
+        assert not out.exists()
+
+    def test_calibrated_readout_noise_takes_its_default_budget(self, tmp_path):
+        out = tmp_path / "render16"
+        assert main(["render", "--calibrated", "--readout-sigma", "2", "--grid", "64",
+                     "--out", str(out)]) == 0
+        params = json.loads((out / "report.json").read_text())["params"]
+        assert (params["photon_budget"], params["readout_sigma"]) == (1e6, 2.0)
+
     def test_dark_h_port_with_impurity_reads_nan(self, tmp_path):
         out = tmp_path / "render5"
         assert main(["render", "--theta", "0", "--alpha", "0", "--impurity", "0.1",
@@ -362,7 +389,8 @@ class TestRenderCommand:
         assert 0.0 <= report["P_measured"] <= 1.0
 
     def test_zero_oam_charge_is_named(self, tmp_path, capsys):
-        for command in (["render", "--theta", "pi", "--alpha", "0"], ["sweep", "--pipeline"]):
+        for command in (["render", "--theta", "pi", "--alpha", "0"],
+                        ["sweep", "--photons", "inf"]):
             assert main([*command, "--l", "0", "--grid", "64",
                          "--out", str(tmp_path / "render10")]) == 1
             assert "argument --l:" in capsys.readouterr().err
@@ -590,23 +618,22 @@ CONFIG_CASES = [
     ("sweep", SWEEP_BASE, "start", 0.5, "0"),
     ("sweep", SWEEP_BASE, "end", "pi", 6),
     ("sweep", SWEEP_BASE, "samples", 4, 6),
-    ("sweep", SWEEP_BASE, "pipeline", True, False),
-    ("sweep", SWEEP_BASE, "pipeline", False, True),
     ("sweep", SWEEP_BASE, "seed", 3, 4),
     ("sweep", SWEEP_BASE, "grid", 96, 128),
     ("sweep", SWEEP_BASE, "photons", 1e4, "inf"),
-    ("sweep", SWEEP_BASE, "readout_sigma", 1.5, 0),
+    ("sweep", {**SWEEP_BASE, "photons": "1e5"}, "readout_sigma", 1.5, 0),
     ("sweep", SWEEP_BASE, "l", 2, 4),
     ("sweep", SWEEP_BASE, "out", "res", "other"),
     ("render", RENDER_BASE, "theta", "pi/3", 2),
     ("render", RENDER_BASE, "alpha", 0.5, "pi"),
     ("render", {"grid": "64", "out": "res"}, "calibrated", True, False),
+    ("render", RENDER_BASE, "calibrated", False, True),
     ("render", RENDER_BASE, "impurity", 0.2, 0.5),
     ("render", RENDER_BASE, "path_phase", "pi/4", 0),
     ("render", RENDER_BASE, "seed", 3, 4),
     ("render", RENDER_BASE, "grid", 96, 128),
     ("render", RENDER_BASE, "photons", 1e5, 1e4),
-    ("render", RENDER_BASE, "readout_sigma", 1.5, 0),
+    ("render", {**RENDER_BASE, "photons": "1e5"}, "readout_sigma", 1.5, 0),
     ("render", RENDER_BASE, "l", 2, 4),
     ("render", RENDER_BASE, "out", "res", "other"),
     ("weak", WEAK_BASE, "psi", "uniform", "gaussian:6"),
@@ -654,7 +681,7 @@ class TestConfigFile:
             ("sweep", {"samples": 7.9}, "--samples"),
             ("render", {"grid": "abc"}, "--grid"),
             ("weak", {"mode": "bogus"}, "--mode"),
-            ("sweep", {"pipeline": "yes"}, "--pipeline"),
+            ("render", {"calibrated": "yes"}, "--calibrated"),
         ],
     )
     def test_bad_value_is_usage_error(self, command, config, flag, tmp_path, monkeypatch,
@@ -700,7 +727,7 @@ class TestConfigFile:
         (["render", "--theta", "1", "--alpha", "1", "--impurity", "-0.1"], "--impurity"),
         (["render", "--theta", "1", "--alpha", "1", "--l", "500", "--grid", "64"], "--l"),
         (["render", "--theta", "1", "--alpha", "1", "--l", "-33", "--grid", "64"], "--l"),
-        (["sweep", "--pipeline", "--l", "64", "--grid", "64"], "--l"),
+        (["sweep", "--photons", "inf", "--l", "64", "--grid", "64"], "--l"),
         (["render", "--theta", "1", "--alpha", "1", "--grid", "64", "--photons=-inf"],
          "--photons"),
         (["sweep", "--grid", "64", "--photons=-inf"], "--photons"),
@@ -720,7 +747,7 @@ def test_out_of_range_flag_is_usage_error_naming_the_flag(argv, flag, tmp_path, 
 
 @pytest.mark.parametrize(
     "command",
-    [["render", "--theta", "1", "--alpha", "1"], ["sweep", "--pipeline", "--samples", "2"]],
+    [["render", "--theta", "1", "--alpha", "1"], ["sweep", "--photons", "inf", "--samples", "2"]],
     ids=["render", "sweep"],
 )
 @pytest.mark.parametrize("size", [16, 32, 42, 62, 43, 63, 64])
@@ -758,7 +785,8 @@ def test_negative_angle_joins_its_flag_with_equals(argv, flag, value, tmp_path, 
     [
         # Inside argparse: the --grid type builds the port annulus plan.
         (["render", "--theta", "1", "--alpha", "1", "--grid", "64"], fringes, "port_plan"),
-        (["sweep", "--samples", "3", "--pipeline", "--grid", "64"], optics, "synthesize_ports"),
+        (["sweep", "--samples", "3", "--photons", "inf", "--grid", "64"], optics,
+         "synthesize_ports"),
         (["weak", "--n", "16"], weak, "reconstruct_profile"),
     ],
     ids=["render-grid", "sweep", "weak"],
@@ -818,7 +846,9 @@ class TestTopLevel:
         assert main(["sweep", "--help"]) == 0
         out = capsys.readouterr().out
         assert "(default: 181)" in out
-        assert "--no-pipeline" in out
+        assert "--pipeline" not in out
+        assert main(["render", "--help"]) == 0
+        assert "--no-calibrated" in capsys.readouterr().out
 
     def test_unknown_command_is_usage_error(self):
         assert main(["frobnicate"]) == 1

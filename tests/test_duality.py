@@ -27,7 +27,6 @@ from dualitysim import (
 )
 from dualitysim.duality import (
     averaged_sum_of_squares,
-    conditional_sum_of_squares,
     conditional_visibility_v,
     postselection_probabilities,
 )
@@ -212,7 +211,7 @@ class TestClosedFormConditional:
         # For small coupling the maximizer approaches theta = pi -+ alpha.
         alpha = np.pi / 12
         thetas = np.linspace(0, 2 * np.pi, 3601)
-        sums = conditional_sum_of_squares(thetas, alpha)
+        sums = conditional_visibility_v(thetas, alpha) ** 2 + 1.0
         peak = thetas[np.argmax(sums)]
         assert min(abs(peak - (np.pi - alpha)), abs(peak - (np.pi + alpha))) < np.deg2rad(0.5)
 

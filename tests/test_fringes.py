@@ -461,7 +461,7 @@ class TestFitOperator:
 
     def test_noiseless_sweep_builds_the_operator_once(self, tmp_path):
         fit_operator.cache_clear()
-        assert main(["sweep", "--samples", "181", "--pipeline", "--grid", "64",
+        assert main(["sweep", "--samples", "181", "--photons", "inf", "--grid", "64",
                      "--out", str(tmp_path / "s")]) == 0
         # One stacked fit per port: built for the V port, reused for the H port.
         assert fit_operator.cache_info().misses == 1

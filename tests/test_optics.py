@@ -1,6 +1,7 @@
 """Mode synthesis, interferometer ports, camera rendering, exports."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -314,6 +315,10 @@ class TestRenderImage:
             NoiseModel(readout_sigma=-0.1)
         with pytest.raises(ValueError):
             NoiseModel(readout_sigma=POISSON_LAM_MAX)
+        # Readout sigma is in counts, and an infinite budget has no count scale.
+        with pytest.raises(ValueError, match="finite photon budget"):
+            NoiseModel(math.inf, 2.0)
+        assert NoiseModel(math.inf).exact and not NoiseModel(1e6, 2.0).exact
 
 
 class TestCalibration:

@@ -39,7 +39,6 @@ from dualitysim import (
     visibility,
 )
 from dualitysim.duality import (
-    conditional_sum_of_squares,
     conditional_visibility_v,
     postselection_probabilities,
 )
@@ -186,7 +185,7 @@ def test_scalar_state_algebra_matches_the_oracle(theta, alpha, polar, azimuth):
 @PROPERTY
 @given(ANGLE, ANGLE)
 def test_mixed_postselection_sum_lies_between_one_and_two(theta, alpha):
-    total = conditional_sum_of_squares(theta, alpha)
+    total = conditional_visibility_v(theta, alpha) ** 2 + 1.0
     _, p_v = postselection_probabilities(theta, alpha)
     if p_v < P_MIN:
         assert math.isnan(total)

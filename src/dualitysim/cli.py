@@ -71,11 +71,11 @@ def parse_angle(text: str) -> float:
             value /= divisor
         if match.group("sign") == "-":
             value = -value
-        return value
-    try:
-        value = float(text)
-    except ValueError:
-        raise UsageError(f"cannot parse angle {text!r}") from None
+    else:
+        try:
+            value = float(text)
+        except ValueError:
+            raise UsageError(f"cannot parse angle {text!r}") from None
     if not math.isfinite(value):
         raise UsageError(f"angle must be finite, got {text!r}")
     return value
@@ -148,6 +148,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         fixed = math.pi / 12 if swept == "theta" else math.pi / 2
     noise = _noise(args)
     pipeline = args.photons is not None
+    if not math.isfinite(end - start):
+        raise UsageError(f"argument --start/--end: end - start overflows to {end - start}")
 
     values = np.linspace(start, end, samples)
     thetas = values if swept == "theta" else np.full(samples, fixed)
@@ -167,15 +169,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         syn = optics.synthesize_ports(states, l=args.l, grid=optics.GridSpec(args.grid))
         m = fringes.measure_rows(syn, noise)
         table = np.column_stack((table, m.visibility, m.predictability, m.sum_of_squares))
-    rows = table.tolist()
 
     args.out.parent.mkdir(parents=True, exist_ok=True)
     csv_path = args.out.with_suffix(".csv")
     json_path = args.out.with_suffix(".json")
-    fringes.write_csv(csv_path, columns, rows)
+    fringes.write_csv(csv_path, columns, table)
     payload = {
         "columns": columns,
-        "rows": rows,
+        "rows": table.tolist(),
         "config": {
             "sweep": swept,
             "fixed": fixed,

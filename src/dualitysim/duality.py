@@ -36,22 +36,22 @@ All closed forms are validated against the amplitude-matrix routines of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import P_MIN, ZeroProbabilityPostselection
-from .qubit import StateParams, _branches, _postselected, _reduced, state_amplitudes
+from .qubit import StateParams, _branches, _postselected, _reduced
 from .qubit import postselect_env, state_vector  # noqa: F401  (names perfbench's tracer wraps)
 
 
-@dataclass(frozen=True)
-class DualityReport:
+class DualityReport(NamedTuple):
     """Visibility/predictability pair for one measurement configuration.
 
     ``probability`` is the postselection probability that produced the
     state (1 for the unconditional and averaged cases, where the whole
-    ensemble is used).  ``label`` names the configuration.
+    ensemble is used).  ``label`` names the configuration.  A report is
+    immutable, hashable and also a tuple of its four fields, in this order.
     """
 
     visibility: float
@@ -84,7 +84,7 @@ def predictability(rho: np.ndarray) -> float:
 
 def unconditional_duality(params: StateParams) -> DualityReport:
     """Measures of the reduced OAM state, environment ignored."""
-    d0, c, d1 = _reduced(*state_amplitudes(params))
+    d0, c, d1 = _reduced(*params.amplitudes)
     return DualityReport(abs(2 * c), abs(d0 - d1), 1.0, "unconditional")
 
 
@@ -95,7 +95,7 @@ def conditional_duality(
 ) -> DualityReport:
     """Measures of the OAM state conditioned on one polarization outcome;
     raises as ``postselect_env`` does, with the same messages."""
-    d0, c, d1, probability = _postselected(*state_amplitudes(params), projector)
+    d0, c, d1, probability = _postselected(*params.amplitudes, projector)
     return DualityReport(abs(2 * c), abs(d0 - d1), probability, label)
 
 
@@ -168,7 +168,7 @@ def averaged_duality(params: StateParams) -> DualityReport:
     already the probability-weighted ones.  A dark branch contributes
     zero, and the averages are total functions of the preparation angles.
     """
-    (h0, hc, h1), (v0, vc, v1) = _branches(*state_amplitudes(params))
+    (h0, hc, h1), (v0, vc, v1) = _branches(*params.amplitudes)
     return DualityReport(abs(2 * hc) + abs(2 * vc), abs(h0 - h1) + abs(v0 - v1), 1.0, "averaged")
 
 

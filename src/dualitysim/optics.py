@@ -52,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ChargeOutOfRange
-from .qubit import StateParams, state_amplitudes
+from .qubit import StateParams
 
 DEFAULT_OAM = 3
 EXTENT = 4.0  # half-width of every camera in beam-waist units
@@ -267,7 +267,7 @@ def synthesize_ports(
         raise ValueError("synthesize_ports needs at least one StateParams")
     phase = np.exp(1j * path_phase)
     flip = math.sqrt(1.0 - flip_impurity**2)
-    states = list(map(state_amplitudes, rows))
+    states = [row.amplitudes for row in rows]
 
     def port(pol: int) -> np.ndarray:
         # Column pol of A[oam, pol] is (upper, lower) = (psi[pol], psi[2 + pol]).
@@ -344,7 +344,7 @@ def calibrated_operating_point(
     v_ideal = v_target / math.sqrt(1.0 - eps**2)
     if not 0.0 < v_ideal < 1.0:
         raise ValueError("targets are outside the reachable range")
-    s = state_amplitudes(StateParams(math.pi, alpha))[3]  # |-l, V> of the lower arm alone
+    s = StateParams(math.pi, alpha).amplitudes[3]  # |-l, V> of the lower arm alone
     if s <= 0.0:
         raise ValueError("alpha must give a nonzero lower-arm V component")
     # V_ideal = 2 t s / (1 + t^2 s^2) for t = tan(theta/2); smaller root
@@ -376,7 +376,9 @@ def write_pgm16(path: str | Path, image: np.ndarray) -> float:
         raise ValueError("PGM export expects a 2-D image")
     peak = float(image.max()) if image.size else 0.0
     scale = peak / 65535.0 if peak > 0 else 1.0
-    levels = np.clip(np.round(image / scale), 0, 65535).astype(">u2")
+    levels = image / scale
+    np.round(levels, out=levels)
+    levels = np.clip(levels, 0, 65535, out=levels).astype(">u2")
     with open(path, "wb") as fh:
         fh.write(b"P5\n")
         fh.write(f"{image.shape[1]} {image.shape[0]}\n".encode())

@@ -18,18 +18,18 @@ amplitudes as Python numbers, since numpy's fixed cost per call on
 2-element arrays outweighs the arithmetic.  It returns (d0, c, d1): the
 diagonal and the entry [1, 0].  The public functions check the 4-vector
 (``amplitude_entries``) and build the 2x2 ndarray from the core's result;
-``duality``'s reports feed it ``state_amplitudes``, unit norm by
-construction, and build none.  ``normalized``, the unit-norm step of
-``projector_from_ket`` and of ``weak``'s profiles, lives here so that this
-bottom layer imports no other.  The independent cross-check is the
-brute-force oracle of the test suite, which builds the full 4x4 density
-matrix term by term and shares no code with this module.
+``duality``'s reports feed it ``StateParams.amplitudes``, unit norm by
+construction and computed once per state, and build none.  ``normalized``,
+the unit-norm step of ``projector_from_ket`` and of ``weak``'s profiles,
+lives here so that this bottom layer imports no other.  The independent
+cross-check is the brute-force oracle of the test suite, which builds the
+full 4x4 density matrix term by term and shares no code with this module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,27 +77,23 @@ class StateParams:
     plate before the interferometer), ``alpha`` the polarization rotation
     inside the lower arm.  Any finite real values are accepted; all
     downstream formulas are 2*pi-periodic in both angles.
+
+    ``amplitudes`` is ``state_vector(self)`` as four Python floats, A[oam, pol] at
+    entry 2 oam + pol; set at construction, it is outside ``repr``, ``==`` and ``hash``.
     """
 
     theta: float
     alpha: float
+    amplitudes: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.theta) and math.isfinite(self.alpha)):
             raise ValueError("theta and alpha must be finite")
-
-
-def state_amplitudes(params: StateParams) -> tuple[float, float, float, float]:
-    """The four real amplitudes of ``state_vector(params)`` as Python floats,
-    in the product-basis order, so A[oam, pol] is entry 2 oam + pol."""
-    half_t = 0.5 * params.theta
-    half_a = 0.5 * params.alpha
-    return (
-        0.0,
-        math.cos(half_t),
-        math.sin(half_t) * math.cos(half_a),
-        math.sin(half_t) * math.sin(half_a),
-    )
+        half_t, half_a = 0.5 * self.theta, 0.5 * self.alpha
+        object.__setattr__(self, "amplitudes", (
+            0.0, math.cos(half_t),
+            math.sin(half_t) * math.cos(half_a), math.sin(half_t) * math.sin(half_a),
+        ))
 
 
 def state_vector(params: StateParams) -> np.ndarray:
@@ -106,7 +102,7 @@ def state_vector(params: StateParams) -> np.ndarray:
     Returns cos(theta/2)|l,V> + sin(theta/2) |-l> (cos(alpha/2)|H> +
     sin(alpha/2)|V>); unit norm by construction for any real angles.
     """
-    return np.array(state_amplitudes(params), dtype=complex)
+    return np.array(params.amplitudes, dtype=complex)
 
 
 def amplitude_entries(state: np.ndarray) -> list[complex]:

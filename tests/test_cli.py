@@ -736,6 +736,10 @@ class TestConfigFile:
         (["sweep", "--grid", "64", "--photons", "nan"], "--photons"),
         (["render", "--theta", "1", "--alpha", "1", "--grid", "64", "--photons", "none"],
          "--photons"),
+        # A pi literal past the largest float, and a finite span that overflows.
+        (["sweep", "--samples", "3", "--end", "6" + "0" * 307 + "pi"], "--end"),
+        (["render", "--theta", "1" + "0" * 309 + "pi", "--alpha", "1"], "--theta"),
+        (["sweep", "--samples", "3", "--start=-1.7e308", "--end", "1.7e308"], "--start/--end"),
     ],
 )
 def test_out_of_range_flag_is_usage_error_naming_the_flag(argv, flag, tmp_path, capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from dualitysim import (
     P_MIN,
+    DualityReport,
     StateParams,
     ZeroProbabilityPostselection,
     averaged_duality,
@@ -93,6 +94,30 @@ class TestQubitMeasures:
         for alpha in (0.0, 1.0, np.pi, 4.0):
             rho = partial_trace_env(state_vector(StateParams(np.pi / 3, alpha)))
             assert predictability(rho) == pytest.approx(0.5, abs=1e-12)
+
+
+class TestDualityReport:
+    def test_rejects_attribute_assignment(self):
+        rep = unconditional_duality(StateParams(1.0, 2.0))
+        for name in ("visibility", "predictability", "probability", "label", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(rep, name, 0.5)
+
+    def test_is_hashable_and_equal_by_fields(self):
+        a = DualityReport(0.5, 0.25, 1.0, "x")
+        assert hash(a) == hash(DualityReport(0.5, 0.25, 1.0, "x"))
+        assert len({a, DualityReport(0.5, 0.25, 1.0, "x"), DualityReport(0.5, 0.25, 1.0, "y")}) == 2
+
+    def test_repr_names_every_field(self):
+        rep = DualityReport(0.5, 0.25, 1.0, "unconditional")
+        assert repr(rep) == ("DualityReport(visibility=0.5, predictability=0.25, "
+                             "probability=1.0, label='unconditional')")
+
+    def test_sum_of_squares_and_tuple_behaviour(self):
+        rep = DualityReport(visibility=0.5, predictability=0.25, probability=0.3, label="p")
+        assert rep.sum_of_squares == 0.5**2 + 0.25**2
+        v, p, prob, label = rep
+        assert (v, p, prob, label) == (0.5, 0.25, 0.3, "p") == rep
 
 
 class TestUnconditional:

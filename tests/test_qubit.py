@@ -1,5 +1,7 @@
 """State algebra: preparation, partial trace, postselection."""
 
+import dataclasses
+import math
 import re
 import warnings
 
@@ -92,6 +94,48 @@ class TestBuildState:
     def test_rejects_non_finite_angles(self):
         with pytest.raises(ValueError):
             StateParams(np.inf, 0.0)
+
+
+def _formula_hex(theta, alpha):
+    """The prepared amplitudes by their formula, as float.hex strings."""
+    s, c = math.sin(0.5 * theta), math.cos(0.5 * theta)
+    values = (0.0, c, s * math.cos(0.5 * alpha), s * math.sin(0.5 * alpha))
+    return [v.hex() for v in values]
+
+
+class TestStateParamsAmplitudes:
+    ANGLES = [0.0, -0.0, np.pi / 2, np.pi, 2 * np.pi, -1.3, 0.3, 4.4, 1e6, -7e15]
+
+    def test_amplitudes_equal_the_formula_bit_for_bit(self):
+        for theta in self.ANGLES:
+            for alpha in self.ANGLES:
+                amplitudes = StateParams(theta, alpha).amplitudes
+                assert all(type(a) is float for a in amplitudes)
+                assert [a.hex() for a in amplitudes] == _formula_hex(theta, alpha)
+
+    def test_replace_recomputes_the_amplitudes(self):
+        params = StateParams(0.4, 1.7)
+        moved = dataclasses.replace(params, theta=2.9)
+        assert [a.hex() for a in moved.amplitudes] == _formula_hex(2.9, 1.7)
+        assert params.amplitudes != moved.amplitudes
+        with pytest.raises(ValueError):
+            dataclasses.replace(params, amplitudes=(0.0, 1.0, 0.0, 0.0))
+
+    def test_amplitudes_stay_out_of_repr_eq_and_hash(self):
+        params = StateParams(1.0, 2.0)
+        assert repr(params) == "StateParams(theta=1.0, alpha=2.0)"
+        twin = StateParams(1.0, 2.0)
+        object.__setattr__(twin, "amplitudes", (0.0, 1.0, 0.0, 0.0))
+        assert twin == params and hash(twin) == hash(params) == hash(StateParams(1.0, 2.0))
+        assert StateParams(1.0, 2.5) != params
+
+    def test_stays_frozen_and_takes_no_amplitudes_argument(self):
+        params = StateParams(1.0, 2.0)
+        for name, value in (("theta", 0.5), ("alpha", 0.5), ("amplitudes", (0.0,) * 4)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(params, name, value)
+        with pytest.raises(TypeError):
+            StateParams(1.0, 2.0, (0.0, 1.0, 0.0, 0.0))
 
 
 class TestPartialTrace:

@@ -198,7 +198,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    noise = _noise(args, photons=1e6 if args.calibrated else math.inf)
+    noise = _noise(args, photons=optics.CALIBRATED_PHOTONS if args.calibrated else math.inf)
     if args.calibrated:
         conflicts = [f"--{name}" for name in ("theta", "alpha", "impurity")
                      if getattr(args, name) is not None]
@@ -279,14 +279,14 @@ def _load_psi(spec: str, n: int) -> np.ndarray:
     """Unit-norm profile of ``--psi``; a bad spec or sample is a usage error."""
     if spec == "uniform":
         return weak.uniform_wavefunction(n)
-    if spec.startswith("gaussian"):
-        match = re.match(r"^gaussian[:(]([^)]+)\)?$", spec)
-        if not match:
+    kind, _, width = spec.partition(":")
+    if kind == "gaussian":
+        if not width:
             raise UsageError("--psi: gaussian profile needs a width, e.g. gaussian:32")
         try:
-            return weak.gaussian_wavefunction(n, float(match.group(1)))
+            return weak.gaussian_wavefunction(n, float(width))
         except ValueError as exc:
-            raise UsageError(f"--psi: gaussian width {match.group(1)!r}: {exc}") from None
+            raise UsageError(f"--psi: gaussian width {width!r}: {exc}") from None
     if spec.startswith("file:"):
         path = Path(spec[5:])
         if not path.exists():
@@ -340,8 +340,7 @@ def cmd_weak(args: argparse.Namespace) -> int:
         fringes.write_csv(Path(f"{out_base}_phi{phi:.6g}.csv"), WEAK_COLUMNS,
                           np.column_stack((np.arange(len(psi)), recon.real, recon.imag, errors)))
 
-    order = (weak.convergence_order(np.array(phis), np.array(max_errors))
-             if len({abs(phi) for phi in phis}) >= 2 else None)
+    order = weak.convergence_order(np.array(phis), np.array(max_errors))
     summary = {
         "psi": args.psi,
         "n": len(psi),

@@ -99,12 +99,20 @@ def conditional_duality(
     return DualityReport(abs(2 * c), abs(d0 - d1), probability, label)
 
 
+def _half_angle_terms(theta, alpha):
+    """(p_H, p_V, |sin(theta) sin(alpha/2)|, cos^2(theta/2) - sin^2(theta/2) sin^2(alpha/2)),
+    the terms of every {H, V} closed form; broadcasts."""
+    theta, alpha = np.asarray(theta, dtype=float), np.asarray(alpha, dtype=float)
+    sin_sq = np.sin(theta / 2) ** 2
+    p_h = sin_sq * np.cos(alpha / 2) ** 2
+    sin_half_alpha, cos_sq = np.sin(alpha / 2), np.cos(theta / 2) ** 2
+    lower_v = sin_sq * sin_half_alpha**2
+    return p_h, cos_sq + lower_v, np.abs(np.sin(theta) * sin_half_alpha), cos_sq - lower_v
+
+
 def postselection_probabilities(theta, alpha):
     """(p_H, p_V) for the {|H><H|, |V><V|} decomposition; broadcasts."""
-    theta = np.asarray(theta, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    p_h = np.sin(theta / 2) ** 2 * np.cos(alpha / 2) ** 2
-    p_v = np.cos(theta / 2) ** 2 + np.sin(theta / 2) ** 2 * np.sin(alpha / 2) ** 2
+    p_h, p_v, _, _ = _half_angle_terms(theta, alpha)
     return p_h, p_v
 
 
@@ -114,10 +122,7 @@ def conditional_visibility_v(theta, alpha):
     Undefined entries (vanishing postselection probability) come back as
     NaN rather than raising, so grid sweeps stay total.
     """
-    theta = np.asarray(theta, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    _, p_v = postselection_probabilities(theta, alpha)
-    num = np.abs(np.sin(theta) * np.sin(alpha / 2))
+    _, p_v, num, _ = _half_angle_terms(theta, alpha)
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(p_v >= P_MIN, num / np.where(p_v > 0, p_v, 1.0), np.nan)
     if out.ndim == 0:
@@ -139,22 +144,18 @@ def closed_form_conditional(params: StateParams) -> tuple[float, float]:
             probability (the denominator of the visibility) is below
             ``P_MIN``.
     """
-    _, p_v = postselection_probabilities(params.theta, params.alpha)
+    _, p_v, num, _ = _half_angle_terms(params.theta, params.alpha)
     if p_v < P_MIN:
         raise ZeroProbabilityPostselection(
             f"vertical postselection probability {p_v:.3e} below {P_MIN:.1e}"
         )
-    return conditional_visibility_v(params.theta, params.alpha), 1.0
+    return float(num / p_v), 1.0
 
 
 def closed_form_averaged(theta, alpha):
     """(V averaged, P averaged) over the {H, V} decomposition; broadcasts."""
-    theta = np.asarray(theta, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    v_bar = np.abs(np.sin(theta) * np.sin(alpha / 2))
-    p_bar = np.sin(theta / 2) ** 2 * np.cos(alpha / 2) ** 2 + np.abs(
-        np.cos(theta / 2) ** 2 - np.sin(theta / 2) ** 2 * np.sin(alpha / 2) ** 2
-    )
+    p_h, _, v_bar, v_diff = _half_angle_terms(theta, alpha)
+    p_bar = p_h + np.abs(v_diff)
     if v_bar.ndim == 0:
         return float(v_bar), float(p_bar)
     return v_bar, p_bar

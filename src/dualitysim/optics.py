@@ -57,6 +57,7 @@ from .qubit import StateParams
 DEFAULT_OAM = 3
 EXTENT = 4.0  # half-width of every camera in beam-waist units
 MAX_OAM = 32  # its ring radius sqrt(|l|/2) = 4 waists still fits the camera's EXTENT
+CALIBRATED_PHOTONS = 1e6  # photon budget of the calibrated_operating_point() images
 # Largest mean numpy's Generator.poisson accepts (its own bound, ~9.22e18).
 POISSON_LAM_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
@@ -324,29 +325,20 @@ def render_image(
     return np.clip(intensity, 0.0, None)
 
 
-def calibrated_operating_point(
-    v_target: float = 0.93,
-    p_target: float = 0.98,
-    alpha: float = 0.85 * math.pi,
-) -> tuple[StateParams, float]:
+def calibrated_operating_point() -> tuple[StateParams, float]:
     """Preparation angles and flip impurity reproducing measured values.
 
     This is a calibration choice, not derived physics: the handedness
     impurity eps is set so the H-port mode powers give predictability
-    1 - 2 eps^2 = ``p_target``, and theta is solved (at the given alpha,
-    taking the faint-H branch) so the fringe visibility
+    1 - 2 eps^2 = 0.98, and theta is solved (at alpha = 0.85 pi, taking
+    the faint-H branch) so the fringe visibility
     2 |p m| / (|p|^2 + |m|^2 + |e|^2) of the V port's amplitudes equals
-    ``v_target``.
+    0.93.  The calibrated point is imaged with ``CALIBRATED_PHOTONS``.
     """
-    if not 0.0 < p_target <= 1.0:
-        raise ValueError("p_target must be in (0, 1]")
+    v_target, p_target, alpha = 0.93, 0.98, 0.85 * math.pi
     eps = math.sqrt((1.0 - p_target) / 2.0)
     v_ideal = v_target / math.sqrt(1.0 - eps**2)
-    if not 0.0 < v_ideal < 1.0:
-        raise ValueError("targets are outside the reachable range")
     s = StateParams(math.pi, alpha).amplitudes[3]  # |-l, V> of the lower arm alone
-    if s <= 0.0:
-        raise ValueError("alpha must give a nonzero lower-arm V component")
     # V_ideal = 2 t s / (1 + t^2 s^2) for t = tan(theta/2); smaller root
     # puts most of the light in the V port (faint H output).
     t = (1.0 - math.sqrt(1.0 - v_ideal**2)) / (v_ideal * s)

@@ -213,13 +213,14 @@ def reconstruct_profile(psi: np.ndarray, phi: float, mode: str = "linearized") -
     return 2.0 * np.conj(s_v) * s_h / ((np.abs(s_h) ** 2 + np.abs(s_v) ** 2) * phi)
 
 
-def convergence_order(phis: np.ndarray, errors: np.ndarray) -> float:
-    """Least-squares slope of log(error) against log|phi|."""
+def convergence_order(phis: np.ndarray, errors: np.ndarray) -> float | None:
+    """Least-squares slope of log(error) against log|phi|; None with fewer than
+    two distinct |phi| or an error of exactly 0.  A negative or NaN error raises."""
     phis = np.abs(np.asarray(phis, dtype=float))
     errors = np.asarray(errors, dtype=float)
-    if len(set(phis.tolist())) < 2:
-        raise ValueError("need at least two distinct coupling magnitudes |phi|")
-    if np.any(errors <= 0):
-        raise ValueError("errors must be positive to measure an order")
+    if not np.all(errors >= 0):
+        raise ValueError("errors must be nonnegative to measure an order")
+    if len(set(phis.tolist())) < 2 or np.any(errors == 0):
+        return None
     slope, _ = np.polyfit(np.log(phis), np.log(errors), 1)
     return float(slope)

@@ -505,6 +505,9 @@ class TestWeakCommand:
         ("file:0.1 0\n0.2 -inf\n", ":2:"),
         ("file:0 0\n0 0\n", "zero wavefunction"),
         ("gaussian", "needs a width"),
+        ("gaussian(32)", "'gaussian(32)'"),
+        ("gaussian(32", "'gaussian(32'"),
+        ("gaussian:32)", "'32)'"),
         ("triangle:3", "'triangle:3'"),
         ("file:0.1 0\n", "need at least two samples"),
         ("file:0.1 0 0\n0.2 0\n", ":1: expected two columns"),
@@ -522,6 +525,12 @@ class TestWeakCommand:
         err = capsys.readouterr().err
         assert "--psi" in err and named in err
         assert not list(tmp_path.glob("w*"))
+
+    def test_missing_file_is_a_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "absent.txt"
+        assert main(["weak", "--psi", f"file:{missing}", "--out", str(tmp_path / "w")]) == 1
+        assert f"{missing} does not exist" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_odd_parity_file_is_a_runtime_error(self, tmp_path, capsys):
         # psi0 = 0: the postselection error, with no numpy warning before it.
@@ -558,6 +567,15 @@ class TestWeakCommand:
             assert order == pytest.approx(2.0, abs=0.2)
         else:
             assert order is None
+
+    @pytest.mark.parametrize("phis", ["1e-10,2e-10", "1e-200,1e-100"])
+    def test_scan_exact_to_the_last_bit_has_no_order(self, phis, tmp_path):
+        # A uniform profile's reconstruction is exact here: both max errors are 0.
+        assert main(["weak", "--psi", "uniform", "--n", "4", "--phi", phis,
+                     "--out", str(tmp_path / "w")]) == 0
+        summary = json.loads((tmp_path / "w_summary.json").read_text())
+        assert set(summary["max_abs_error"].values()) == {0.0}
+        assert summary["convergence_order"] is None
 
     @pytest.mark.parametrize("flag", ["--grid", "--seed", "--photons",
                                       "--readout-sigma", "--l"])
@@ -740,6 +758,7 @@ class TestConfigFile:
         (["sweep", "--samples", "3", "--end", "6" + "0" * 307 + "pi"], "--end"),
         (["render", "--theta", "1" + "0" * 309 + "pi", "--alpha", "1"], "--theta"),
         (["sweep", "--samples", "3", "--start=-1.7e308", "--end", "1.7e308"], "--start/--end"),
+        (["weak", "--phi", ","], "--phi"),  # need at least one angle
     ],
 )
 def test_out_of_range_flag_is_usage_error_naming_the_flag(argv, flag, tmp_path, capsys):

@@ -112,6 +112,10 @@ class TestAzimuthalProfile:
             # A 2-pixel-radius circle cannot populate 3-degree windows.
             azimuthal_profile(image, (31.5, 31.5), 1.0, 2.0, window_degrees=3.0)
 
+    def test_one_dimensional_image_raises(self):
+        with pytest.raises(ValueError, match="2-D intensity image"):
+            azimuthal_profile(np.ones(64), (31.5, 31.5), 8, 30)
+
     def test_invalid_radii(self):
         image = np.ones((64, 64))
         with pytest.raises(ValueError):

@@ -323,11 +323,11 @@ class TestRenderImage:
 
 class TestCalibration:
     def test_impurity_sets_predictability(self):
-        _, eps = calibrated_operating_point(p_target=0.98)
+        _, eps = calibrated_operating_point()
         assert 1.0 - 2.0 * eps**2 == pytest.approx(0.98, abs=1e-12)
 
     def test_visibility_target_honored(self):
-        params, eps = calibrated_operating_point(v_target=0.93)
+        params, eps = calibrated_operating_point()
         a = np.cos(params.theta / 2)
         c = np.sin(params.theta / 2) * np.sin(params.alpha / 2)
         v = 2 * a * c * np.sqrt(1 - eps**2) / (a**2 + c**2)
@@ -361,6 +361,12 @@ class TestExports:
         assert magic == b"P5" and maxval == b"65535"
         levels = np.frombuffer(rest, dtype=">u2").reshape(4, 5)
         np.testing.assert_allclose(levels * scale, image, atol=scale)
+
+    @pytest.mark.parametrize("writer,name", [(write_pfm, "PFM"), (write_pgm16, "PGM")])
+    def test_one_dimensional_image_is_rejected(self, writer, name, tmp_path):
+        with pytest.raises(ValueError, match=f"{name} export expects a 2-D image"):
+            writer(tmp_path / "img", np.ones(8))
+        assert not (tmp_path / "img").exists()
 
     def test_metadata_sidecar(self, tmp_path):
         path = tmp_path / "meta.json"

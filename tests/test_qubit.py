@@ -237,6 +237,10 @@ class TestProjectors:
         with pytest.raises(ValueError):
             projector_from_ket(np.zeros(2))
 
+    def test_rejects_three_vector(self):
+        with pytest.raises(ValueError, match=r"must be a 2-vector, got \(3,\)"):
+            projector_from_ket(np.ones(3))
+
     def test_ordinary_ket_keeps_the_plain_normalization_bits(self):
         rng = np.random.default_rng(21)
         for ket in rng.standard_normal((200, 2)) + 1j * rng.standard_normal((200, 2)):

@@ -1,5 +1,6 @@
 """Sliver coupling, zero-momentum postselection, weak-value recovery."""
 
+import math
 import warnings
 
 import numpy as np
@@ -247,4 +248,17 @@ class TestConvergenceOrder:
 
     def test_rejects_nonpositive_errors(self):
         with pytest.raises(ValueError):
-            convergence_order(np.array([0.1, 0.05]), np.array([0.0, 1.0]))
+            convergence_order(np.array([0.1, 0.05]), np.array([-1e-3, 1.0]))
+
+    def test_rejects_nan_error(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            convergence_order(np.array([0.1, 0.05]), np.array([math.nan, 1.0]))
+
+    @pytest.mark.parametrize("phis,errors", [
+        ([0.1, 0.05], [0.0, 1.0]),  # an error exact to the last bit
+        ([0.1, 0.05], [0.0, 0.0]),
+        ([0.1], [1.0]),  # fewer than two distinct |phi|
+        ([0.1, -0.1], [1.0, 1.0]),
+    ])
+    def test_no_order_is_none(self, phis, errors):
+        assert convergence_order(np.array(phis), np.array(errors)) is None

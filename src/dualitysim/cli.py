@@ -1,5 +1,8 @@
 """Command-line driver: parameter sweeps, image synthesis, pointer scans.
 
+Each subcommand only parses its flags, gets its result from the library
+(``duality.sweep_columns``, ``fringes.port_report``, ``weak.scan``) and writes it.
+
 Subcommands
 -----------
 sweep   Tabulate conditional and averaged duality measures along a theta
@@ -42,8 +45,6 @@ _ANGLE_RE = re.compile(
     re.IGNORECASE,
 )
 
-SWEEP_COLUMNS = ["theta", "alpha", "V_cond_V", "P_cond_H", "sum_cond_squares",
-                 "V_avg", "P_avg", "sum_avg_squares", "p_H", "p_V"]
 MEASURED_COLUMNS = ["V_cond_V_measured", "P_cond_H_measured", "sum_cond_squares_measured"]
 WEAK_COLUMNS = ["x", "re_psi_ratio", "im_psi_ratio", "abs_error_vs_truth"]
 # Parsed names that no --config file may set: every other flag can.
@@ -155,14 +156,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     thetas = values if swept == "theta" else np.full(samples, fixed)
     alphas = values if swept == "alpha" else np.full(samples, fixed)
 
-    v_cond, p_cond = duality.conditional_visibility_v(thetas, alphas), np.ones(samples)
-    v_avg, p_avg = duality.closed_form_averaged(thetas, alphas)
-    sum_avg = duality.averaged_sum_of_squares(thetas, alphas)
-    p_h, p_v = duality.postselection_probabilities(thetas, alphas)
-    table = np.column_stack((thetas, alphas, v_cond, p_cond, v_cond**2 + p_cond**2, v_avg, p_avg,
-                             sum_avg, p_h, p_v))
-
-    columns = list(SWEEP_COLUMNS)
+    table = duality.sweep_columns(thetas, alphas)
+    columns = list(duality.SWEEP_COLUMNS)
     if pipeline:
         columns += MEASURED_COLUMNS
         states = [StateParams(*angles) for angles in zip(thetas.tolist(), alphas.tolist())]
@@ -214,14 +209,10 @@ def cmd_render(args: argparse.Namespace) -> int:
     l, path_phase, out_dir = args.l, args.path_phase, args.out
 
     grid = optics.GridSpec(args.grid)
-    syn = optics.synthesize_ports(
-        params, l=l, grid=grid, path_phase=path_phase, flip_impurity=impurity
-    )
+    syn = optics.synthesize_ports(params, l=l, grid=grid, path_phase=path_phase,
+                                  flip_impurity=impurity)
     m = fringes.measure_rows(syn, noise)
-    visibility, uncertainty, predictability, sum_squares = (
-        float(x[0]) for x in (m.visibility, m.uncertainty, m.predictability, m.sum_of_squares)
-    )
-    v_analytic, p_analytic = (float(value[0]) for value in fringes.analytic_ports(syn))
+    report = fringes.port_report(m, syn)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     for port, image, profile in (
@@ -241,37 +232,14 @@ def cmd_render(args: argparse.Namespace) -> int:
         "grid": args.grid,
         **noise.record,
     }
-    fringes.analysis_report_json(
-        out_dir / "report.json",
-        visibility=visibility,
-        uncertainty=uncertainty,
-        predictability=predictability,
-        params=params_info,
-        extra={
-            "V_measured": visibility,
-            "P_measured": predictability,
-            "sum_squares": sum_squares,
-            "V_analytic": v_analytic,
-            "P_analytic": p_analytic,
-            "sum_squares_analytic": v_analytic**2 + p_analytic**2,
-            "petal_count": m.petal_count(0),
-        },
-    )
-    optics.write_metadata(
-        out_dir / "metadata.json",
-        params,
-        l,
-        grid,
-        noise,
-        extra={"flip_impurity": impurity, "path_phase": path_phase},
-    )
+    fringes.analysis_report_json(out_dir / "report.json", report, params_info)
+    optics.write_metadata(out_dir / "metadata.json", params, l, grid, noise,
+                          extra={"flip_impurity": impurity, "path_phase": path_phase})
     if args.json:
         print((out_dir / "report.json").read_text(), end="")
     else:
-        print(
-            f"wrote images and report to {out_dir} "
-            f"(V={visibility:.4f}, P={predictability:.4f})"
-        )
+        print(f"wrote images and report to {out_dir} "
+              f"(V={report['visibility']:.4f}, P={report['predictability']:.4f})")
     return 0
 
 
@@ -329,24 +297,18 @@ def cmd_weak(args: argparse.Namespace) -> int:
                              f"{out_base}_phi{name}.csv")
         names[name] = phi
     psi = _load_psi(args.psi, args.n)
-    truth = weak.true_ratio(psi)
+    result = weak.scan(psi, phis, args.mode)
 
     out_base.parent.mkdir(parents=True, exist_ok=True)
-    max_errors = []
-    for phi in phis:
-        recon = weak.reconstruct_profile(psi, phi, mode=args.mode)
-        errors = np.abs(recon - truth)
-        max_errors.append(float(errors.max()))
-        fringes.write_csv(Path(f"{out_base}_phi{phi:.6g}.csv"), WEAK_COLUMNS,
+    for name, recon, errors in zip(names, result.reconstructions, result.errors):
+        fringes.write_csv(Path(f"{out_base}_phi{name}.csv"), WEAK_COLUMNS,
                           np.column_stack((np.arange(len(psi)), recon.real, recon.imag, errors)))
-
-    order = weak.convergence_order(np.array(phis), np.array(max_errors))
     summary = {
         "psi": args.psi,
         "n": len(psi),
         "mode": args.mode,
-        "max_abs_error": {f"{phi:.6g}": err for phi, err in zip(phis, max_errors)},
-        "convergence_order": order,
+        "max_abs_error": dict(zip(names, result.max_errors)),
+        "convergence_order": result.order,
     }
     _write_json(Path(f"{out_base}_summary.json"), summary)
     if args.json:

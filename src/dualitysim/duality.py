@@ -173,7 +173,15 @@ def averaged_duality(params: StateParams) -> DualityReport:
     return DualityReport(abs(2 * hc) + abs(2 * vc), abs(h0 - h1) + abs(v0 - v1), 1.0, "averaged")
 
 
-def averaged_sum_of_squares(theta, alpha):
-    """V averaged^2 + P averaged^2 in closed form; broadcasts."""
-    v_bar, p_bar = closed_form_averaged(theta, alpha)
-    return v_bar**2 + p_bar**2
+SWEEP_COLUMNS = ["theta", "alpha", "V_cond_V", "P_cond_H", "sum_cond_squares",
+                 "V_avg", "P_avg", "sum_avg_squares", "p_H", "p_V"]
+
+
+def sweep_columns(thetas: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """The closed-form sweep table: one row per (theta, alpha) pair of the two
+    1-D arrays, one column per name of ``SWEEP_COLUMNS``."""
+    v_cond, p_cond = conditional_visibility_v(thetas, alphas), np.ones(len(thetas))
+    v_avg, p_avg = closed_form_averaged(thetas, alphas)
+    p_h, p_v = postselection_probabilities(thetas, alphas)
+    return np.column_stack((thetas, alphas, v_cond, p_cond, v_cond**2 + p_cond**2, v_avg, p_avg,
+                            v_avg**2 + p_avg**2, p_h, p_v))

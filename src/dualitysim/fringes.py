@@ -517,22 +517,21 @@ def profile_to_csv(profile: AzimuthalProfile, path: str | Path) -> None:
               np.column_stack((profile.angles_deg, profile.values, profile.stderr)))
 
 
-def analysis_report_json(
-    path: str | Path,
-    visibility: float,
-    uncertainty: float,
-    predictability: float,
-    params: dict,
-    extra: dict | None = None,
-) -> None:
-    """JSON analysis report with the documented keys."""
-    report = {
-        "visibility": visibility,
-        "uncertainty": uncertainty,
-        "predictability": predictability,
-        "method": "fit",
-        "params": params,
-    }
-    if extra:
-        report.update(extra)
-    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+def port_report(rows: PortRows, synthesis: PortSynthesis) -> dict:
+    """The measured and analytic keys of ``report.json`` for row 0 of ``rows``,
+    measured from ``synthesis``."""
+    measured = (rows.visibility, rows.uncertainty, rows.predictability, rows.sum_of_squares)
+    visibility, uncertainty, predictability, sum_squares = (float(x[0]) for x in measured)
+    v_analytic, p_analytic = (float(value[0]) for value in analytic_ports(synthesis))
+    return {"visibility": visibility, "uncertainty": uncertainty,
+            "predictability": predictability, "method": "fit",
+            "V_measured": visibility, "P_measured": predictability, "sum_squares": sum_squares,
+            "V_analytic": v_analytic, "P_analytic": p_analytic,
+            "sum_squares_analytic": v_analytic**2 + p_analytic**2,
+            "petal_count": rows.petal_count(0)}
+
+
+def analysis_report_json(path: str | Path, report: dict, params: dict) -> None:
+    """``report`` and its ``params`` as indented JSON with sorted keys."""
+    Path(path).write_text(json.dumps({**report, "params": params}, indent=2, sort_keys=True)
+                          + "\n")

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +38,11 @@ from .qubit import normalized
 
 WEAKNESS_WARN_THRESHOLD = 0.1
 """Warn when the pointer deflection |(phi/2) psi(x0)/psi0| exceeds this."""
+
+ROUNDOFF_EPS = 8
+"""A max error within this many eps of max|psi/psi0| is round-off: about eight rounded
+operations lie between psi and a scan's error, and profiles scanned at phi <= 1e-8 err
+by at most 2.5 eps of it."""
 
 
 def grid_positions(n: int) -> np.ndarray:
@@ -213,14 +219,36 @@ def reconstruct_profile(psi: np.ndarray, phi: float, mode: str = "linearized") -
     return 2.0 * np.conj(s_v) * s_h / ((np.abs(s_h) ** 2 + np.abs(s_v) ** 2) * phi)
 
 
-def convergence_order(phis: np.ndarray, errors: np.ndarray) -> float | None:
+def convergence_order(phis: np.ndarray, errors: np.ndarray, floor: float = 0.0) -> float | None:
     """Least-squares slope of log(error) against log|phi|; None with fewer than
-    two distinct |phi| or an error of exactly 0.  A negative or NaN error raises."""
+    two distinct |phi| or an error at or below the round-off ``floor`` (by
+    default an error of exactly 0).  A negative or NaN error raises."""
     phis = np.abs(np.asarray(phis, dtype=float))
     errors = np.asarray(errors, dtype=float)
     if not np.all(errors >= 0):
         raise ValueError("errors must be nonnegative to measure an order")
-    if len(set(phis.tolist())) < 2 or np.any(errors == 0):
+    if len(set(phis.tolist())) < 2 or np.any(errors <= floor):
         return None
     slope, _ = np.polyfit(np.log(phis), np.log(errors), 1)
     return float(slope)
+
+
+class Scan(NamedTuple):
+    """Per phi, the reconstruction of psi/psi0, its absolute error against ``true_ratio``
+    and that error's maximum; ``order`` fits the maxima above the ``ROUNDOFF_EPS`` floor."""
+
+    reconstructions: list[np.ndarray]
+    errors: list[np.ndarray]
+    max_errors: list[float]
+    order: float | None
+
+
+def scan(psi: np.ndarray, phis: list[float], mode: str = "linearized") -> Scan:
+    """``reconstruct_profile`` of ``psi`` at each phi, checked against ``true_ratio``."""
+    truth = true_ratio(psi)
+    reconstructions = [reconstruct_profile(psi, phi, mode=mode) for phi in phis]
+    errors = [np.abs(recon - truth) for recon in reconstructions]
+    max_errors = [float(error.max()) for error in errors]
+    floor = ROUNDOFF_EPS * np.finfo(float).eps * float(np.abs(truth).max())
+    return Scan(reconstructions, errors, max_errors,
+                convergence_order(np.array(phis), np.array(max_errors), floor))

@@ -34,7 +34,7 @@ from dualitysim import (
     visibility,
 )
 from dualitysim.cli import main
-from dualitysim.duality import averaged_sum_of_squares, conditional_visibility_v
+from dualitysim.duality import SWEEP_COLUMNS, conditional_visibility_v, sweep_columns
 from dualitysim.fringes import fringe_visibility, port_profile
 from dualitysim.optics import GridSpec, render_image, synthesize_ports
 from dualitysim.weak import (
@@ -177,7 +177,8 @@ def test_criterion_05_theta_sweep_peak(tmp_path):
     start = time.perf_counter()
     thetas = np.linspace(0.0, 2 * np.pi, 181)
     cond = conditional_visibility_v(thetas, alpha) ** 2 + 1.0
-    avg = averaged_sum_of_squares(thetas, np.full_like(thetas, alpha))
+    table = sweep_columns(thetas, np.full_like(thetas, alpha))
+    avg = table[:, SWEEP_COLUMNS.index("sum_avg_squares")]
     analytic_time = time.perf_counter() - start
 
     step = thetas[1] - thetas[0]

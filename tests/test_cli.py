@@ -445,9 +445,12 @@ class TestWeakCommand:
         np.testing.assert_allclose(rows[:, 2], 0.0, atol=1e-12)
 
     def test_zero_phi_exits_with_runtime_error(self, tmp_path):
-        code = main(["weak", "--psi", "gaussian:32", "--phi", "0",
-                     "--out", str(tmp_path / "weak2")])
-        assert code == 2
+        # A scan that fails writes no file, also for a phi before the zero one.
+        for phis in ("0", "0.1,0"):
+            code = main(["weak", "--psi", "gaussian:32", "--phi", phis,
+                         "--out", str(tmp_path / "weak2")])
+            assert code == 2
+            assert not list(tmp_path.iterdir())
 
     def test_convergence_ratio_about_four(self, tmp_path):
         out = tmp_path / "weak3"
@@ -567,6 +570,15 @@ class TestWeakCommand:
             assert order == pytest.approx(2.0, abs=0.2)
         else:
             assert order is None
+
+    @pytest.mark.parametrize("phis,order", [
+        ("1e-9,2e-9", None),  # both max errors 2.78e-17, under eps max|psi/psi0|
+        ("1e-6,2e-6", pytest.approx(1.97, abs=0.01)),  # 7.2e-16 and 2.8e-15
+    ])
+    def test_roundoff_errors_have_no_order(self, phis, order, tmp_path):
+        assert main(["weak", "--phi", phis, "--out", str(tmp_path / "w")]) == 0
+        summary = json.loads((tmp_path / "w_summary.json").read_text())
+        assert summary["convergence_order"] == order
 
     @pytest.mark.parametrize("phis", ["1e-10,2e-10", "1e-200,1e-100"])
     def test_scan_exact_to_the_last_bit_has_no_order(self, phis, tmp_path):

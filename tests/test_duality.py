@@ -27,9 +27,10 @@ from dualitysim import (
     visibility,
 )
 from dualitysim.duality import (
-    averaged_sum_of_squares,
+    SWEEP_COLUMNS,
     conditional_visibility_v,
     postselection_probabilities,
+    sweep_columns,
 )
 from dualitysim.qubit import basis_branches
 
@@ -266,9 +267,8 @@ class TestAveraged:
                 assert abs(rep.predictability - p_bar) < 1e-10
 
     def test_bound_on_grid(self):
-        thetas, alphas = np.meshgrid(GRID, GRID)
-        sums = averaged_sum_of_squares(thetas, alphas)
-        assert np.all(sums <= 1.0 + 1e-9)
+        v_bar, p_bar = closed_form_averaged(*np.meshgrid(GRID, GRID))
+        assert np.all(v_bar**2 + p_bar**2 <= 1.0 + 1e-9)
 
     def test_no_violation_at_near_optimal_point(self):
         rep = averaged_duality(StateParams(np.pi - np.pi / 12, np.pi / 12))
@@ -340,3 +340,22 @@ class TestVectorizedHelpers:
 
     def test_degenerate_point_maps_to_nan(self):
         assert np.isnan(conditional_visibility_v(np.pi, 0.0))
+
+
+class TestSweepColumns:
+    @settings(derandomize=True, deadline=None, database=None)
+    @given(st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+                    min_size=1, max_size=8))
+    def test_rows_are_the_scalar_closed_forms(self, angles):
+        thetas, alphas = (np.array(column) for column in zip(*angles))
+        table = sweep_columns(thetas, alphas)
+        assert table.shape == (len(angles), len(SWEEP_COLUMNS))
+        for row, (theta, alpha) in zip(table, angles):
+            p_h, p_v = postselection_probabilities(theta, alpha)
+            if p_v < P_MIN:
+                v_cond, p_cond = np.nan, 1.0
+            else:
+                v_cond, p_cond = closed_form_conditional(StateParams(theta, alpha))
+            v_avg, p_avg = closed_form_averaged(theta, alpha)
+            assert _hex(*row) == _hex(theta, alpha, v_cond, p_cond, v_cond**2 + p_cond**2,
+                                      v_avg, p_avg, v_avg**2 + p_avg**2, p_h, p_v)

@@ -37,6 +37,7 @@ from dualitysim.fringes import (
     fit_operator,
     measure_rows,
     port_profile,
+    port_report,
     profile_to_csv,
     write_csv,
 )
@@ -541,12 +542,9 @@ class TestExports:
         import json
 
         path = tmp_path / "report.json"
-        analysis_report_json(
-            path,
-            visibility=0.9,
-            uncertainty=0.01,
-            predictability=1.0,
-            params={"theta": 1.0},
-        )
+        syn = synthesize_ports(StateParams(1.0, 0.5), 3, GRID)
+        analysis_report_json(path, port_report(measure_rows(syn, NoiseModel()), syn),
+                             params={"theta": 1.0})
         report = json.loads(path.read_text())
         assert set(report) >= {"visibility", "uncertainty", "predictability", "method", "params"}
+        assert report["params"] == {"theta": 1.0}

@@ -24,6 +24,7 @@ from dualitysim.weak import (
     grid_positions,
     normalized,
     pointer_sigma_expectations,
+    scan,
     zero_frequency_amplitude,
 )
 
@@ -262,3 +263,37 @@ class TestConvergenceOrder:
     ])
     def test_no_order_is_none(self, phis, errors):
         assert convergence_order(np.array(phis), np.array(errors)) is None
+
+    def test_errors_at_or_below_the_floor_have_no_order(self):
+        phis = np.array([0.2, 0.1])
+        errors = np.array([4e-17, 1e-17])
+        assert convergence_order(phis, errors, floor=1e-17) is None
+        assert convergence_order(phis, errors, floor=0.9e-17) == pytest.approx(2.0)
+
+
+class TestScan:
+    @pytest.mark.parametrize("mode", ["linearized", "exact"])
+    def test_scan_is_the_reconstruction_per_phi(self, mode):
+        x = grid_positions(128)
+        psi = normalized(np.exp(-(x**2) / 800.0) * np.exp(0.05j * x))
+        phis = [0.2, -0.05, 0.01]
+        result = scan(psi, phis, mode)
+        truth = true_ratio(psi)
+        for phi, recon, error, worst in zip(phis, *result[:3]):
+            expected = reconstruct_profile(psi, phi, mode=mode)
+            assert recon.tobytes() == expected.tobytes()
+            assert error.tobytes() == np.abs(expected - truth).tobytes()
+            assert worst == float(error.max())
+        assert result.order == convergence_order(np.array(phis), np.array(result.max_errors))
+
+    # gaussian:32 on 256 points has eps max|psi/psi0| = 3.15e-17.  At 1e-9 both max
+    # errors are 2.78e-17 and at 1e-7 they are 2.78e-17 and 5.55e-17: round-off,
+    # with no order.  At 1e-6 they are 7.2e-16 and 2.8e-15, a real order.
+    @pytest.mark.parametrize("phis,order", [
+        ([1e-9, 2e-9], None),
+        ([1e-7, 2e-7], None),
+        ([1e-6, 2e-6], pytest.approx(2.0, abs=0.05)),
+    ])
+    def test_roundoff_errors_have_no_order(self, phis, order):
+        result = scan(gaussian_wavefunction(256, 32.0), phis)
+        assert result.order == order

@@ -257,8 +257,8 @@ def _load_psi(spec: str, n: int) -> np.ndarray:
             raise UsageError(f"--psi: gaussian width {width!r}: {exc}") from None
     if spec.startswith("file:"):
         path = Path(spec[5:])
-        if not path.exists():
-            raise UsageError(f"--psi: wavefunction file {path} does not exist")
+        if not path.is_file():
+            raise UsageError(f"--psi: wavefunction file {path} does not exist or is not a file")
         values = []
         for lineno, line in enumerate(path.read_text().splitlines(), start=1):
             stripped = line.strip()

@@ -144,12 +144,12 @@ def closed_form_conditional(params: StateParams) -> tuple[float, float]:
             probability (the denominator of the visibility) is below
             ``P_MIN``.
     """
-    _, p_v, num, _ = _half_angle_terms(params.theta, params.alpha)
-    if p_v < P_MIN:
-        raise ZeroProbabilityPostselection(
-            f"vertical postselection probability {p_v:.3e} below {P_MIN:.1e}"
-        )
-    return float(num / p_v), 1.0
+    visibility = conditional_visibility_v(params.theta, params.alpha)
+    if np.isnan(visibility):
+        p_v = postselection_probabilities(params.theta, params.alpha)[1]
+        message = f"vertical postselection probability {p_v:.3e} below {P_MIN:.1e}"
+        raise ZeroProbabilityPostselection(message)
+    return visibility, 1.0
 
 
 def closed_form_averaged(theta, alpha):

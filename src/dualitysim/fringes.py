@@ -23,7 +23,7 @@ import json
 import math
 from collections.abc import Callable
 from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -421,13 +421,12 @@ def measure_rows(synthesis: PortSynthesis, noise: NoiseModel, first_row: int = 0
     """Measure V and P on the two ports of each row of ``synthesis`` through
     the camera ``noise``.
 
-    Row k is seeded as row ``first_row + k``: its frame ``port`` (0 V, 1 H,
-    2 H +l, 3 H -l) is rendered with ``noise`` reseeded from
-    ``SeedSequence(noise.seed, spawn_key=(first_row + k, port))``.  For an ``exact`` noise model the
-    profiles are one stacked product of the port weights with the cached
-    mode moments, and a frame is rendered only when read; otherwise each
-    row's V and H frames are rendered and binned in turn, and only the last
-    row's stay cached.
+    Row k is seeded as row ``first_row + k``: frame ``port`` (0 V, 1 H, 2 H +l,
+    3 H -l) is ``render_image`` of ``noise`` with the key (first_row + k, port).
+    For an ``exact`` noise model the profiles are one stacked product of the
+    port weights with the cached mode moments, and a frame is rendered only
+    when read; otherwise each row's V and H frames are rendered and binned in
+    turn, and only the last row's stay cached.
 
     V is fitted on the V-port profiles.  P comes from the H-port profile of a row
     whose H port has one nonzero component, and otherwise from the H port's +l and
@@ -439,8 +438,7 @@ def measure_rows(synthesis: PortSynthesis, noise: NoiseModel, first_row: int = 0
     h = synthesis.amplitudes["h"]
 
     def render(fields: list[np.ndarray], k: int, port: int) -> np.ndarray:
-        seeds = np.random.SeedSequence(noise.seed, spawn_key=(first_row + k, port))
-        return optics.render_image(fields, replace(noise, seed=seeds))
+        return optics.render_image(fields, noise, (first_row + k, port))
 
     # The H port's terms (two at most in the H/V basis) are kept for its +l and -l frames.
     @lru_cache(maxsize=2)

@@ -73,8 +73,8 @@ class GridSpec:
     size: int = 512
 
     def __post_init__(self) -> None:
-        if self.size < 16:
-            raise ValueError("grid must be at least 16x16 pixels")
+        if not isinstance(self.size, int | np.integer) or self.size < 16:
+            raise ValueError(f"grid size {self.size!r} must be an integer, at least 16x16 pixels")
 
     @property
     def beam_center(self) -> tuple[float, float]:
@@ -104,16 +104,18 @@ class NoiseModel:
     ``readout_sigma``, the standard deviation of the additive readout noise,
     is in photon counts below the ``POISSON_LAM_MAX`` ceiling, so a nonzero
     one needs a finite budget; negative pixel values are clamped to zero.
-    ``seed`` is anything ``numpy.random.default_rng`` accepts; identical
-    seed and inputs give bit-identical images.  ``record`` is the model as
-    JSON writes it, with a ``null`` budget for an exact model.
+    ``seed`` is a nonnegative integer; ``render_image`` draws each frame from it
+    and a frame key, so equal seeds, keys and inputs give bit-identical images.
+    ``record`` is the model as JSON writes it: an exact model's budget is null.
     """
 
     photon_budget: float = math.inf
     readout_sigma: float = 0.0
-    seed: int | np.random.SeedSequence = 0
+    seed: int = 0
 
     def __post_init__(self) -> None:
+        if type(self.seed) is bool or not isinstance(self.seed, int | np.integer) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         if not self.photon_budget >= 0:
             raise ValueError("photon_budget must be >= 0")
         if not 0.0 <= self.readout_sigma < POISSON_LAM_MAX:
@@ -133,6 +135,8 @@ class NoiseModel:
 
 
 def _check_charge(l: int) -> None:
+    if not isinstance(l, int | np.integer):
+        raise ValueError(f"OAM charge must be an integer, got {l!r}")
     if abs(l) > MAX_OAM:
         raise ChargeOutOfRange(
             f"OAM charge {l} is outside the supported range |l| <= optics.MAX_OAM = {MAX_OAM}"
@@ -166,9 +170,9 @@ def _mode_data(l: int, grid: GridSpec) -> np.ndarray:
 def oam_mode(l: int, grid: GridSpec = GridSpec()) -> np.ndarray:
     """Unit-power vortex mode of charge ``l`` (Gaussian for l = 0) on ``grid``.
 
-    Raises ``ChargeOutOfRange`` for |l| > ``MAX_OAM``.
+    Raises ``ChargeOutOfRange`` for |l| > ``MAX_OAM`` and ``ValueError`` for a non-integer l.
     """
-    return _mode_data(int(l), grid).copy()
+    return _mode_data(l, grid).copy()
 
 
 def _per_float(fn: Callable, *arrays: np.ndarray) -> np.ndarray:
@@ -283,6 +287,7 @@ def synthesize_ports(
 def render_image(
     fields: np.ndarray | list[np.ndarray],
     noise: NoiseModel = NoiseModel(),
+    key: tuple[int, ...] = (),
 ) -> np.ndarray:
     """Camera intensity image of one or more mutually incoherent fields.
 
@@ -292,7 +297,8 @@ def render_image(
     array already, as the port fields of ``synthesize_ports`` are.
 
     An ``exact`` noise model returns the summed |amplitude|^2.  Otherwise
-    one generator seeded from ``noise.seed`` draws, in this order, the
+    one generator seeded from ``SeedSequence(noise.seed, spawn_key=key)`` (for
+    the default key, ``default_rng(noise.seed)``'s stream) draws, in this order, the
     shot noise of the finite photon budget (the intensity scaled to expected
     counts, budget x power, and Poisson-sampled per pixel) and the readout
     noise, and the frame is clamped at zero.  A budget that puts more
@@ -318,7 +324,7 @@ def render_image(
             f"photon budget {noise.photon_budget:g} puts {peak:.3g} expected counts "
             f"in one pixel, above the Poisson sampler's limit of {POISSON_LAM_MAX:.3g}"
         )
-    rng = np.random.default_rng(noise.seed)
+    rng = np.random.default_rng(np.random.SeedSequence(noise.seed, spawn_key=key))
     intensity = rng.poisson(expected_counts).astype(float)
     if noise.readout_sigma > 0.0:
         intensity += rng.normal(0.0, noise.readout_sigma, intensity.shape)

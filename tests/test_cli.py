@@ -535,6 +535,15 @@ class TestWeakCommand:
         assert f"{missing} does not exist" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("name", ["", ".", "sub"])
+    def test_directory_is_a_usage_error(self, name, tmp_path, capsys, monkeypatch):
+        # "file:" names the working directory; no directory is a wavefunction file.
+        (tmp_path / "sub").mkdir()
+        monkeypatch.chdir(tmp_path)
+        assert main(["weak", "--psi", f"file:{name}", "--out", "w"]) == 1
+        assert "--psi: wavefunction file" in capsys.readouterr().err
+        assert not list(tmp_path.glob("w*"))
+
     def test_odd_parity_file_is_a_runtime_error(self, tmp_path, capsys):
         # psi0 = 0: the postselection error, with no numpy warning before it.
         samples = tmp_path / "psi.txt"

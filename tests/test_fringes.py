@@ -261,6 +261,29 @@ class TestMeasurePorts:
                 warnings.simplefilter("error")
                 assert measure_rows(syn, noise).predictability[0] == 1.0
 
+    def test_noisy_frames_are_rendered_with_their_row_and_port_key(self, monkeypatch):
+        # Frame (k, port) of rows measured from first_row is render_image's
+        # frame keyed (first_row + k, port), and the impure H port's +l and
+        # -l frames are keyed with ports 2 and 3.
+        grid = GridSpec(64)
+        syn = synthesize_ports([StateParams(1.0, 0.7), StateParams(2.0, 0.4)], grid=grid,
+                               flip_impurity=0.2)
+        noise = NoiseModel(1e5, 1.5, 21)
+        keys = []
+        original = optics.render_image
+
+        def keyed_render(fields, noise, key=()):
+            keys.append(key)
+            return original(fields, noise, key)
+
+        monkeypatch.setattr(optics, "render_image", keyed_render)
+        rows = measure_rows(syn, noise, first_row=5)
+        assert sorted(keys) == [(row, port) for row in (5, 6) for port in range(4)]
+        for k in range(2):
+            for port, name in enumerate("vh"):
+                np.testing.assert_array_equal(
+                    rows.frame(k, port), original(syn.fields(name, k), noise, (5 + k, port)))
+
     def test_zero_amplitudes_form_no_field(self):
         # The H port's upper amplitude is 0: its coherent field is m u- alone,
         # and the unflipped light e u+ is the second field.

@@ -59,6 +59,21 @@ class TestOamMode:
             synthesize_ports(StateParams(1.0, 1.0), l=l, grid=grid)
         assert issubclass(ChargeOutOfRange, DualitySimError)
 
+    @pytest.mark.parametrize("l", [2.5, 2.0, -3.5, "3"])
+    def test_non_integer_charge_is_rejected(self, l):
+        # exp(2.5 i phi) is not single-valued, so a charge must be an integer.
+        grid = GridSpec(64)
+        with pytest.raises(ValueError, match="OAM charge must be an integer"):
+            oam_mode(l, grid)
+        with pytest.raises(ValueError, match="OAM charge must be an integer"):
+            synthesize_ports(StateParams(1.0, 1.0), l=l, grid=grid)
+
+    def test_numpy_integer_charge_is_accepted(self):
+        np.testing.assert_array_equal(oam_mode(np.int64(3), GRID), oam_mode(3, GRID))
+        params = StateParams(1.0, 1.0)
+        [v] = synthesize_ports(params, l=np.int32(-3), grid=GRID).fields("v")
+        np.testing.assert_array_equal(v, synthesize_ports(params, -3, GRID).fields("v")[0])
+
     @pytest.mark.filterwarnings("error")
     def test_every_mode_is_checked_where_it_is_built(self):
         # A synthesis whose charge was changed after the up-front check still
@@ -125,8 +140,16 @@ class TestOamMode:
 
 class TestGridSpec:
     def test_rejects_tiny_grids(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least 16x16"):
             GridSpec(8)
+
+    @pytest.mark.parametrize("size", [64.5, 64.0, "64", None])
+    def test_rejects_non_integer_sizes(self, size):
+        with pytest.raises(ValueError, match=f"grid size {size!r} must be an integer"):
+            GridSpec(size)
+
+    def test_accepts_numpy_integer_sizes(self):
+        assert GridSpec(np.int64(64)).pixel_size == GridSpec(64).pixel_size
 
     def test_default_center_is_symmetric(self):
         assert FULL.beam_center == (255.5, 255.5)
@@ -307,6 +330,34 @@ class TestRenderImage:
         assert render_image(v, NoiseModel(9.2e18 / peak, seed=1)).max() > 0
         with pytest.raises(ValueError, match=r"photon budget 1e\+25 .* Poisson"):
             render_image(v, NoiseModel(1e25, seed=1))
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**70])
+    def test_default_key_draws_the_seeds_own_stream(self, seed):
+        # Poisson counts, then readout noise, then the clamp, all from default_rng(seed).
+        v = synthesize_ports(StateParams(np.pi / 2, np.pi / 2), 3, GRID).fields("v")
+        rng = np.random.default_rng(seed)
+        expected = rng.poisson(render_image(v) * GRID.pixel_area * 1e5).astype(float)
+        expected = np.clip(expected + rng.normal(0.0, 2.0, expected.shape), 0.0, None)
+        np.testing.assert_array_equal(render_image(v, NoiseModel(1e5, 2.0, seed)), expected)
+
+    def test_frame_key_spawns_the_stream(self):
+        v = synthesize_ports(StateParams(np.pi / 2, np.pi / 2), 3, GRID).fields("v")
+        noise = NoiseModel(1e5, 0.0, 11)
+        rng = np.random.default_rng(np.random.SeedSequence(11, spawn_key=(4, 1)))
+        expected = rng.poisson(render_image(v) * GRID.pixel_area * 1e5).astype(float)
+        np.testing.assert_array_equal(render_image(v, noise, (4, 1)), expected)
+        assert not np.array_equal(render_image(v, noise, (4, 0)), expected)
+        assert not np.array_equal(render_image(v, noise), expected)
+
+    @pytest.mark.parametrize("seed", [np.random.SeedSequence(1), 1.5, 1.0, -1, True, None, "1"])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            NoiseModel(1e5, 0.0, seed)
+
+    def test_numpy_integer_seed_is_accepted(self):
+        v = synthesize_ports(StateParams(np.pi / 2, np.pi / 2), 3, GRID).fields("v")
+        np.testing.assert_array_equal(render_image(v, NoiseModel(1e5, 0.0, np.uint8(9))),
+                                      render_image(v, NoiseModel(1e5, 0.0, 9)))
 
     def test_noise_model_validation(self):
         with pytest.raises(ValueError):

@@ -422,7 +422,8 @@ def measure_rows(synthesis: PortSynthesis, noise: NoiseModel, first_row: int = 0
     the camera ``noise``.
 
     Row k is seeded as row ``first_row + k``: frame ``port`` (0 V, 1 H, 2 H +l,
-    3 H -l) is ``render_image`` of ``noise`` with the key (first_row + k, port).
+    3 H -l) is ``render_image`` of ``noise`` with the key (first_row + k, port), drawn
+    in row blocks from the rows of u(|l|) with the whole frame's stream order.
     For an ``exact`` noise model the profiles are one stacked product of the
     port weights with the cached mode moments, and a frame is rendered only
     when read; otherwise each row's V and H frames are rendered and binned in
@@ -436,26 +437,21 @@ def measure_rows(synthesis: PortSynthesis, noise: NoiseModel, first_row: int = 0
     """
     l, grid, n_rows = synthesis.l, synthesis.grid, len(synthesis)
     h = synthesis.amplitudes["h"]
+    u_abs = optics._mode_data(abs(l), grid)
 
-    def render(fields: list[np.ndarray], k: int, port: int) -> np.ndarray:
-        return optics.render_image(fields, noise, (first_row + k, port))
+    def mode_rows(i: int, rows: slice) -> np.ndarray:
+        # Rows of u(+l) (i = 0) or u(-l) (i = 1), read off u(|l|) as ``_mode_moments`` does.
+        return u_abs[rows].conj() if (i == 1) == (l > 0) else u_abs[rows]
 
-    # The H port's terms (two at most in the H/V basis) are kept for its +l and -l frames.
-    @lru_cache(maxsize=2)
-    def h_term(amplitude: complex, mode: int) -> np.ndarray:
-        return amplitude * optics._mode_data(-l if mode else l, grid)
-
-    # Never hits (``frame`` renders each (row, port) once), but holding the last
-    # port's fields until the next port's are formed spares glibc a heap trim and
-    # regrow per frame: forming them inside ``frame`` cost 10-12% of renders/s.
-    @lru_cache(maxsize=1)
-    def fields(k: int, port: int) -> list[np.ndarray]:
-        return optics._fields(h[k].tolist(), h_term) if port else synthesis.fields("v", k)
+    def render(components: list[list[complex]], k: int, port: int) -> np.ndarray:
+        return optics.render_image(
+            lambda rows: optics._fields(components, lambda a, i: a * mode_rows(i, rows)),
+            noise, (first_row + k, port))
 
     # The last row's frames stay, so a one-row measurement renders each once.
     @lru_cache(maxsize=2)
     def frame(k: int, port: int) -> np.ndarray:
-        return render(fields(k, port), k, port)
+        return render(synthesis.amplitudes["vh"[port]][k].tolist(), k, port)
 
     # The modes have unit power, so a port's +l and -l powers are its first two weights.
     v_lit, h_lit = _lit_ports(*(w[:, 0] + w[:, 1] for w in map(synthesis.intensity_weights, "vh")))
@@ -480,9 +476,9 @@ def measure_rows(synthesis: PortSynthesis, noise: NoiseModel, first_row: int = 0
         predictability[coherent] = predictability_from_profile(h_profile.row(coherent), l)
     for k in np.flatnonzero(h_lit & ~coherent).tolist():
         # Frames 2 and 3 render the H port's components cut to their +l and -l parts.
-        plus, minus = (optics._fields((h[k] * part).tolist(), h_term) for part in ((1, 0), (0, 1)))
+        plus, minus = (render((h[k] * cut).tolist(), k, 2 + j) for j, cut in enumerate(np.eye(2)))
         with suppress(ZeroIntensity):
-            predictability[k] = predictability_from_images(render(plus, k, 2), render(minus, k, 3))
+            predictability[k] = predictability_from_images(plus, minus)
     return PortRows(v_profile, h_profile, visibility, uncertainty, predictability, frame)
 
 

@@ -58,6 +58,7 @@ DEFAULT_OAM = 3
 EXTENT = 4.0  # half-width of every camera in beam-waist units
 MAX_OAM = 32  # its ring radius sqrt(|l|/2) = 4 waists still fits the camera's EXTENT
 CALIBRATED_PHOTONS = 1e6  # photon budget of the calibrated_operating_point() images
+RENDER_BLOCK_ROWS = 32  # frame rows rendered at a time, so a block's fields stay in cache
 # Largest mean numpy's Generator.poisson accepts (its own bound, ~9.22e18).
 POISSON_LAM_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
@@ -285,7 +286,7 @@ def synthesize_ports(
 
 
 def render_image(
-    fields: np.ndarray | list[np.ndarray],
+    fields: np.ndarray | list[np.ndarray] | Callable[[slice], list[np.ndarray]],
     noise: NoiseModel = NoiseModel(),
     key: tuple[int, ...] = (),
 ) -> np.ndarray:
@@ -295,6 +296,8 @@ def render_image(
     size; fields of different shapes raise ``ValueError``.  Every field
     adds to the image in intensity; a coherent superposition has to be one
     array already, as the port fields of ``synthesize_ports`` are.
+    ``fields`` may also be a callable that returns the fields' rows
+    ``rows`` (a slice) of a square camera, so that no field is formed whole.
 
     An ``exact`` noise model returns the summed |amplitude|^2.  Otherwise
     one generator seeded from ``SeedSequence(noise.seed, spawn_key=key)`` (for
@@ -303,32 +306,47 @@ def render_image(
     counts, budget x power, and Poisson-sampled per pixel) and the readout
     noise, and the frame is clamped at zero.  A budget that puts more
     expected counts in one pixel than the Poisson sampler accepts raises
-    ``ValueError``.
+    ``ValueError``.  Frames are drawn in blocks of ``RENDER_BLOCK_ROWS`` rows,
+    which changes no bit: the draws keep the whole frame's C order.
     """
+    if callable(fields):
+        # The camera is square: it has as many rows as an empty row slice has columns.
+        return _render_rows(fields, fields(slice(0, 0))[0].shape[1], noise, key)
     if isinstance(fields, np.ndarray):
         fields = [fields]
     shape = fields[0].shape if fields else ()
     if len(shape) != 2 or shape[0] != shape[1] or any(f.shape != shape for f in fields):
         raise ValueError("render_image needs one or more square fields of one shape")
+    return _render_rows(lambda rows: [f[rows] for f in fields], shape[0], noise, key)
 
-    intensity = np.zeros(shape, dtype=float)
-    for f in fields:
-        intensity += np.abs(f) ** 2
+
+def _render_rows(field_rows: Callable, size: int, noise: NoiseModel, key: tuple) -> np.ndarray:
+    """``render_image`` of the fields whose rows ``rows`` are ``field_rows(rows)``; only
+    the frame is allocated whole, and each pass over it goes block by block."""
+    frame = np.zeros((size, size))
+    blocks = [slice(i, i + RENDER_BLOCK_ROWS) for i in range(0, size, RENDER_BLOCK_ROWS)]
+    for rows in blocks:
+        for f in field_rows(rows):
+            power = np.abs(f)
+            frame[rows] += np.square(power, out=power)
     if noise.exact:
-        return intensity
+        return frame
 
-    expected_counts = intensity * GridSpec(shape[0]).pixel_area * noise.photon_budget
-    peak = float(expected_counts.max())
+    frame *= GridSpec(size).pixel_area
+    frame *= noise.photon_budget  # the expected counts
+    peak = float(frame.max())
     if peak > POISSON_LAM_MAX:
         raise ValueError(
             f"photon budget {noise.photon_budget:g} puts {peak:.3g} expected counts "
             f"in one pixel, above the Poisson sampler's limit of {POISSON_LAM_MAX:.3g}"
         )
     rng = np.random.default_rng(np.random.SeedSequence(noise.seed, spawn_key=key))
-    intensity = rng.poisson(expected_counts).astype(float)
+    for rows in blocks:
+        frame[rows] = rng.poisson(frame[rows])
     if noise.readout_sigma > 0.0:
-        intensity += rng.normal(0.0, noise.readout_sigma, intensity.shape)
-    return np.clip(intensity, 0.0, None)
+        for rows in blocks:
+            frame[rows] += rng.normal(0.0, noise.readout_sigma, frame[rows].shape)
+    return np.clip(frame, 0.0, None, out=frame)
 
 
 def calibrated_operating_point() -> tuple[StateParams, float]:
@@ -354,14 +372,14 @@ def calibrated_operating_point() -> tuple[StateParams, float]:
 
 def write_pfm(path: str | Path, image: np.ndarray) -> None:
     """Grayscale portable float map (PFM, little-endian float32)."""
-    image = np.asarray(image, dtype=np.float32)
+    image = np.asarray(image)
     if image.ndim != 2:
         raise ValueError("PFM export expects a 2-D image")
     with open(path, "wb") as fh:
         fh.write(b"Pf\n")
         fh.write(f"{image.shape[1]} {image.shape[0]}\n".encode())
         fh.write(b"-1.0\n")  # negative scale marks little-endian data
-        fh.write(np.flipud(image).astype("<f4").tobytes())  # rows bottom-up
+        fh.write(np.ascontiguousarray(np.flipud(image), dtype="<f4"))  # rows bottom-up
 
 
 def write_pgm16(path: str | Path, image: np.ndarray) -> float:
@@ -381,7 +399,7 @@ def write_pgm16(path: str | Path, image: np.ndarray) -> float:
         fh.write(b"P5\n")
         fh.write(f"{image.shape[1]} {image.shape[0]}\n".encode())
         fh.write(b"65535\n")
-        fh.write(levels.tobytes())
+        fh.write(levels)
     return scale
 
 

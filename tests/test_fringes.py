@@ -284,6 +284,32 @@ class TestMeasurePorts:
                 np.testing.assert_array_equal(
                     rows.frame(k, port), original(syn.fields(name, k), noise, (5 + k, port)))
 
+    @pytest.mark.parametrize("size", [43, 64])
+    @pytest.mark.parametrize("l", [3, -3])
+    def test_block_height_changes_no_measured_frame(self, size, l, monkeypatch):
+        # The impure H port renders all four frames, its +l and -l frames from row slices;
+        # the path phase makes the V amplitudes complex, so swapped modes would show.
+        syn = synthesize_ports(StateParams(1.0, 0.7), l, GridSpec(size), path_phase=0.3,
+                               flip_impurity=0.2)
+        noise = NoiseModel(1e5, 2.0, 9)
+        original = optics.render_image
+        frames = {}
+
+        def recording_render(fields, noise, key=()):
+            frame = original(fields, noise, key)
+            frames.setdefault(optics.RENDER_BLOCK_ROWS, {})[key] = frame.tobytes()
+            return frame
+
+        monkeypatch.setattr(optics, "render_image", recording_render)
+        for height in (1, 7, optics.RENDER_BLOCK_ROWS, size):
+            monkeypatch.setattr(optics, "RENDER_BLOCK_ROWS", height)
+            measure_rows(syn, noise)
+        whole = frames[size]
+        assert sorted(whole) == [(0, port) for port in range(4)]
+        for port, name in enumerate("vh"):
+            assert whole[0, port] == original(syn.fields(name), noise, (0, port)).tobytes()
+        assert all(by_key == whole for by_key in frames.values())
+
     def test_zero_amplitudes_form_no_field(self):
         # The H port's upper amplitude is 0: its coherent field is m u- alone,
         # and the unflipped light e u+ is the second field.
@@ -349,6 +375,21 @@ class TestMeasurePorts:
             tracemalloc.stop()
         assert optics._mode_data.cache_info().misses == 1
         assert peak < 15 * 2**20
+
+    def test_calibrated_render_forms_no_full_grid_field(self, tmp_path):
+        # The bound sits between the tracemalloc peaks of this 512^2 render: 32.1 MiB
+        # with full-grid port fields and their temporaries, 14.7 MiB when only the
+        # frames and u(|l|) are full-grid arrays.
+        for cached in (optics._mode_data, _mode_moments, annulus_plan):
+            cached.cache_clear()
+        tracemalloc.start()
+        try:
+            assert main(["render", "--calibrated", "--out", str(tmp_path / "r")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert optics._mode_data.cache_info().misses == 1
+        assert peak < 20 * 2**20
 
 
 class TestFringeVisibility:

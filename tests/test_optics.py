@@ -17,9 +17,11 @@ from dualitysim import (
     render_image,
     synthesize_ports,
 )
+from dualitysim import optics
 from dualitysim.optics import (
     MAX_OAM,
     POISSON_LAM_MAX,
+    RENDER_BLOCK_ROWS,
     _mode_data,
     write_metadata,
     write_pfm,
@@ -348,6 +350,33 @@ class TestRenderImage:
         np.testing.assert_array_equal(render_image(v, noise, (4, 1)), expected)
         assert not np.array_equal(render_image(v, noise, (4, 0)), expected)
         assert not np.array_equal(render_image(v, noise), expected)
+
+    @pytest.mark.parametrize("size", [43, 64])
+    def test_block_height_changes_no_bit(self, size, monkeypatch):
+        # Any block height, from one row to the whole frame, gives the frame that the
+        # whole-frame formulas draw, whether the fields come as arrays or as row slices.
+        grid = GridSpec(size)
+        fields = synthesize_ports(StateParams(1.0, 0.7), 3, grid, flip_impurity=0.2).fields("h")
+        intensity = sum(np.abs(f) ** 2 for f in fields)
+        expected = [intensity]
+        for sigma in (0.0, 2.0):
+            rng = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(2, 1)))
+            frame = rng.poisson(intensity * grid.pixel_area * 1e5).astype(float)
+            if sigma:
+                frame += rng.normal(0.0, sigma, frame.shape)
+            expected.append(np.clip(frame, 0.0, None))
+        peak = float((intensity * grid.pixel_area * 1e25).max())
+        message = (f"photon budget 1e+25 puts {peak:.3g} expected counts in one pixel, "
+                   f"above the Poisson sampler's limit of {POISSON_LAM_MAX:.3g}")
+        noises = [NoiseModel(), NoiseModel(1e5, 0.0, 5), NoiseModel(1e5, 2.0, 5)]
+        for height in (1, 7, RENDER_BLOCK_ROWS, size):
+            monkeypatch.setattr(optics, "RENDER_BLOCK_ROWS", height)
+            for source in (fields, lambda rows: [f[rows] for f in fields]):
+                for noise, frame in zip(noises, expected):
+                    assert render_image(source, noise, (2, 1)).tobytes() == frame.tobytes()
+                with pytest.raises(ValueError) as raised:
+                    render_image(source, NoiseModel(1e25, seed=1))
+                assert str(raised.value) == message
 
     @pytest.mark.parametrize("seed", [np.random.SeedSequence(1), 1.5, 1.0, -1, True, None, "1"])
     def test_seed_must_be_a_nonnegative_integer(self, seed):

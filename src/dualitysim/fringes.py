@@ -360,7 +360,7 @@ def _mode_moments(l: int, grid: GridSpec) -> tuple[AnnulusPlan, np.ndarray, np.n
     plan = port_plan(grid)
     # Gather u(|l|) alone, so a negative l forms no full-grid conjugate.
     u_abs = optics._mode_data(abs(l), grid).take(plan.pixels)
-    u_plus, u_minus = (u_abs, u_abs.conj()) if l > 0 else (u_abs.conj(), u_abs)
+    u_plus, u_minus = optics._signed(u_abs, l), optics._signed(u_abs, -l)
     cross = u_plus * u_minus.conj()
     terms = np.stack([np.abs(u_plus) ** 2, np.abs(u_minus) ** 2, cross.real, cross.imag])
     sums = np.stack([plan.window_sums(term) for term in terms])
@@ -410,11 +410,13 @@ class PortRows:
         return 0 if math.isnan(self.visibility[k]) else count_petals(self.v_profile.row(k))
 
 
-def _lit_ports(v_power: np.ndarray, h_power: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whether the V and H ports of each row are lit: a port below ``P_MIN``
-    times both ports' power is dark, so round-off light reads as undefined."""
+def _lit_ports(synthesis: PortSynthesis) -> tuple[np.ndarray, ...]:
+    """The V and H port powers of each row and whether each port is lit: a port
+    below ``P_MIN`` times both ports' power is dark, so round-off light reads as
+    undefined.  The modes have unit power, so a port's power is its first two weights."""
+    v_power, h_power = (w[:, 0] + w[:, 1] for w in map(synthesis.intensity_weights, "vh"))
     floor = P_MIN * (v_power + h_power)
-    return v_power >= floor, h_power >= floor
+    return v_power, h_power, v_power >= floor, h_power >= floor
 
 
 def measure_rows(synthesis: PortSynthesis, noise: NoiseModel, first_row: int = 0) -> PortRows:
@@ -423,7 +425,7 @@ def measure_rows(synthesis: PortSynthesis, noise: NoiseModel, first_row: int = 0
 
     Row k is seeded as row ``first_row + k``: frame ``port`` (0 V, 1 H, 2 H +l,
     3 H -l) is ``render_image`` of ``noise`` with the key (first_row + k, port), drawn
-    in row blocks from the rows of u(|l|) with the whole frame's stream order.
+    in row blocks of ``PortSynthesis.field_rows`` with the whole frame's stream order.
     For an ``exact`` noise model the profiles are one stacked product of the
     port weights with the cached mode moments, and a frame is rendered only
     when read; otherwise each row's V and H frames are rendered and binned in
@@ -437,24 +439,17 @@ def measure_rows(synthesis: PortSynthesis, noise: NoiseModel, first_row: int = 0
     """
     l, grid, n_rows = synthesis.l, synthesis.grid, len(synthesis)
     h = synthesis.amplitudes["h"]
-    u_abs = optics._mode_data(abs(l), grid)
-
-    def mode_rows(i: int, rows: slice) -> np.ndarray:
-        # Rows of u(+l) (i = 0) or u(-l) (i = 1), read off u(|l|) as ``_mode_moments`` does.
-        return u_abs[rows].conj() if (i == 1) == (l > 0) else u_abs[rows]
 
     def render(components: list[list[complex]], k: int, port: int) -> np.ndarray:
-        return optics.render_image(
-            lambda rows: optics._fields(components, lambda a, i: a * mode_rows(i, rows)),
-            noise, (first_row + k, port))
+        return optics.render_image(lambda rows: synthesis.field_rows(components, rows),
+                                   noise, (first_row + k, port))
 
     # The last row's frames stay, so a one-row measurement renders each once.
     @lru_cache(maxsize=2)
     def frame(k: int, port: int) -> np.ndarray:
         return render(synthesis.amplitudes["vh"[port]][k].tolist(), k, port)
 
-    # The modes have unit power, so a port's +l and -l powers are its first two weights.
-    v_lit, h_lit = _lit_ports(*(w[:, 0] + w[:, 1] for w in map(synthesis.intensity_weights, "vh")))
+    *_, v_lit, h_lit = _lit_ports(synthesis)
     if noise.exact:
         v_profile, h_profile = (moment_profile(synthesis, port) for port in "vh")
     else:
@@ -490,8 +485,7 @@ def analytic_ports(synthesis: PortSynthesis) -> tuple[np.ndarray, np.ndarray]:
     components (a, b), and P the H port's mode-power contrast |I+ - I-| / (I+ + I-).
     """
     w_v, w_h = (synthesis.intensity_weights(port) for port in "vh")
-    v_power, h_power = w_v[:, 0] + w_v[:, 1], w_h[:, 0] + w_h[:, 1]  # unit-power modes
-    v_lit, h_lit = _lit_ports(v_power, h_power)
+    v_power, h_power, v_lit, h_lit = _lit_ports(synthesis)
     visibility, predictability = np.full((2, len(synthesis)), math.nan)
     visibility[v_lit] = _per_float(math.hypot, w_v[v_lit, 2], w_v[v_lit, 3]) / v_power[v_lit]
     predictability[h_lit] = np.abs(w_h[h_lit, 0] - w_h[h_lit, 1]) / h_power[h_lit]

@@ -146,12 +146,8 @@ def _check_charge(l: int) -> None:
 
 @lru_cache(maxsize=32)
 def _mode_data(l: int, grid: GridSpec) -> np.ndarray:
-    """Read-only unit-power mode of charge ``l``; u(-l) is the conjugate of u(+l)."""
+    """Read-only unit-power mode of charge ``l`` >= 0; ``_signed`` reads u(-l) off it."""
     _check_charge(l)
-    if l < 0:
-        data = _mode_data(-l, grid).conj()
-        data.setflags(write=False)
-        return data
     axis = (np.arange(grid.size) - grid.beam_center[0]) * grid.pixel_size
     x, y = axis[np.newaxis, :], axis[:, np.newaxis]
     r = np.hypot(x, y)
@@ -173,7 +169,13 @@ def oam_mode(l: int, grid: GridSpec = GridSpec()) -> np.ndarray:
 
     Raises ``ChargeOutOfRange`` for |l| > ``MAX_OAM`` and ``ValueError`` for a non-integer l.
     """
-    return _mode_data(l, grid).copy()
+    _check_charge(l)
+    return _signed(_mode_data(abs(l), grid), l).copy()
+
+
+def _signed(u_abs: np.ndarray, l: int) -> np.ndarray:
+    """u(l) on the pixels where ``u_abs`` holds u(|l|), by the rule u(-l) = conj u(|l|)."""
+    return u_abs.conj() if l < 0 else u_abs
 
 
 def _per_float(fn: Callable, *arrays: np.ndarray) -> np.ndarray:
@@ -188,14 +190,6 @@ def _per_float(fn: Callable, *arrays: np.ndarray) -> np.ndarray:
     return np.array(list(map(fn, *(a.tolist() for a in arrays))))
 
 
-def _fields(components: list[list[complex]], term: Callable) -> list[np.ndarray]:
-    """One field per component (a, b): the sum of its terms ``term(a, 0)`` = a u(+l) and
-    ``term(b, 1)`` = b u(-l) of nonzero amplitudes; a dark port's one field is zero."""
-    # Each component's terms are summed before the next component's are formed.
-    terms = ([term(a, i) for i, a in enumerate(c) if a != 0] for c in components)
-    return [sum(t[1:], t[0]) for t in terms if t] or [term(components[0][1], 1)]
-
-
 def _port_weights(plus: complex, minus: complex) -> tuple[float, ...]:
     cross = plus * minus.conjugate()
     return abs(plus) ** 2, abs(minus) ** 2, 2.0 * cross.real, -2.0 * cross.imag
@@ -207,8 +201,8 @@ class PortSynthesis:
 
     ``amplitudes[port]`` holds port "h" or "v" as a rows x components x 2
     array: the amplitudes (a, b) of mutually incoherent fields a u+ + b u-
-    on the cached modes u+ = u(+l) and u- = u(-l).  ``fields(port, row)``
-    builds one row's fields.  The modes have unit power, so the first two
+    on the modes u+ = u(+l) and u- = u(-l), both read off one cached u(|l|)
+    by ``field_rows``.  The modes have unit power, so the first two
     ``intensity_weights(port)`` of a row are the powers attributable to the
     +l and -l modes in a port.  Both ports' weights are formed once, on
     first read, as read-only arrays.
@@ -221,10 +215,18 @@ class PortSynthesis:
     def __len__(self) -> int:
         return len(self.amplitudes["h"])
 
+    def field_rows(self, components: list[list[complex]], rows: slice = slice(None)) -> list:
+        """Rows ``rows`` of one field per component (a, b): the sum of its terms a u(+l)
+        and b u(-l) of nonzero amplitudes; a dark port's one field is zero."""
+        u_abs, charges = _mode_data(abs(self.l), self.grid)[rows], (self.l, -self.l)
+        # Each component's terms are summed before the next component's are formed.
+        terms = ([a * _signed(u_abs, l) for a, l in zip(c, charges) if a != 0] for c in components)
+        return ([sum(t[1:], t[0]) for t in terms if t]
+                or [components[0][1] * _signed(u_abs, -self.l)])
+
     def fields(self, port: str, row: int = 0) -> list[np.ndarray]:
-        """Mutually incoherent fields of ``port`` in ``row``: ``_fields`` of its components."""
-        modes = _mode_data(self.l, self.grid), _mode_data(-self.l, self.grid)
-        return _fields(self.amplitudes[port][row].tolist(), lambda a, i: a * modes[i])
+        """Mutually incoherent fields of ``port`` in ``row``, on the whole grid."""
+        return self.field_rows(self.amplitudes[port][row].tolist())
 
     def intensity_weights(self, port: str) -> np.ndarray:
         """Noiseless intensity of ``port`` ("v" or "h") in each row, summed over its
@@ -293,11 +295,11 @@ def render_image(
     """Camera intensity image of one or more mutually incoherent fields.
 
     Each field is a square complex array on the camera ``GridSpec`` of its
-    size; fields of different shapes raise ``ValueError``.  Every field
-    adds to the image in intensity; a coherent superposition has to be one
-    array already, as the port fields of ``synthesize_ports`` are.
-    ``fields`` may also be a callable that returns the fields' rows
-    ``rows`` (a slice) of a square camera, so that no field is formed whole.
+    size.  Every field adds to the image in intensity; a coherent
+    superposition has to be one array already, as the port fields of
+    ``synthesize_ports`` are.  ``fields`` may also be a callable that returns
+    the fields' rows ``rows`` (a slice), so that no field is formed whole.
+    Either way, fields that are not one square shape raise ``ValueError``.
 
     An ``exact`` noise model returns the summed |amplitude|^2.  Otherwise
     one generator seeded from ``SeedSequence(noise.seed, spawn_key=key)`` (for
@@ -310,25 +312,27 @@ def render_image(
     which changes no bit: the draws keep the whole frame's C order.
     """
     if callable(fields):
-        # The camera is square: it has as many rows as an empty row slice has columns.
-        return _render_rows(fields, fields(slice(0, 0))[0].shape[1], noise, key)
-    if isinstance(fields, np.ndarray):
-        fields = [fields]
-    shape = fields[0].shape if fields else ()
-    if len(shape) != 2 or shape[0] != shape[1] or any(f.shape != shape for f in fields):
-        raise ValueError("render_image needs one or more square fields of one shape")
-    return _render_rows(lambda rows: [f[rows] for f in fields], shape[0], noise, key)
+        return _render_rows(fields, noise, key)
+    # A 0-d field is made 1-d, so that it fails the shape check rather than the slicing.
+    arrays = [np.atleast_1d(f) for f in ([fields] if isinstance(fields, np.ndarray) else fields)]
+    return _render_rows(lambda rows: [f[rows] for f in arrays], noise, key)
 
 
-def _render_rows(field_rows: Callable, size: int, noise: NoiseModel, key: tuple) -> np.ndarray:
+def _render_rows(field_rows: Callable, noise: NoiseModel, key: tuple) -> np.ndarray:
     """``render_image`` of the fields whose rows ``rows`` are ``field_rows(rows)``; only
     the frame is allocated whole, and each pass over it goes block by block."""
+    # The camera is square: it has as many rows as an empty row slice has columns.
+    size = next((f.shape[-1] for f in field_rows(slice(0, 0))), 0)
     frame = np.zeros((size, size))
     blocks = [slice(i, i + RENDER_BLOCK_ROWS) for i in range(0, size, RENDER_BLOCK_ROWS)]
-    for rows in blocks:
-        for f in field_rows(rows):
+    # Each block, and the empty one past the last row, has one or more fields of its shape.
+    for rows in [*blocks, slice(size, None)]:
+        block, fields = frame[rows], field_rows(rows)
+        if not fields or any(f.shape != block.shape for f in fields):
+            raise ValueError("render_image needs one or more square fields of one shape")
+        for f in fields:
             power = np.abs(f)
-            frame[rows] += np.square(power, out=power)
+            block += np.square(power, out=power)
     if noise.exact:
         return frame
 

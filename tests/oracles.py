@@ -15,7 +15,7 @@ import numpy as np
 
 from dualitysim.errors import P_MIN, DegenerateProfile
 from dualitysim.fringes import fit_operator
-from dualitysim.optics import _mode_data
+from dualitysim.optics import oam_mode
 from dualitysim.qubit import amplitude_entries, state_vector
 from dualitysim.weak import (
     SliverCoupling,
@@ -293,10 +293,10 @@ def row_port_weights(plus, minus, impurity):
 
 def row_port_fields(plus, minus, impurity, l, grid):
     """Incoherent fields of one port's (p, m, e): p u+ + m u-, then e u+ if e != 0."""
-    main = minus * _mode_data(-l, grid)
+    main = minus * oam_mode(-l, grid)
     if plus != 0:
-        main = plus * _mode_data(l, grid) + main
-    return [main] if impurity == 0 else [main, impurity * _mode_data(l, grid)]
+        main = plus * oam_mode(l, grid) + main
+    return [main] if impurity == 0 else [main, impurity * oam_mode(l, grid)]
 
 
 def row_port_analytic(w_v, w_h):

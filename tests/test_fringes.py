@@ -17,6 +17,7 @@ from dualitysim import (
     closed_form_conditional,
     count_petals,
     fringe_visibility,
+    oam_mode,
     predictability_from_arm_powers,
     predictability_from_images,
     predictability_from_profile,
@@ -316,8 +317,8 @@ class TestMeasurePorts:
         syn = synthesize_ports(StateParams(1.0, 0.7), grid=GridSpec(64), flip_impurity=0.2)
         (_, m), (e, _) = syn.amplitudes["h"][0].tolist()
         fields = syn.fields("h")
-        np.testing.assert_array_equal(fields[0], m * optics._mode_data(-3, GridSpec(64)))
-        np.testing.assert_array_equal(fields[1], e * optics._mode_data(3, GridSpec(64)))
+        np.testing.assert_array_equal(fields[0], m * oam_mode(-3, GridSpec(64)))
+        np.testing.assert_array_equal(fields[1], e * oam_mode(3, GridSpec(64)))
         # A dark port still yields one field, an all-zero one.
         [dark] = synthesize_ports(StateParams(0.0, 0.7), grid=GridSpec(64)).fields("h")
         assert not dark.any()
@@ -348,8 +349,8 @@ class TestMeasurePorts:
         grid = GridSpec(size)
         for l in [*range(1, optics.MAX_OAM + 1), -1, -3, -optics.MAX_OAM]:
             plan, sums, pair_sums = _mode_moments(l, grid)
-            u_plus = optics._mode_data(l, grid).take(plan.pixels)
-            u_minus = optics._mode_data(-l, grid).take(plan.pixels)
+            u_plus = oam_mode(l, grid).take(plan.pixels)
+            u_minus = oam_mode(-l, grid).take(plan.pixels)
             cross = u_plus * u_minus.conj()
             terms = [np.abs(u_plus) ** 2, np.abs(u_minus) ** 2, cross.real, cross.imag]
             np.testing.assert_array_equal(sums, [plan.window_sums(t) for t in terms])

@@ -92,15 +92,22 @@ class TestOamMode:
         # carry either sign, which |u|^2 erases.
         grid = GridSpec(size)
         for l in range(1, MAX_OAM + 1):
-            minus = _mode_data(-l, grid)
-            assert np.array_equal(minus, _mode_data(l, grid).conj())
-            assert not minus.flags.writeable
+            assert np.array_equal(oam_mode(-l, grid), _mode_data(l, grid).conj())
+            assert not _mode_data(l, grid).flags.writeable
+
+    def test_opposite_charges_share_one_cached_mode(self):
+        # u(-l) is read off the cached u(|l|), so it builds and caches nothing more.
+        _mode_data.cache_clear()
+        grid = GridSpec(64)
+        plus = oam_mode(3, grid)
+        assert np.array_equal(oam_mode(-3, grid), plus.conj())
+        assert _mode_data.cache_info().misses == 1
 
     @pytest.mark.parametrize("size", [64, 43])
     def test_every_charge_equals_its_from_scratch_build(self, size):
         grid = GridSpec(size)
         for l in range(-MAX_OAM, MAX_OAM + 1):
-            assert np.array_equal(_mode_data(l, grid), meshgrid_mode(l, grid))
+            assert np.array_equal(oam_mode(l, grid), meshgrid_mode(l, grid))
 
     def test_phase_winds_l_times(self):
         mode = oam_mode(3, GRID)
@@ -262,6 +269,20 @@ class TestInterferometer:
         with pytest.raises(ValueError, match="at least one StateParams"):
             synthesize_ports([], grid=GridSpec(64))
 
+    @pytest.mark.parametrize("l", [3, -3])
+    def test_field_rows_are_rows_of_the_whole_fields(self, l):
+        # Every row block of a port's fields, dark or lit, has the bits of the whole
+        # fields' rows; the path phase would show swapped modes.
+        rows_params = [StateParams(1.0, 0.7), StateParams(0.0, 0.7)]
+        syn = synthesize_ports(rows_params, l, GridSpec(43), path_phase=0.4, flip_impurity=0.2)
+        for port in "vh":
+            for row in (0, 1):
+                components = syn.amplitudes[port][row].tolist()
+                whole = syn.fields(port, row)
+                for rows in (slice(0, 0), slice(5, 17), slice(32, None)):
+                    assert [f.tobytes() for f in syn.field_rows(components, rows)] == [
+                        f[rows].tobytes() for f in whole]
+
     @pytest.mark.parametrize("path_phase", [np.nan, np.inf, -np.inf])
     def test_non_finite_path_phase_is_rejected(self, path_phase):
         with pytest.raises(ValueError, match="path_phase must be finite"):
@@ -314,12 +335,20 @@ class TestRenderImage:
         with pytest.raises(ValueError):
             render_image([a, b])
 
-    @pytest.mark.parametrize("shapes", [[(64, 64), (64, 63)], [(64, 63)]])
+    @pytest.mark.parametrize("shapes", [[(64, 64), (64, 63)], [(64, 63)], [], [(4, 8)],
+                                        [(9, 8)], [(8, 8), (4, 8)], [(8,)], [(2, 8, 8)]])
     def test_fields_of_different_or_non_square_shapes_are_rejected(self, shapes):
-        # The camera is read off a field's square shape, so it must be one.
+        # The camera is read off a field's square shape, so it must be one, whether
+        # the fields come whole or as row slices.
         fields = [np.ones(shape, dtype=complex) for shape in shapes]
+        for source in (fields, lambda rows: [f[rows] for f in fields]):
+            for noise in (NoiseModel(), NoiseModel(1e5, 2.0, 1)):
+                with pytest.raises(ValueError, match="square fields of one shape"):
+                    render_image(source, noise)
+
+    def test_zero_dimensional_field_is_rejected(self):
         with pytest.raises(ValueError, match="square fields of one shape"):
-            render_image(fields)
+            render_image(np.ones((), dtype=complex))
 
     def test_budget_beyond_poisson_range_is_rejected(self):
         # The bound is numpy's own: its sampler takes it and nothing above.

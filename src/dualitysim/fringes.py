@@ -358,11 +358,21 @@ def _mode_moments(l: int, grid: GridSpec) -> tuple[AnnulusPlan, np.ndarray, np.n
     mode terms |u+|^2, |u-|^2, Re(u+ conj(u-)) and Im(u+ conj(u-)) (4 rows)
     and of their pair products times multiplicity (10 rows, for the stderr)."""
     plan = port_plan(grid)
-    # Gather u(|l|) alone, so a negative l forms no full-grid conjugate.
-    u_abs = optics._mode_data(abs(l), grid).take(plan.pixels)
-    u_plus, u_minus = optics._signed(u_abs, l), optics._signed(u_abs, -l)
-    cross = u_plus * u_minus.conj()
-    terms = np.stack([np.abs(u_plus) ** 2, np.abs(u_minus) ** 2, cross.real, cross.imag])
+    # The annulus pixels are sorted row-major, so each row block's are one run of them.
+    pixels, size = plan.pixels, grid.size
+    u_abs = np.empty(len(pixels), dtype=complex)
+
+    def gather(rows: slice, block: np.ndarray) -> None:
+        first = rows.start * size
+        run = slice(*np.searchsorted(pixels, [first, rows.stop * size]))
+        u_abs[run] = block.take(pixels[run] - first)
+
+    u_abs /= optics._mode_rows(abs(l), grid, gather)
+    # u(-l) = conj u(|l|): both modes have the power |u(|l|)|^2, and u+ conj(u-) is
+    # u(|l|)^2 for l > 0 and its conjugate for l < 0.
+    power = np.abs(u_abs) ** 2
+    cross = optics._signed(u_abs * u_abs, l)
+    terms = [power, power, cross.real, cross.imag]
     sums = np.stack([plan.window_sums(term) for term in terms])
     pair_sums = np.stack([
         plan.window_sums(m * terms[i] * terms[j]) for i, j, m in zip(*_PAIRS, _PAIR_MULTIPLICITY)

@@ -17,9 +17,11 @@ A single-ring vortex mode of charge l is used for the OAM eigenmodes:
 
 normalized to unit power on the grid.  Opposite charges share the same
 intensity ring, so every visibility/predictability result downstream is
-independent of this envelope choice.  Only u(+l) is built on the full
-grid; u(-l) is stored as its exact conjugate, and the noiseless moment
-sums of ``fringes`` read u(+l) on the port annulus's pixels only.
+independent of this envelope choice.  Only u(|l|) is formed, in blocks of
+``RENDER_BLOCK_ROWS`` rows; u(-l) is read off it as its exact conjugate.
+The rendered frames read the cached whole-grid u(|l|), while the noiseless
+moment sums of ``fringes`` keep u(|l|) on the port annulus's pixels only,
+so a noiseless sweep holds no whole-grid complex mode.
 
 Interferometer model
 --------------------
@@ -144,24 +146,40 @@ def _check_charge(l: int) -> None:
         )
 
 
-@lru_cache(maxsize=32)
+# A measurement reads one u(|l|) for both charges +-l.
+@lru_cache(maxsize=2)
 def _mode_data(l: int, grid: GridSpec) -> np.ndarray:
     """Read-only unit-power mode of charge ``l`` >= 0; ``_signed`` reads u(-l) off it."""
     _check_charge(l)
-    axis = (np.arange(grid.size) - grid.beam_center[0]) * grid.pixel_size
-    x, y = axis[np.newaxis, :], axis[:, np.newaxis]
-    r = np.hypot(x, y)
-    envelope = np.exp(-(r**2))
-    if l != 0:
-        envelope *= r ** abs(l)
-    data = 1j * l * np.arctan2(y, x)
-    np.exp(data, out=data)
-    data *= envelope
-    power = np.abs(data)
-    np.square(power, out=power)
-    data /= math.sqrt(np.sum(power) * grid.pixel_area)
+    data = np.empty((grid.size, grid.size), dtype=complex)
+    data /= _mode_rows(l, grid, data.__setitem__)
     data.setflags(write=False)
     return data
+
+
+def _mode_rows(l: int, grid: GridSpec, keep: Callable[[slice, np.ndarray], object]) -> float:
+    """Form the unnormalised mode of charge ``l`` >= 0 ``RENDER_BLOCK_ROWS`` rows at a
+    time, hand each block to ``keep(rows, block)``, and return its unit-power normaliser.
+
+    Each block's |u|^2 goes into one whole-grid power array, which is summed once
+    at the end, so the normaliser has the bits of the whole-grid formula."""
+    axis = (np.arange(grid.size) - grid.beam_center[0]) * grid.pixel_size
+    x = axis[np.newaxis, :]
+    power = np.empty((grid.size, grid.size))
+    for start in range(0, grid.size, RENDER_BLOCK_ROWS):
+        rows = slice(start, start + RENDER_BLOCK_ROWS)
+        y = axis[rows, np.newaxis]
+        r = np.hypot(x, y)
+        envelope = np.exp(-(r**2))
+        if l != 0:
+            envelope *= r ** abs(l)
+        data = 1j * l * np.arctan2(y, x)
+        np.exp(data, out=data)
+        data *= envelope
+        block_power = np.abs(data, out=power[rows])
+        np.square(block_power, out=block_power)
+        keep(rows, data)
+    return math.sqrt(np.sum(power) * grid.pixel_area)
 
 
 def oam_mode(l: int, grid: GridSpec = GridSpec()) -> np.ndarray:

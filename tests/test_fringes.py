@@ -44,7 +44,7 @@ from dualitysim.fringes import (
 )
 from dualitysim.optics import PortSynthesis
 
-from oracles import bin_average_cos, mask_azimuthal_profile
+from oracles import bin_average_cos, mask_azimuthal_profile, meshgrid_mode
 
 GRID = GridSpec()  # 512 x 512, spanning +-4 waists
 
@@ -360,11 +360,12 @@ class TestMeasurePorts:
             ])
 
     @pytest.mark.parametrize("l", ["3", "-3"])
-    def test_noiseless_sweep_builds_one_full_grid_mode(self, l, tmp_path):
+    def test_noiseless_sweep_builds_no_full_grid_mode(self, l, tmp_path):
         # The bound sits between this sweep's measured tracemalloc peaks:
         # 22.6 MiB when both charges are built on the full grid, 16.5 MiB
         # when u(|l|) and its full-grid conjugate are, 12.5 MiB when only
-        # u(|l|) is and its conjugate is read on the annulus pixels.
+        # u(|l|) is, and 5.7 MiB when u(|l|) is formed in row blocks and
+        # only its annulus pixels are kept.
         for cached in (optics._mode_data, _mode_moments, annulus_plan):
             cached.cache_clear()
         tracemalloc.start()
@@ -374,8 +375,32 @@ class TestMeasurePorts:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert optics._mode_data.cache_info().misses == 1
-        assert peak < 15 * 2**20
+        assert optics._mode_data.cache_info().misses == 0
+        assert peak < 9 * 2**20
+
+    @pytest.mark.parametrize("size", [43, 64, 100])
+    def test_mode_block_height_changes_no_bit(self, size, monkeypatch):
+        # Any block height, from one row to the whole grid, forms u(|l|), its annulus
+        # pixels and the moment tables bit for bit; no size here is a multiple of 32.
+        grid = GridSpec(size)
+        plan = fringes.port_plan(grid)
+        for height in (1, 7, 32, size):
+            monkeypatch.setattr(optics, "RENDER_BLOCK_ROWS", height)
+            for cached in (optics._mode_data, _mode_moments):
+                cached.cache_clear()
+            for l in (1, 3, optics.MAX_OAM):
+                mode = optics._mode_data(l, grid)
+                assert mode.tobytes() == meshgrid_mode(l, grid).tobytes()
+                gathered = []
+
+                def keep(rows, block):
+                    first = rows.start * size
+                    run = (plan.pixels >= first) & (plan.pixels < rows.stop * size)
+                    gathered.append(block.take(plan.pixels[run] - first))
+
+                norm = optics._mode_rows(l, grid, keep)
+                assert (np.concatenate(gathered) / norm).tobytes() == mode.take(plan.pixels).tobytes()
+            self.test_moment_tables_read_the_minus_mode_as_built(size)
 
     def test_calibrated_render_forms_no_full_grid_field(self, tmp_path):
         # The bound sits between the tracemalloc peaks of this 512^2 render: 32.1 MiB

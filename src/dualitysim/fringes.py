@@ -229,10 +229,6 @@ def _harmonic_fits(values: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray]:
     return coeffs, sigma_sq[:, np.newaxis, np.newaxis] * inv_normal
 
 
-def _square(x: float) -> float:
-    return x**2
-
-
 def _fringe_rows(values: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray, list]:
     """``fringe_visibility`` of each row of ``values`` (rows x bins): the
     visibilities, their uncertainties and, per row, why it has none (None
@@ -250,20 +246,25 @@ def _fringe_rows(values: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray, li
         for i in rows.tolist():
             reasons[i] = str(exc)
         return visibility, uncertainty, reasons
-    flat = coeffs[:, 0] <= 0.0
-    for i, c0 in zip(rows[flat].tolist(), coeffs[flat, 0]):
-        reasons[i] = f"fitted baseline {c0!r} is not positive"
-    rows, covariance = rows[~flat], covariance[~flat]
-    c0, a, b = coeffs[~flat].T
+    c0, a, b = coeffs.T
+    amplitude = _per_float(math.hypot, a, b)
+    scale = np.where(amplitude > 0.0, amplitude, 1.0) * c0
+    square = np.float_power(c0, 2.0)
+    # The gradient divides by scale and c0**2: a baseline that is not positive, or
+    # whose products underflow to 0 (1/c0 overflows only where c0**2 does), has none.
+    fitted = (scale > 0.0) & (square > 0.0)
+    for i, c in zip(rows[~fitted].tolist(), c0[~fitted].tolist()):
+        reasons[i] = (f"fitted baseline {c!r} is not positive" if not c > 0.0
+                      else f"fitted baseline {c!r} underflows the uncertainty's gradient")
+    rows, covariance = rows[fitted], covariance[fitted]
+    c0, a, b, amplitude, scale, square = np.stack((c0, a, b, amplitude, scale, square))[:, fitted]
 
     attenuation = _window_attenuation(l, 360.0 / n_bins)
-    amplitude = _per_float(math.hypot, a, b)
     visibility[rows] = np.minimum(amplitude / (attenuation * c0), 1.0)
     fringe = amplitude > 0.0
-    scale = np.where(fringe, amplitude, 1.0) * c0
     grad = np.where(
         fringe[:, np.newaxis],
-        np.column_stack((-amplitude / _per_float(_square, c0), a / scale, b / scale)),
+        np.column_stack((-amplitude / square, a / scale, b / scale)),
         np.column_stack((np.zeros_like(c0), 1.0 / c0, 1.0 / c0)) / math.sqrt(2.0),
     )
     spread = (grad[:, np.newaxis, :] @ covariance @ grad[:, :, np.newaxis])[:, 0, 0]
@@ -328,7 +329,7 @@ def predictability_from_profile(profile: AzimuthalProfile, l: int) -> float | np
 
 def _coherent_predictability(visibility: np.ndarray) -> np.ndarray:
     """sqrt(1 - V^2) of each coherent port's fitted V."""
-    return np.sqrt(1.0 - _per_float(_square, visibility))
+    return np.sqrt(1.0 - np.float_power(visibility, 2.0))
 
 
 def count_petals(profile: AzimuthalProfile) -> int:
@@ -413,7 +414,7 @@ class PortRows:
 
     @property
     def sum_of_squares(self) -> np.ndarray:
-        return _per_float(_square, self.visibility) + _per_float(_square, self.predictability)
+        return np.float_power(self.visibility, 2.0) + np.float_power(self.predictability, 2.0)
 
     def petal_count(self, k: int) -> int:
         """``count_petals`` of row k's V profile; 0 where its V is NaN."""

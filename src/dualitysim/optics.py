@@ -199,18 +199,28 @@ def _signed(u_abs: np.ndarray, l: int) -> np.ndarray:
 def _per_float(fn: Callable, *arrays: np.ndarray) -> np.ndarray:
     """Array of ``fn`` of each element, evaluated on Python numbers.
 
-    ``abs`` of a complex, ``math.hypot`` and ``x**2`` (libm pow) can round
-    differently from ``np.abs``, ``np.hypot`` and ``x * x``, and numpy's
-    complex array product may fuse a multiply and an add, which keeps the
-    sign of an underflowed term; so the stacked steps keep the rounding of
-    the scalar formulas this way.
+    Its one use is ``math.hypot``, CPython's own algorithm, which rounds
+    differently from the C library's ``hypot`` that ``np.hypot`` calls.  The
+    other scalar steps have exact array forms that call the same C function:
+    ``np.float_power(x, 2.0)`` for ``x**2`` (``pow``; numpy's ``**`` and
+    ``np.square`` multiply) and ``np.hypot(z.real, z.imag)`` for ``abs(z)``.
     """
     return np.array(list(map(fn, *(a.tolist() for a in arrays))))
 
 
-def _port_weights(plus: complex, minus: complex) -> tuple[float, ...]:
-    cross = plus * minus.conjugate()
-    return abs(plus) ** 2, abs(minus) ** 2, 2.0 * cross.real, -2.0 * cross.imag
+def _weight_rows(amplitudes: np.ndarray) -> np.ndarray:
+    """Read-only rows x 4 weights abs(a)**2, abs(b)**2, 2 Re(a conj(b)), -2 Im(a conj(b)) of
+    one port's rows x components x 2 amplitudes (a, b), summed over its components."""
+    (ar, br), (ai, bi) = np.moveaxis(amplitudes.real, 2, 0), np.moveaxis(amplitudes.imag, 2, 0)
+    # a conj(b) in the steps of Python's complex product; numpy's may fuse a multiply-add.
+    parts = np.stack((*np.float_power(np.hypot([ar, br], [ai, bi]), 2.0),
+                      2.0 * (ar * br - ai * -bi), -2.0 * (ar * -bi + ai * br)), axis=2)
+    total, *rest = parts.swapaxes(0, 1)
+    for part in rest:
+        # A zero weight adds nothing: adding +0.0 turns a -0.0 cross weight into +0.0.
+        total = np.where(part != 0, total + part, total)
+    total.setflags(write=False)
+    return total
 
 
 @dataclass
@@ -254,15 +264,7 @@ class PortSynthesis:
 
     @cached_property
     def _weights(self) -> dict[str, np.ndarray]:
-        weights = {}
-        for port, amplitudes in self.amplitudes.items():
-            total, *rest = (_per_float(_port_weights, *c.T) for c in amplitudes.swapaxes(0, 1))
-            for part in rest:
-                # A zero weight adds nothing: adding +0.0 turns a -0.0 cross weight into +0.0.
-                total = np.where(part != 0, total + part, total)
-            total.setflags(write=False)
-            weights[port] = total
-        return weights
+        return {port: _weight_rows(amplitudes) for port, amplitudes in self.amplitudes.items()}
 
 
 def synthesize_ports(
@@ -293,16 +295,18 @@ def synthesize_ports(
         raise ValueError("synthesize_ports needs at least one StateParams")
     phase = np.exp(1j * path_phase)
     flip = math.sqrt(1.0 - flip_impurity**2)
-    states = [row.amplitudes for row in rows]
-
-    def port(pol: int) -> np.ndarray:
-        # Column pol of A[oam, pol] is (upper, lower) = (psi[pol], psi[2 + pol]).
-        components = [[(psi[pol], (psi[2 + pol] * flip) * phase) for psi in states]]
-        if flip_impurity:
-            components.append([(psi[2 + pol] * flip_impurity, 0.0) for psi in states])
-        return np.stack(components, axis=1)
-
-    return PortSynthesis(l=l, grid=grid, amplitudes={"h": port(0), "v": port(1)})
+    # Columns (upper, lower) of each row's A[oam, pol], as the ports h (pol 0) and v (pol 1).
+    upper, lower = np.fromiter((x for row in rows for x in row.amplitudes), float,
+                               4 * len(rows)).reshape(-1, 2, 2).transpose(1, 2, 0)
+    ports = np.zeros((2, len(rows), 2 if flip_impurity else 1, 2), dtype=complex)
+    ports[:, :, 0, 0] = upper
+    # (lower * flip) * phase, with the IEEE steps of Python's complex product.
+    flipped = lower * flip
+    ports[:, :, 0, 1].real = flipped * phase.real - 0.0 * phase.imag
+    ports[:, :, 0, 1].imag = flipped * phase.imag + 0.0 * phase.real
+    if flip_impurity:
+        ports[:, :, 1, 0] = lower * flip_impurity
+    return PortSynthesis(l=l, grid=grid, amplitudes={"h": ports[0], "v": ports[1]})
 
 
 def render_image(

@@ -186,6 +186,19 @@ class TestSweepCommand:
         assert not np.isnan(p_measured[1:-1]).any()
         assert np.isnan(col(header, rows, "sum_cond_squares_measured")[[0, -1]]).all()
 
+    @pytest.mark.parametrize("sigma", ["1e-310", "1e-300", "1e-200"])
+    def test_tiny_readout_sigma_reads_nan_without_a_warning(self, sigma, tmp_path):
+        # 1.5 photons leave the annuli dark, so each profile is readout noise of
+        # order sigma, whose fitted baseline squares to 0: every measure is NaN.
+        out = tmp_path / "sweep_q"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sweep", "--samples", "3", "--grid", "64", "--sweep", "alpha",
+                         "--end", "7", "--photons", "1.5", "--readout-sigma", sigma,
+                         "--l", "32", "--out", str(out)]) == 0
+        header, rows = read_csv(out.with_suffix(".csv"))
+        assert np.isnan(rows[:, [header.index(name) for name in cli.MEASURED_COLUMNS]]).all()
+
     def test_readout_sigma_without_a_budget_is_usage_error(self, tmp_path, capsys):
         # Readout sigma is in counts, which an unset or infinite budget does not give.
         for budget in ([], ["--photons", "inf"]):

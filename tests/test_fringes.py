@@ -326,23 +326,40 @@ class TestMeasurePorts:
     def test_noiseless_measurement_forms_each_port_weight_once(self, monkeypatch):
         # measure_rows, moment_profile and analytic_ports read one array per port.
         calls = []
-        original = optics._port_weights
+        original = optics._weight_rows
 
-        def counting_weights(*amplitudes):
+        def counting_weights(amplitudes):
             calls.append(amplitudes)
-            return original(*amplitudes)
+            return original(amplitudes)
 
-        monkeypatch.setattr(optics, "_port_weights", counting_weights)
+        monkeypatch.setattr(optics, "_weight_rows", counting_weights)
         rows = [StateParams(theta, 0.7) for theta in (0.5, 1.0, 2.0, 3.0)]
         syn = synthesize_ports(rows, grid=GridSpec(64))
         assert not calls
         measure_rows(syn, NoiseModel())
-        assert len(calls) == 2 * len(rows)
+        assert len(calls) == 2
         analytic_ports(syn)
-        assert len(calls) == 2 * len(rows)
+        assert len(calls) == 2
         for port in "vh":
             with pytest.raises(ValueError):
                 syn.intensity_weights(port)[0, 0] = 1.0
+
+    def test_noiseless_measurement_maps_only_the_fit_amplitudes_per_float(self, monkeypatch):
+        # Squares and complex magnitudes have exact array forms; only the V and
+        # H fits' math.hypot of (A, B) is evaluated one Python float at a time.
+        calls = []
+        original = optics._per_float
+
+        def counting_per_float(fn, *arrays):
+            calls.append(fn)
+            return original(fn, *arrays)
+
+        for module in (optics, fringes):
+            monkeypatch.setattr(module, "_per_float", counting_per_float)
+        rows = [StateParams(theta, 0.7) for theta in np.linspace(0.1, 3.0, 37).tolist()]
+        m = measure_rows(synthesize_ports(rows, grid=GridSpec(64)), NoiseModel())
+        assert not np.isnan(m.visibility).any() and not np.isnan(m.predictability).any()
+        assert calls == [math.hypot, math.hypot]
 
     @pytest.mark.parametrize("size", [64, 43])
     def test_moment_tables_read_the_minus_mode_as_built(self, size):
@@ -483,6 +500,20 @@ class TestFringeVisibility:
             with pytest.raises(DegenerateProfile) as raised:
                 fringe_visibility(synthetic_profile(values), 3)
             assert str(raised.value) == reason
+
+    def test_baseline_whose_gradient_underflows_reads_nan_with_a_reason(self):
+        # At 1e-200 a fringe's c0**2 and |c1| c0 underflow to 0; at 1e-100 they do not.
+        angles = np.radians(np.arange(120) * 3.0)
+        fringed = 1.0 + 0.5 * np.cos(6 * angles)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            visibility, uncertainty, reasons = fringes._fringe_rows(
+                np.stack([1e-200 * fringed, 1e-100 * fringed, fringed]), 3)
+        assert reasons[0].startswith("fitted baseline 1") and "underflows" in reasons[0]
+        assert math.isnan(visibility[0]) and math.isnan(uncertainty[0])
+        assert reasons[1:] == [None, None]
+        assert visibility[1] == pytest.approx(visibility[2], rel=1e-12)
+        assert uncertainty[1] == pytest.approx(uncertainty[2], rel=1e-6)
 
     def test_visibility_clamped_to_unity(self):
         angles = np.radians(np.arange(120) * 3.0)

@@ -5,6 +5,7 @@ Angles range over several periods and projectors over the whole Bloch
 sphere.  Examples are derandomized, so every run checks the same cases.
 """
 
+import contextlib
 import math
 import warnings
 
@@ -295,6 +296,46 @@ def test_stacked_synthesis_rows_equal_the_scalar_rows(angles, seed, path_phase, 
             assert [f.tobytes() for f in fields] == [f.tobytes() for f in expected]
         expected = np.array(row_port_analytic(weights["v"], weights["h"]))
         assert analytic[k].tobytes() == expected.tobytes()
+
+
+def _either_sign(magnitudes):
+    return st.builds(math.copysign, magnitudes, st.sampled_from([1.0, -1.0]))
+
+
+# Edge classes of the float values the stacked steps square or take the magnitude of.
+EDGE_FLOAT = _either_sign(st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1.0]),
+    st.floats(min_value=0.0, max_value=2.2250738585072014e-308),  # subnormals
+    st.floats(min_value=1e-301, max_value=1e-299),
+    st.floats(min_value=1e153, max_value=1.4e154),  # squares near the largest float
+    st.floats(min_value=1e299, max_value=1e301),
+    st.floats(min_value=0.999, max_value=1.001),
+))
+
+
+@PROPERTY
+@given(st.lists(EDGE_FLOAT, min_size=1, max_size=64))
+# Squares that x * x, numpy's ** and np.square round differently from pow.
+@example([1.0006087783863435, -0.9998728132078403])
+def test_float_power_squares_as_python_does(values):
+    # Python's x**2 and np.float_power(x, 2.0) both call the C library's pow.
+    finite = []
+    for x in values:
+        with contextlib.suppress(OverflowError):
+            finite.append((x, x**2))
+    xs, squares = np.array(finite).reshape(-1, 2).T
+    assert np.float_power(xs, 2.0).tobytes() == squares.tobytes(), (
+        "np.float_power(x, 2.0) must equal Python's x**2 bit for bit (both are libm pow)")
+
+
+@PROPERTY
+@given(st.lists(st.tuples(EDGE_FLOAT, EDGE_FLOAT), min_size=1, max_size=64))
+def test_hypot_of_the_parts_is_the_complex_magnitude(parts):
+    # abs() of a Python complex and np.hypot both call the C library's hypot.
+    z = np.array([complex(re, im) for re, im in parts])
+    assert np.hypot(z.real, z.imag).tobytes() == np.array([abs(c) for c in z.tolist()]).tobytes(), (
+        "np.hypot(z.real, z.imag) must equal abs(z) of a Python complex bit for bit "
+        "(both are libm hypot)")
 
 
 @PROPERTY

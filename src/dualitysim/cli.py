@@ -138,6 +138,11 @@ def _noise(args: argparse.Namespace, photons: float = math.inf) -> optics.NoiseM
         raise UsageError(f"--readout-sigma needs a finite --photons budget: {exc}") from None
 
 
+def _camera_record(args: argparse.Namespace, noise: optics.NoiseModel) -> dict:
+    """The camera keys that ``sweep``'s config and ``render``'s report record."""
+    return {"grid": args.grid, "oam_charge": args.l, **noise.record}
+
+
 def _write_json(path: Path, payload: dict) -> None:
     """``payload`` as one line of ``json.dumps(payload, sort_keys=True)``."""
     path.write_text(json.dumps(payload, sort_keys=True) + "\n")
@@ -178,10 +183,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "start": start,
             "end": end,
             "samples": samples,
-            "grid": args.grid,
-            "oam_charge": args.l,
             "pipeline": pipeline,
-            **noise.record,
+            **_camera_record(args, noise),
         },
     }
     _write_json(json_path, payload)
@@ -223,18 +226,11 @@ def cmd_render(args: argparse.Namespace) -> int:
         optics.write_pgm16(out_dir / f"{port}_port.pgm", image)
         fringes.profile_to_csv(profile, out_dir / f"{port}_profile.csv")
 
-    params_info = {
-        "theta": params.theta,
-        "alpha": params.alpha,
-        "oam_charge": l,
-        "flip_impurity": impurity,
-        "path_phase": path_phase,
-        "grid": args.grid,
-        **noise.record,
-    }
-    fringes.analysis_report_json(out_dir / "report.json", report, params_info)
-    optics.write_metadata(out_dir / "metadata.json", params, l, grid, noise,
-                          extra={"flip_impurity": impurity, "path_phase": path_phase})
+    run = {"theta": params.theta, "alpha": params.alpha, "oam_charge": l,
+           "flip_impurity": impurity, "path_phase": path_phase}
+    fringes.analysis_report_json(out_dir / "report.json", report,
+                                 {**run, **_camera_record(args, noise)})
+    optics.write_metadata(out_dir / "metadata.json", run, grid, noise)
     if args.json:
         print((out_dir / "report.json").read_text(), end="")
     else:

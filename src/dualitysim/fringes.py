@@ -359,16 +359,7 @@ def _mode_moments(l: int, grid: GridSpec) -> tuple[AnnulusPlan, np.ndarray, np.n
     mode terms |u+|^2, |u-|^2, Re(u+ conj(u-)) and Im(u+ conj(u-)) (4 rows)
     and of their pair products times multiplicity (10 rows, for the stderr)."""
     plan = port_plan(grid)
-    # The annulus pixels are sorted row-major, so each row block's are one run of them.
-    pixels, size = plan.pixels, grid.size
-    u_abs = np.empty(len(pixels), dtype=complex)
-
-    def gather(rows: slice, block: np.ndarray) -> None:
-        first = rows.start * size
-        run = slice(*np.searchsorted(pixels, [first, rows.stop * size]))
-        u_abs[run] = block.take(pixels[run] - first)
-
-    u_abs /= optics._mode_rows(abs(l), grid, gather)
+    u_abs = optics._mode_rows(abs(l), grid, plan.pixels)
     # u(-l) = conj u(|l|): both modes have the power |u(|l|)|^2, and u+ conj(u-) is
     # u(|l|)^2 for l > 0 and its conjugate for l < 0.
     power = np.abs(u_abs) ** 2
@@ -446,8 +437,10 @@ def measure_rows(synthesis: PortSynthesis, noise: NoiseModel, first_row: int = 0
     whose H port has one nonzero component, and otherwise from the H port's +l and
     -l frames, as a mode-by-mode acquisition records them.  A port that ``_lit_ports``
     calls dark on the port powers reads NaN without a fit, and so does a degenerate
-    profile.  ``EmptyBin`` depends on the grid alone and propagates.
+    profile.  ``EmptyBin`` depends on the grid alone and propagates, and a ``first_row``
+    that is not a nonnegative integer raises ``ValueError``.
     """
+    optics._check_index("first_row", first_row)
     l, grid, n_rows = synthesis.l, synthesis.grid, len(synthesis)
     h = synthesis.amplitudes["h"]
 

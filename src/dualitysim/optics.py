@@ -17,11 +17,11 @@ A single-ring vortex mode of charge l is used for the OAM eigenmodes:
 
 normalized to unit power on the grid.  Opposite charges share the same
 intensity ring, so every visibility/predictability result downstream is
-independent of this envelope choice.  Only u(|l|) is formed, in blocks of
-``RENDER_BLOCK_ROWS`` rows; u(-l) is read off it as its exact conjugate.
-The rendered frames read the cached whole-grid u(|l|), while the noiseless
-moment sums of ``fringes`` keep u(|l|) on the port annulus's pixels only,
-so a noiseless sweep holds no whole-grid complex mode.
+independent of this envelope choice.  Only u(|l|) is formed, by ``_mode_rows``
+in blocks of ``RENDER_BLOCK_ROWS`` rows, on the pixels it is asked for; u(-l) is
+read off it as its exact conjugate.  The rendered frames read the cached
+whole-grid u(|l|) of ``_mode_data``, while the noiseless moment sums of ``fringes``
+ask for the annulus pixels only, so a noiseless sweep holds no whole-grid mode.
 
 Interferometer model
 --------------------
@@ -117,8 +117,10 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if type(self.seed) is bool or not isinstance(self.seed, int | np.integer) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        _check_index("seed", self.seed)
+        for name in ("photon_budget", "readout_sigma"):
+            if isinstance(getattr(self, name), bool | np.bool_):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not self.photon_budget >= 0:
             raise ValueError("photon_budget must be >= 0")
         if not 0.0 <= self.readout_sigma < POISSON_LAM_MAX:
@@ -137,6 +139,12 @@ class NoiseModel:
         return {"photon_budget": budget, "readout_sigma": self.readout_sigma, "seed": self.seed}
 
 
+def _check_index(name: str, value: object) -> None:
+    """``ValueError`` naming ``name`` unless ``value`` is a nonnegative integer (no bool)."""
+    if isinstance(value, bool) or not isinstance(value, int | np.integer) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
 def _check_charge(l: int) -> None:
     if not isinstance(l, int | np.integer):
         raise ValueError(f"OAM charge must be an integer, got {l!r}")
@@ -149,22 +157,22 @@ def _check_charge(l: int) -> None:
 # A measurement reads one u(|l|) for both charges +-l.
 @lru_cache(maxsize=2)
 def _mode_data(l: int, grid: GridSpec) -> np.ndarray:
-    """Read-only unit-power mode of charge ``l`` >= 0; ``_signed`` reads u(-l) off it."""
+    """Read-only whole-grid ``_mode_rows``; ``_signed`` reads u(-l) off it."""
     _check_charge(l)
-    data = np.empty((grid.size, grid.size), dtype=complex)
-    data /= _mode_rows(l, grid, data.__setitem__)
+    data = _mode_rows(l, grid).reshape(grid.size, grid.size)
     data.setflags(write=False)
     return data
 
 
-def _mode_rows(l: int, grid: GridSpec, keep: Callable[[slice, np.ndarray], object]) -> float:
-    """Form the unnormalised mode of charge ``l`` >= 0 ``RENDER_BLOCK_ROWS`` rows at a
-    time, hand each block to ``keep(rows, block)``, and return its unit-power normaliser.
+def _mode_rows(l: int, grid: GridSpec, pixels: np.ndarray | None = None) -> np.ndarray:
+    """Unit-power mode of charge ``l`` >= 0 on the sorted flat indices ``pixels``, or on
+    every pixel in C order when ``pixels`` is None, formed ``RENDER_BLOCK_ROWS`` rows at a time.
 
     Each block's |u|^2 goes into one whole-grid power array, which is summed once
     at the end, so the normaliser has the bits of the whole-grid formula."""
     axis = (np.arange(grid.size) - grid.beam_center[0]) * grid.pixel_size
     x = axis[np.newaxis, :]
+    kept = np.empty(grid.size**2 if pixels is None else len(pixels), dtype=complex)
     power = np.empty((grid.size, grid.size))
     for start in range(0, grid.size, RENDER_BLOCK_ROWS):
         rows = slice(start, start + RENDER_BLOCK_ROWS)
@@ -178,8 +186,14 @@ def _mode_rows(l: int, grid: GridSpec, keep: Callable[[slice, np.ndarray], objec
         data *= envelope
         block_power = np.abs(data, out=power[rows])
         np.square(block_power, out=block_power)
-        keep(rows, data)
-    return math.sqrt(np.sum(power) * grid.pixel_area)
+        first = start * grid.size
+        if pixels is None:
+            kept[first:first + data.size] = data.ravel()
+        else:  # the pixels are sorted, so the block's are one run of them
+            run = slice(*np.searchsorted(pixels, [first, first + data.size]))
+            kept[run] = data.take(pixels[run] - first)
+    kept /= math.sqrt(np.sum(power) * grid.pixel_area)
+    return kept
 
 
 def oam_mode(l: int, grid: GridSpec = GridSpec()) -> np.ndarray:
@@ -331,8 +345,11 @@ def render_image(
     noise, and the frame is clamped at zero.  A budget that puts more
     expected counts in one pixel than the Poisson sampler accepts raises
     ``ValueError``.  Frames are drawn in blocks of ``RENDER_BLOCK_ROWS`` rows,
-    which changes no bit: the draws keep the whole frame's C order.
+    which changes no bit: the draws keep the whole frame's C order.  A ``key``
+    entry that is not a nonnegative integer raises ``ValueError``.
     """
+    for part in key:
+        _check_index("each render_image key entry", part)
     if callable(fields):
         return _render_rows(fields, noise, key)
     # A 0-d field is made 1-d, so that it fails the shape check rather than the slicing.
@@ -429,19 +446,12 @@ def write_pgm16(path: str | Path, image: np.ndarray) -> float:
     return scale
 
 
-def write_metadata(
-    path: str | Path,
-    params: StateParams,
-    l: int,
-    grid: GridSpec,
-    noise: NoiseModel,
-    extra: dict | None = None,
-) -> None:
-    """JSON sidecar describing how the neighbouring images were produced."""
+def write_metadata(path: str | Path, record: dict, grid: GridSpec, noise: NoiseModel) -> None:
+    """JSON sidecar describing how the neighbouring images were produced: the run's
+    ``record`` (for ``render``, its angles, charge, impurity and path phase), the camera
+    ``grid`` as its width, height, extent and beam center, and the ``noise`` model's record."""
     meta = {
-        "theta": params.theta,
-        "alpha": params.alpha,
-        "oam_charge": l,
+        **record,
         "grid": {
             "width": grid.size,
             "height": grid.size,
@@ -450,6 +460,4 @@ def write_metadata(
         },
         "noise": noise.record,
     }
-    if extra:
-        meta.update(extra)
     Path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")

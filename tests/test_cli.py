@@ -859,6 +859,35 @@ def test_failed_allocation_is_a_runtime_error(argv, module, name, tmp_path, monk
     assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB for an array\n"
 
 
+RUN_KEYS = ("theta", "alpha", "oam_charge", "flip_impurity", "path_phase")
+CAMERA_KEYS = ("grid", "oam_charge", "photon_budget", "readout_sigma", "seed")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--theta", "1", "--alpha", "0.7", "--impurity", "0.2", "--path-phase", "0.3", "--l", "-3",
+     "--photons", "1e4", "--readout-sigma", "2", "--seed", "4"],
+    ["--calibrated", "--seed", "5"],
+])
+def test_render_and_sweep_record_one_run(argv, tmp_path):
+    # report.json's params and metadata.json hold the same run and camera, and a
+    # sweep through the same camera records the same camera keys in its config.
+    out = tmp_path / "r"
+    assert main(["render", *argv, "--grid", "64", "--out", str(out)]) == 0
+    params = json.loads((out / "report.json").read_text())["params"]
+    meta = json.loads((out / "metadata.json").read_text())
+    assert {k: params[k] for k in RUN_KEYS} == {k: meta[k] for k in RUN_KEYS}
+    assert params["grid"] == meta["grid"]["width"] == meta["grid"]["height"] == 64
+    assert {k: params[k] for k in meta["noise"]} == meta["noise"]
+    assert set(params) == {*RUN_KEYS, *CAMERA_KEYS}
+    camera = {k: params[k] for k in CAMERA_KEYS}
+    photons = "inf" if camera["photon_budget"] is None else repr(camera["photon_budget"])
+    assert main(["sweep", "--samples", "2", "--grid", "64", "--l", str(camera["oam_charge"]),
+                 "--photons", photons, "--readout-sigma", repr(camera["readout_sigma"]),
+                 "--seed", str(camera["seed"]), "--out", str(tmp_path / "s")]) == 0
+    config = json.loads((tmp_path / "s.json").read_text())["config"]
+    assert {k: config[k] for k in CAMERA_KEYS} == camera
+
+
 def test_noiseless_budget_is_written_as_null(tmp_path):
     out = tmp_path / "r"
     assert main(["render", "--theta", "1", "--alpha", "1", "--grid", "64", "--photons", "inf",

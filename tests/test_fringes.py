@@ -397,10 +397,12 @@ class TestMeasurePorts:
 
     @pytest.mark.parametrize("size", [43, 64, 100])
     def test_mode_block_height_changes_no_bit(self, size, monkeypatch):
-        # Any block height, from one row to the whole grid, forms u(|l|), its annulus
-        # pixels and the moment tables bit for bit; no size here is a multiple of 32.
+        # Any block height, from one row to the whole grid, forms u(|l|), its value on
+        # any sorted pixel set and the moment tables bit for bit; no size here is a
+        # multiple of 32.
         grid = GridSpec(size)
-        plan = fringes.port_plan(grid)
+        pixel_sets = [fringes.port_plan(grid).pixels, np.array([], dtype=np.intp),
+                      np.array([size * size // 2 + 3]), np.arange(size * (size - 1), size**2)]
         for height in (1, 7, 32, size):
             monkeypatch.setattr(optics, "RENDER_BLOCK_ROWS", height)
             for cached in (optics._mode_data, _mode_moments):
@@ -408,15 +410,9 @@ class TestMeasurePorts:
             for l in (1, 3, optics.MAX_OAM):
                 mode = optics._mode_data(l, grid)
                 assert mode.tobytes() == meshgrid_mode(l, grid).tobytes()
-                gathered = []
-
-                def keep(rows, block):
-                    first = rows.start * size
-                    run = (plan.pixels >= first) & (plan.pixels < rows.stop * size)
-                    gathered.append(block.take(plan.pixels[run] - first))
-
-                norm = optics._mode_rows(l, grid, keep)
-                assert (np.concatenate(gathered) / norm).tobytes() == mode.take(plan.pixels).tobytes()
+                for pixels in pixel_sets:
+                    kept = optics._mode_rows(l, grid, pixels)
+                    assert kept.tobytes() == mode.take(pixels).tobytes()
             self.test_moment_tables_read_the_minus_mode_as_built(size)
 
     def test_calibrated_render_forms_no_full_grid_field(self, tmp_path):

@@ -18,6 +18,7 @@ from dualitysim import (
     synthesize_ports,
 )
 from dualitysim import optics
+from dualitysim.fringes import measure_rows
 from dualitysim.optics import (
     MAX_OAM,
     POISSON_LAM_MAX,
@@ -412,6 +413,26 @@ class TestRenderImage:
         with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
             NoiseModel(1e5, 0.0, seed)
 
+    @pytest.mark.parametrize("case,name", [
+        (lambda syn, noise: measure_rows(syn, noise, first_row=-1), "first_row"),
+        (lambda syn, noise: measure_rows(syn, NoiseModel(), first_row=-1), "first_row"),
+        (lambda syn, noise: measure_rows(syn, noise, first_row=1.5), "first_row"),
+        (lambda syn, noise: measure_rows(syn, noise, first_row=True), "first_row"),
+        (lambda syn, noise: render_image(syn.fields("v"), noise, (1.5,)), "key"),
+        (lambda syn, noise: render_image(syn.fields("v"), noise, ("a",)), "key"),
+        (lambda syn, noise: render_image(syn.fields("v"), noise, (True,)), "key"),
+        (lambda syn, noise: NoiseModel(photon_budget=True), "photon_budget"),
+        (lambda syn, noise: NoiseModel(1e5, readout_sigma=False), "readout_sigma"),
+    ], ids=["first_row=-1", "first_row=-1-exact", "first_row=1.5", "first_row=True",
+            "key=(1.5,)", "key=('a',)", "key=(True,)", "photon_budget=True",
+            "readout_sigma=False"])
+    def test_bad_seeding_and_noise_inputs_are_rejected(self, case, name):
+        # Each fails as a ValueError naming its argument, not as numpy's error from
+        # the seed sequence, and a bool is not taken as 0 or 1.
+        syn = synthesize_ports(StateParams(1.0, 0.7), 3, GridSpec(64))
+        with pytest.raises(ValueError, match=name):
+            case(syn, NoiseModel(1e5, 0.0, 1))
+
     def test_numpy_integer_seed_is_accepted(self):
         v = synthesize_ports(StateParams(np.pi / 2, np.pi / 2), 3, GRID).fields("v")
         np.testing.assert_array_equal(render_image(v, NoiseModel(1e5, 0.0, np.uint8(9))),
@@ -481,11 +502,9 @@ class TestExports:
         path = tmp_path / "meta.json"
         write_metadata(
             path,
-            StateParams(1.0, 2.0),
-            3,
+            {"theta": 1.0, "alpha": 2.0, "oam_charge": 3, "note": "test"},
             GRID,
             NoiseModel(1e6, 2.0, seed=5),
-            extra={"note": "test"},
         )
         meta = json.loads(path.read_text())
         assert meta["theta"] == 1.0

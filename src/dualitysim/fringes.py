@@ -431,11 +431,13 @@ def measure_rows(synthesis: PortSynthesis, noise: NoiseModel, first_row: int = 0
     For an ``exact`` noise model the profiles are one stacked product of the
     port weights with the cached mode moments, and a frame is rendered only
     when read; otherwise each row's V and H frames are rendered and binned in
-    turn, and only the last row's stay cached.
+    turn, and only the last row's stay cached, so no other frame outlives its binning.
 
     V is fitted on the V-port profiles.  P comes from the H-port profile of a row
     whose H port has one nonzero component, and otherwise from the H port's +l and
-    -l frames, as a mode-by-mode acquisition records them.  A port that ``_lit_ports``
+    -l frames, as a mode-by-mode acquisition records them.  Those two frames are
+    drawn before any V or H frame and kept only as their 1x1 bucket totals, the
+    counts that ``predictability_from_images`` reads.  A port that ``_lit_ports``
     calls dark on the port powers reads NaN without a fit, and so does a degenerate
     profile.  ``EmptyBin`` depends on the grid alone and propagates, and a ``first_row``
     that is not a nonnegative integer raises ``ValueError``.
@@ -448,16 +450,25 @@ def measure_rows(synthesis: PortSynthesis, noise: NoiseModel, first_row: int = 0
         return optics.render_image(lambda rows: synthesis.field_rows(components, rows),
                                    noise, (first_row + k, port))
 
-    # The last row's frames stay, so a one-row measurement renders each once.
-    @lru_cache(maxsize=2)
-    def frame(k: int, port: int) -> np.ndarray:
+    def draw(k: int, port: int) -> np.ndarray:
         return render(synthesis.amplitudes["vh"[port]][k].tolist(), k, port)
 
+    # The last row's frames stay, so a one-row measurement renders each once.
+    frame = lru_cache(maxsize=2)(draw)
+
     *_, v_lit, h_lit = _lit_ports(synthesis)
+    coherent = h_lit & (np.count_nonzero(h.any(axis=2), axis=1) <= 1)
+    # Frames 2 and 3 render an impure H port's components cut to their +l and -l parts.
+    # P reads only their total counts, so each becomes its 1x1 bucket total as it is
+    # drawn, before any V or H frame.
+    mode_totals = {k: [render((h[k] * cut).tolist(), k, 2 + j).sum(keepdims=True)
+                       for j, cut in enumerate(np.eye(2))]
+                   for k in np.flatnonzero(h_lit & ~coherent).tolist()}
     if noise.exact:
         v_profile, h_profile = (moment_profile(synthesis, port) for port in "vh")
     else:
-        binned = [[port_profile(frame(k, port), grid) for port in (0, 1)] for k in range(n_rows)]
+        binned = [[port_profile((frame if k == n_rows - 1 else draw)(k, port), grid)
+                   for port in (0, 1)] for k in range(n_rows)]
         v_profile, h_profile = (
             AzimuthalProfile(np.stack([p.values for p in profiles]),
                              np.stack([p.stderr for p in profiles]), profiles[0].counts)
@@ -470,12 +481,9 @@ def measure_rows(synthesis: PortSynthesis, noise: NoiseModel, first_row: int = 0
     visibility, uncertainty, predictability = np.full((3, n_rows), math.nan)
     if v_lit.any():
         visibility[v_lit], uncertainty[v_lit] = fringe_visibility(v_profile.row(v_lit), l)
-    coherent = h_lit & (np.count_nonzero(h.any(axis=2), axis=1) <= 1)
     if coherent.any():
         predictability[coherent] = predictability_from_profile(h_profile.row(coherent), l)
-    for k in np.flatnonzero(h_lit & ~coherent).tolist():
-        # Frames 2 and 3 render the H port's components cut to their +l and -l parts.
-        plus, minus = (render((h[k] * cut).tolist(), k, 2 + j) for j, cut in enumerate(np.eye(2)))
+    for k, (plus, minus) in mode_totals.items():
         with suppress(ZeroIntensity):
             predictability[k] = predictability_from_images(plus, minus)
     return PortRows(v_profile, h_profile, visibility, uncertainty, predictability, frame)

@@ -346,8 +346,10 @@ def render_image(
     expected counts in one pixel than the Poisson sampler accepts raises
     ``ValueError``.  Frames are drawn in blocks of ``RENDER_BLOCK_ROWS`` rows,
     which changes no bit: the draws keep the whole frame's C order.  A ``key``
-    entry that is not a nonnegative integer raises ``ValueError``.
+    that is not a sequence of nonnegative integers raises ``ValueError``.
     """
+    if not isinstance(key, Sequence):
+        raise ValueError(f"render_image key must be a sequence of integers, got {key!r}")
     for part in key:
         _check_index("each render_image key entry", part)
     if callable(fields):
@@ -428,6 +430,8 @@ def write_pfm(path: str | Path, image: np.ndarray) -> None:
 def write_pgm16(path: str | Path, image: np.ndarray) -> float:
     """16-bit binary PGM raster with the image maximum at level 65535.
 
+    The levels are quantised ``RENDER_BLOCK_ROWS`` rows at a time straight
+    into the big-endian raster, so no whole-frame float copy is made.
     Returns the counts-per-level scale used (1 for an all-zero image).
     """
     image = np.asarray(image, dtype=float)
@@ -435,9 +439,12 @@ def write_pgm16(path: str | Path, image: np.ndarray) -> float:
         raise ValueError("PGM export expects a 2-D image")
     peak = float(image.max()) if image.size else 0.0
     scale = peak / 65535.0 if peak > 0 else 1.0
-    levels = image / scale
-    np.round(levels, out=levels)
-    levels = np.clip(levels, 0, 65535, out=levels).astype(">u2")
+    levels = np.empty(image.shape, dtype=">u2")
+    for start in range(0, len(image), RENDER_BLOCK_ROWS):
+        rows = slice(start, start + RENDER_BLOCK_ROWS)
+        block = image[rows] / scale
+        np.round(block, out=block)
+        levels[rows] = np.clip(block, 0, 65535, out=block)
     with open(path, "wb") as fh:
         fh.write(b"P5\n")
         fh.write(f"{image.shape[1]} {image.shape[0]}\n".encode())

@@ -4,14 +4,17 @@
 relative to a fresh working directory), its exit code and the sha256 of
 its stdout and of every file it writes, next to the fingerprint of the
 platform the hashes were recorded on.  ``tests/test_golden.py`` reruns
-the list and compares bytes.  Refresh only on purpose, and name every
-changed file and the reason in ``CHANGES.md``:
+the list and compares bytes.  ``--check`` lists every changed file of
+every command without rewriting anything, and exits 1 on any difference.
+Refresh only on purpose, and name every changed file and the reason in
+``CHANGES.md``:
 
-    PYTHONPATH=src python tests/golden/refresh.py
+    PYTHONPATH=src python tests/golden/refresh.py [--check]
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -57,8 +60,38 @@ def run(command: str, workdir: Path) -> tuple[int, dict[str, str]]:
     return code, hashes
 
 
+def mismatches(commands: list[dict], workdir: Path) -> list[str]:
+    """One line per difference between each recorded command and its rerun in
+    ``workdir``: its exit code, and each file changed, missing or new."""
+    found = []
+    for record in commands:
+        command, recorded = record["command"], record["sha256"]
+        code, hashes = run(command, workdir)
+        if code != record["exit"]:
+            found.append(f"{command}: exit {code}, recorded {record['exit']}")
+        for name in sorted(recorded.keys() | hashes.keys()):
+            if name not in hashes:
+                found.append(f"{command}: {name} not written")
+            elif name not in recorded:
+                found.append(f"{command}: {name} not recorded")
+            elif hashes[name] != recorded[name]:
+                found.append(f"{command}: {name} changed")
+    return found
+
+
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="list every difference from golden.json and rewrite nothing")
+    args = parser.parse_args()
     golden = json.loads(GOLDEN.read_text())
+    if args.check:
+        if golden["fingerprint"] != fingerprint():
+            print(f"note: recorded on {golden['fingerprint']}, this is {fingerprint()}")
+        with tempfile.TemporaryDirectory() as tmp:
+            found = mismatches(golden["commands"], Path(tmp))
+        print("\n".join(found) or f"all {len(golden['commands'])} commands match {GOLDEN}")
+        return 1 if found else 0
     with tempfile.TemporaryDirectory() as tmp:
         for record in golden["commands"]:
             record["exit"], record["sha256"] = run(record["command"], Path(tmp))

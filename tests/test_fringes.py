@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -311,6 +312,47 @@ class TestMeasurePorts:
             assert whole[0, port] == original(syn.fields(name), noise, (0, port)).tobytes()
         assert all(by_key == whole for by_key in frames.values())
 
+    @pytest.mark.parametrize("n_rows", [1, 3])
+    def test_at_most_one_earlier_frame_is_alive_at_each_draw(self, n_rows, monkeypatch):
+        # An impure H port's +l and -l frames live until their totals are taken, and a
+        # row's V and H frames until they are binned; only the last row's stay.
+        syn = synthesize_ports([StateParams(1.0 + 0.3 * k, 0.7) for k in range(n_rows)],
+                               grid=GridSpec(64), flip_impurity=0.2)
+        original = optics.render_image
+        drawn, alive_at_draw = [], {}
+
+        def alive() -> list[tuple[int, int]]:
+            return [key for key, ref in drawn if ref() is not None]
+
+        def recording_render(fields, noise, key=()):
+            alive_at_draw[key] = alive()
+            frame = original(fields, noise, key)
+            drawn.append((key, weakref.ref(frame)))
+            return frame
+
+        monkeypatch.setattr(optics, "render_image", recording_render)
+        rows = measure_rows(syn, NoiseModel(1e5, 1.5, 4))
+        assert sorted(alive_at_draw) == [(k, port) for k in range(n_rows) for port in range(4)]
+        assert all(len(earlier) <= 1 for earlier in alive_at_draw.values()), alive_at_draw
+        assert alive() == [(n_rows - 1, 0), (n_rows - 1, 1)]
+        assert rows.frame(n_rows - 1, 0) is rows.frame(n_rows - 1, 0)
+
+    @pytest.mark.parametrize("noise", [NoiseModel(), NoiseModel(1e5, 2.0, 9)],
+                             ids=["exact", "noisy"])
+    def test_impure_p_equals_p_of_the_whole_mode_frames(self, noise):
+        # P read off the bucket totals has the bits of P of the re-rendered +l and -l
+        # frames, keyed (first_row + k, 2) and (first_row + k, 3).
+        syn = synthesize_ports([StateParams(1.0, 0.7), StateParams(2.0, 0.4)], -3,
+                               GridSpec(43), path_phase=0.3, flip_impurity=0.2)
+        rows = measure_rows(syn, noise, first_row=5)
+        for k, components in enumerate(syn.amplitudes["h"]):
+            plus, minus = (
+                render_image(lambda r, c=(components * cut).tolist(): syn.field_rows(c, r),
+                             noise, (5 + k, 2 + j))
+                for j, cut in enumerate(np.eye(2)))
+            expected = predictability_from_images(plus, minus)
+            assert rows.predictability[k].hex() == expected.hex()
+
     def test_zero_amplitudes_form_no_field(self):
         # The H port's upper amplitude is 0: its coherent field is m u- alone,
         # and the unflipped light e u+ is the second field.
@@ -418,7 +460,8 @@ class TestMeasurePorts:
     def test_calibrated_render_forms_no_full_grid_field(self, tmp_path):
         # The bound sits between the tracemalloc peaks of this 512^2 render: 32.1 MiB
         # with full-grid port fields and their temporaries, 14.7 MiB when only the
-        # frames and u(|l|) are full-grid arrays.
+        # frames and u(|l|) are full-grid arrays, and 11.9 MiB once the mode frames
+        # are kept as bucket totals.
         for cached in (optics._mode_data, _mode_moments, annulus_plan):
             cached.cache_clear()
         tracemalloc.start()

@@ -433,6 +433,14 @@ class TestRenderImage:
         with pytest.raises(ValueError, match=name):
             case(syn, NoiseModel(1e5, 0.0, 1))
 
+    @pytest.mark.parametrize("key", [5, None])
+    @pytest.mark.parametrize("noise", [NoiseModel(), NoiseModel(1e5, 0.0, 1)],
+                             ids=["exact", "noisy"])
+    def test_key_that_is_not_a_sequence_is_rejected(self, key, noise):
+        v = synthesize_ports(StateParams(1.0, 0.7), 3, GridSpec(64)).fields("v")
+        with pytest.raises(ValueError, match="key must be a sequence"):
+            render_image(v, noise, key)
+
     def test_numpy_integer_seed_is_accepted(self):
         v = synthesize_ports(StateParams(np.pi / 2, np.pi / 2), 3, GRID).fields("v")
         np.testing.assert_array_equal(render_image(v, NoiseModel(1e5, 0.0, np.uint8(9))),
@@ -491,6 +499,26 @@ class TestExports:
         assert magic == b"P5" and maxval == b"65535"
         levels = np.frombuffer(rest, dtype=">u2").reshape(4, 5)
         np.testing.assert_allclose(levels * scale, image, atol=scale)
+
+    @pytest.mark.parametrize("size", [43, 64])
+    def test_pgm_block_height_changes_no_byte(self, size, tmp_path, monkeypatch):
+        # A Poisson frame with readout noise, a frame with negative pixels, an all-zero
+        # frame and integer counts whose peak is exactly level 65535 (scale 1).
+        v = synthesize_ports(StateParams(1.0, 0.7), 3, GridSpec(size)).fields("v")
+        rng = np.random.default_rng(7)
+        images = [render_image(v, NoiseModel(1e6, 2.0, 3)), rng.normal(0.0, 1.0, (size, size)),
+                  np.zeros((size, size)), rng.integers(0, 65536, (size, size)).astype(float)]
+        images[3][size // 2, 3] = 65535.0
+        for i, image in enumerate(images):
+            peak = image.max()
+            scale = peak / 65535.0 if peak > 0 else 1.0
+            levels = np.clip(np.round(image / scale), 0, 65535).astype(">u2")
+            expected = f"P5\n{size} {size}\n65535\n".encode() + levels.tobytes()
+            for height in (1, 7, RENDER_BLOCK_ROWS, size):
+                monkeypatch.setattr(optics, "RENDER_BLOCK_ROWS", height)
+                path = tmp_path / f"{i}_{height}.pgm"
+                assert write_pgm16(path, image).hex() == scale.hex()
+                assert path.read_bytes() == expected, (i, height)
 
     @pytest.mark.parametrize("writer,name", [(write_pfm, "PFM"), (write_pgm16, "PGM")])
     def test_one_dimensional_image_is_rejected(self, writer, name, tmp_path):

@@ -431,7 +431,7 @@ def measure_rows(synthesis: PortSynthesis, noise: NoiseModel, first_row: int = 0
     For an ``exact`` noise model the profiles are one stacked product of the
     port weights with the cached mode moments, and a frame is rendered only
     when read; otherwise each row's V and H frames are rendered and binned in
-    turn, and only the last row's stay cached, so no other frame outlives its binning.
+    turn, and only the last row's stay cached.
 
     V is fitted on the V-port profiles.  P comes from the H-port profile of a row
     whose H port has one nonzero component, and otherwise from the H port's +l and
@@ -450,11 +450,10 @@ def measure_rows(synthesis: PortSynthesis, noise: NoiseModel, first_row: int = 0
         return optics.render_image(lambda rows: synthesis.field_rows(components, rows),
                                    noise, (first_row + k, port))
 
-    def draw(k: int, port: int) -> np.ndarray:
-        return render(synthesis.amplitudes["vh"[port]][k].tolist(), k, port)
-
     # The last row's frames stay, so a one-row measurement renders each once.
-    frame = lru_cache(maxsize=2)(draw)
+    @lru_cache(maxsize=2)
+    def frame(k: int, port: int) -> np.ndarray:
+        return render(synthesis.amplitudes["vh"[port]][k].tolist(), k, port)
 
     *_, v_lit, h_lit = _lit_ports(synthesis)
     coherent = h_lit & (np.count_nonzero(h.any(axis=2), axis=1) <= 1)
@@ -467,8 +466,7 @@ def measure_rows(synthesis: PortSynthesis, noise: NoiseModel, first_row: int = 0
     if noise.exact:
         v_profile, h_profile = (moment_profile(synthesis, port) for port in "vh")
     else:
-        binned = [[port_profile((frame if k == n_rows - 1 else draw)(k, port), grid)
-                   for port in (0, 1)] for k in range(n_rows)]
+        binned = [[port_profile(frame(k, port), grid) for port in (0, 1)] for k in range(n_rows)]
         v_profile, h_profile = (
             AzimuthalProfile(np.stack([p.values for p in profiles]),
                              np.stack([p.stderr for p in profiles]), profiles[0].counts)

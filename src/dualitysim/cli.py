@@ -143,11 +143,6 @@ def _camera_record(args: argparse.Namespace, noise: optics.NoiseModel) -> dict:
     return {"grid": args.grid, "oam_charge": args.l, **noise.record}
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    """``payload`` as one line of ``json.dumps(payload, sort_keys=True)``."""
-    path.write_text(json.dumps(payload, sort_keys=True) + "\n")
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     swept, samples, start, end, fixed = args.sweep, args.samples, args.start, args.end, args.fixed
     if fixed is None:
@@ -187,7 +182,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             **_camera_record(args, noise),
         },
     }
-    _write_json(json_path, payload)
+    optics.write_json(json_path, payload)
     if args.json:
         print(json.dumps(payload["config"], sort_keys=True))
     else:
@@ -228,11 +223,11 @@ def cmd_render(args: argparse.Namespace) -> int:
 
     run = {"theta": params.theta, "alpha": params.alpha, "oam_charge": l,
            "flip_impurity": impurity, "path_phase": path_phase}
-    fringes.analysis_report_json(out_dir / "report.json", report,
-                                 {**run, **_camera_record(args, noise)})
+    text = fringes.analysis_report_json(out_dir / "report.json", report,
+                                        {**run, **_camera_record(args, noise)})
     optics.write_metadata(out_dir / "metadata.json", run, grid, noise)
     if args.json:
-        print((out_dir / "report.json").read_text(), end="")
+        print(text, end="")
     else:
         print(f"wrote images and report to {out_dir} "
               f"(V={report['visibility']:.4f}, P={report['predictability']:.4f})")
@@ -306,9 +301,9 @@ def cmd_weak(args: argparse.Namespace) -> int:
         "max_abs_error": dict(zip(names, result.max_errors)),
         "convergence_order": result.order,
     }
-    _write_json(Path(f"{out_base}_summary.json"), summary)
+    text = optics.write_json(Path(f"{out_base}_summary.json"), summary)
     if args.json:
-        print(json.dumps(summary, sort_keys=True))
+        print(text, end="")
     else:
         print(f"wrote reconstruction for {len(phis)} coupling(s) to {out_base}_*.csv")
     return 0

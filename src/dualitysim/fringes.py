@@ -19,7 +19,6 @@ crests of the default zero-path-phase synthesis.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Callable
 from contextlib import suppress
@@ -181,7 +180,7 @@ def _window_attenuation(l: int, window_degrees: float) -> float:
     # Mean of cos(2|l| phi) over a window of this width, relative to its
     # center value: sin(|l| w) / (|l| w).
     half_arg = abs(l) * math.radians(window_degrees)
-    return math.sin(half_arg) / half_arg if half_arg != 0 else 1.0
+    return math.sin(half_arg) / half_arg
 
 
 @lru_cache(maxsize=8)
@@ -457,12 +456,15 @@ def measure_rows(synthesis: PortSynthesis, noise: NoiseModel, first_row: int = 0
 
     *_, v_lit, h_lit = _lit_ports(synthesis)
     coherent = h_lit & (np.count_nonzero(h.any(axis=2), axis=1) <= 1)
+    visibility, uncertainty, predictability = np.full((3, n_rows), math.nan)
     # Frames 2 and 3 render an impure H port's components cut to their +l and -l parts.
     # P reads only their total counts, so each becomes its 1x1 bucket total as it is
-    # drawn, before any V or H frame.
-    mode_totals = {k: [render((h[k] * cut).tolist(), k, 2 + j).sum(keepdims=True)
-                       for j, cut in enumerate(np.eye(2))]
-                   for k in np.flatnonzero(h_lit & ~coherent).tolist()}
+    # drawn, and the row's P is read off the two before any V or H frame is drawn.
+    for k in np.flatnonzero(h_lit & ~coherent).tolist():
+        plus, minus = (render((h[k] * cut).tolist(), k, 2 + j).sum(keepdims=True)
+                       for j, cut in enumerate(np.eye(2)))
+        with suppress(ZeroIntensity):
+            predictability[k] = predictability_from_images(plus, minus)
     if noise.exact:
         v_profile, h_profile = (moment_profile(synthesis, port) for port in "vh")
     else:
@@ -476,14 +478,10 @@ def measure_rows(synthesis: PortSynthesis, noise: NoiseModel, first_row: int = 0
     # Each port's rows are fitted in one call of a public fit function, so a
     # profiler that wraps those names sees every fit; a port with no row to
     # fit makes no call, as a dark port made none when measured alone.
-    visibility, uncertainty, predictability = np.full((3, n_rows), math.nan)
     if v_lit.any():
         visibility[v_lit], uncertainty[v_lit] = fringe_visibility(v_profile.row(v_lit), l)
     if coherent.any():
         predictability[coherent] = predictability_from_profile(h_profile.row(coherent), l)
-    for k, (plus, minus) in mode_totals.items():
-        with suppress(ZeroIntensity):
-            predictability[k] = predictability_from_images(plus, minus)
     return PortRows(v_profile, h_profile, visibility, uncertainty, predictability, frame)
 
 
@@ -529,7 +527,6 @@ def port_report(rows: PortRows, synthesis: PortSynthesis) -> dict:
             "petal_count": rows.petal_count(0)}
 
 
-def analysis_report_json(path: str | Path, report: dict, params: dict) -> None:
-    """``report`` and its ``params`` as indented JSON with sorted keys."""
-    Path(path).write_text(json.dumps({**report, "params": params}, indent=2, sort_keys=True)
-                          + "\n")
+def analysis_report_json(path: str | Path, report: dict, params: dict) -> str:
+    """``report`` and its ``params`` as ``optics.write_json`` at indent 2; returns the text."""
+    return optics.write_json(path, {**report, "params": params}, indent=2)

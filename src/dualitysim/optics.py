@@ -453,18 +453,18 @@ def write_pgm16(path: str | Path, image: np.ndarray) -> float:
     return scale
 
 
+def write_json(path: str | Path, payload: dict, indent: int | None = None) -> str:
+    """Write ``payload`` to ``path`` as ``json.dumps(payload, indent=indent, sort_keys=True)``
+    and a newline, and return that text: the one writer of the toolkit's JSON files."""
+    text = json.dumps(payload, indent=indent, sort_keys=True) + "\n"
+    Path(path).write_text(text)
+    return text
+
+
 def write_metadata(path: str | Path, record: dict, grid: GridSpec, noise: NoiseModel) -> None:
     """JSON sidecar describing how the neighbouring images were produced: the run's
     ``record`` (for ``render``, its angles, charge, impurity and path phase), the camera
     ``grid`` as its width, height, extent and beam center, and the ``noise`` model's record."""
-    meta = {
-        **record,
-        "grid": {
-            "width": grid.size,
-            "height": grid.size,
-            "extent": EXTENT,
-            "center": list(grid.beam_center),
-        },
-        "noise": noise.record,
-    }
-    Path(path).write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    camera = {"width": grid.size, "height": grid.size, "extent": EXTENT,
+              "center": list(grid.beam_center)}
+    write_json(path, {**record, "grid": camera, "noise": noise.record}, indent=2)

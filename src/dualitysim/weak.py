@@ -201,6 +201,8 @@ def reconstruct_profile(psi: np.ndarray, phi: float, mode: str = "linearized") -
     ``postselect_zero_momentum`` -> ``reconstruct_weak_value`` at every x0,
     which it matches to round-off.  It raises their errors at the same x0
     and warns at most once per scan, naming the largest pointer deflection.
+    A nonzero phi whose readout scale (|s_H|^2 + |s_V|^2) phi is not a normal
+    float at some x0 raises ``InvalidCoupling`` before that warning.
     """
     psi = np.asarray(psi, dtype=complex)
     SliverCoupling(x0=0, phi=phi, mode=mode)  # the coupling's own checks
@@ -213,10 +215,18 @@ def reconstruct_profile(psi: np.ndarray, phi: float, mode: str = "linearized") -
     margin = P_MIN + math.sqrt(len(psi)) * np.finfo(float).eps * float(np.abs(psi).sum())
     for x0 in np.flatnonzero(np.abs(s_v) < margin):
         postselect_zero_momentum(apply_sliver(psi, SliverCoupling(int(x0), phi, mode)))
+    # numpy divides the complex readout by this real scale through 1/scale, which
+    # overflows below the smallest normal float; phi = 0 is the readout's own error.
+    with np.errstate(over="ignore"):
+        scale = (np.abs(s_h) ** 2 + np.abs(s_v) ** 2) * phi
+    magnitude, limits = np.abs(scale), np.finfo(float)
+    if phi != 0.0 and not np.all((magnitude >= limits.tiny) & (magnitude <= limits.max)):
+        raise InvalidCoupling(f"phi = {phi!r} puts the readout scale (|s_H|^2 + |s_V|^2) phi "
+                              f"outside the normal floats [{limits.tiny:.3g}, {limits.max:.3g}]")
     # Reading out the most deflected pointer checks phi and warns once per scan.
     worst = int(np.argmax(np.abs(s_h) / np.abs(s_v)))
     reconstruct_weak_value(np.array([s_h[worst], s_v[worst]]), phi)
-    return 2.0 * np.conj(s_v) * s_h / ((np.abs(s_h) ** 2 + np.abs(s_v) ** 2) * phi)
+    return 2.0 * np.conj(s_v) * s_h / scale
 
 
 def convergence_order(phis: np.ndarray, errors: np.ndarray, floor: float = 0.0) -> float | None:

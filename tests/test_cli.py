@@ -1,13 +1,12 @@
 """Command-line interface: parsing, outputs, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from dualitysim import (
     GridSpec,
@@ -21,6 +20,8 @@ from dualitysim import cli, fringes, optics, weak
 from dualitysim.cli import UsageError, build_parser, main, parse_angle
 from dualitysim.fringes import measure_rows
 from dualitysim.optics import write_pfm, write_pgm16
+
+from golden.refresh import GOLDEN, fingerprint
 
 
 def read_csv(path):
@@ -271,6 +272,12 @@ class TestRenderCommand:
         assert report["sum_squares"] == pytest.approx(1.83, abs=0.05)
         assert report["petal_count"] == 6
 
+    @pytest.mark.parametrize("flags", [["--theta", "1", "--alpha", "0.7"], ["--calibrated"]])
+    def test_json_prints_the_report_written(self, tmp_path, capsys, flags):
+        out = tmp_path / "r"
+        assert main(["render", *flags, "--grid", "64", "--json", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.encode() == (out / "report.json").read_bytes()
+
     @pytest.mark.parametrize("argv,renders", [
         # Two port frames and a flip impurity's two arm frames, each drawn once.
         (["render", "--calibrated"], 4),
@@ -475,6 +482,28 @@ class TestWeakCommand:
         ratio = errors["0.1"] / errors["0.05"]
         assert ratio == pytest.approx(4.0, rel=0.15)
         assert summary["convergence_order"] == pytest.approx(2.0, abs=0.2)
+
+    @pytest.mark.parametrize("n,phi", [("2", "1e-320"), ("64", "1e200")])
+    def test_phi_outside_the_readout_range_is_a_runtime_error(self, n, phi, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["weak", "--n", n, "--phi", phi, "--out", str(tmp_path / "w")])
+        assert code == 2
+        assert f"error: phi = {float(phi)!r}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_tiny_phi_inside_the_readout_range_keeps_its_bytes(self, tmp_path):
+        recorded_on = json.loads(GOLDEN.read_text())["fingerprint"]
+        if fingerprint() != recorded_on:
+            pytest.skip(f"bytes recorded on {recorded_on}, this is {fingerprint()}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["weak", "--n", "64", "--phi", "1e-300", "--out", str(tmp_path / "w")]) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+        assert digests == {
+            "w_phi1e-300.csv": "9cfb5982df626a07448e5035ba5d89795e3025a23b9a77e1ee0a348d94d4675a",
+            "w_summary.json": "4556c45c30613363ec1033642b384db97e26968a318abfab4013b7cc99e6b967",
+        }
 
     def test_json_summary_printed_is_the_file_written(self, tmp_path, capsys):
         assert main(["weak", "--psi", "gaussian:4", "--n", "32", "--phi", "0.1,0.05",
@@ -898,26 +927,6 @@ def test_noiseless_budget_is_written_as_null(tmp_path):
                  "--out", str(tmp_path / "s")]) == 0
     config = json.loads((tmp_path / "s.json").read_text())["config"]
     assert config["photon_budget"] is None and config["pipeline"]
-
-
-# Cells as a sweep writes them: any float, with the edge values pinned.
-FLOAT_CELLS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324]),
-                        st.floats())
-
-
-@settings(derandomize=True, deadline=None, database=None)
-@given(st.integers(min_value=1, max_value=4).flatmap(
-    lambda width: st.lists(st.lists(FLOAT_CELLS, min_size=width, max_size=width), max_size=5)))
-@example(rows=[[math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1e16]])
-@example(rows=[])
-def test_json_writer_reads_every_float_back(tmp_path_factory, rows):
-    path = tmp_path_factory.mktemp("json") / "payload.json"
-    cli._write_json(path, {"columns": ["c"] * len(rows[0]) if rows else [], "rows": rows})
-    text = path.read_text()
-    assert text.endswith("\n") and text.count("\n") == 1
-    assert [[x.hex() for x in row] for row in json.loads(text)["rows"]] == [
-        [x.hex() for x in row] for row in rows
-    ]
 
 
 class TestTopLevel:

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dualitysim import (
     ChargeOutOfRange,
@@ -24,6 +26,7 @@ from dualitysim.optics import (
     POISSON_LAM_MAX,
     RENDER_BLOCK_ROWS,
     _mode_data,
+    write_json,
     write_metadata,
     write_pfm,
     write_pgm16,
@@ -539,3 +542,26 @@ class TestExports:
         assert meta["oam_charge"] == 3
         assert meta["noise"]["seed"] == 5
         assert meta["note"] == "test"
+
+
+# Cells as a sweep writes them: any float, with the edge values pinned.
+FLOAT_CELLS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324]),
+                        st.floats())
+
+
+# The sweep and weak JSON are one line; report.json and metadata.json are indented by 2.
+@pytest.mark.parametrize("indent", [None, 2])
+@settings(derandomize=True, deadline=None, database=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda width: st.lists(st.lists(FLOAT_CELLS, min_size=width, max_size=width), max_size=5)))
+@example(rows=[[math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1e16]])
+@example(rows=[])
+def test_json_writer_reads_every_float_back(tmp_path_factory, indent, rows):
+    path = tmp_path_factory.mktemp("json") / "payload.json"
+    payload = {"rows": rows, "columns": ["c"] * len(rows[0]) if rows else []}
+    text = write_json(path, payload, indent=indent)
+    assert path.read_text() == text == json.dumps(payload, indent=indent, sort_keys=True) + "\n"
+    assert text.count("\n") == 1 if indent is None else text.startswith('{\n  "columns": [')
+    assert [[x.hex() for x in row] for row in json.loads(text)["rows"]] == [
+        [x.hex() for x in row] for row in rows
+    ]

@@ -1,6 +1,7 @@
 """Sliver coupling, zero-momentum postselection, weak-value recovery."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -179,6 +180,29 @@ class TestReconstruction:
             reconstruct_profile(gaussian_wavefunction(64, 2.0), phi)
         assert [w.category for w in caught] == [UserWarning] * expected
         assert all("deflection" in str(w.message) for w in caught)
+
+    @pytest.mark.parametrize("mode,phi", [
+        *((mode, phi) for mode in ("linearized", "exact") for phi in (5e-324, 1e-320, 1e-310)),
+        ("linearized", 1e110), ("linearized", 1e200),
+    ])
+    def test_readout_scale_outside_the_normal_floats_is_rejected(self, mode, phi):
+        # numpy divides by (|s_H|^2 + |s_V|^2) phi through its reciprocal, which overflows
+        # for a subnormal scale; a huge linearized phi overflows the scale itself.  Either
+        # is an error naming phi, with no numpy warning and no deflection warning first.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidCoupling, match=re.escape(f"phi = {phi!r}")):
+                reconstruct_profile(gaussian_wavefunction(64, 8.0), phi, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["linearized", "exact"])
+    def test_tiny_phi_with_a_normal_readout_scale_reconstructs(self, mode):
+        psi = gaussian_wavefunction(64, 8.0)
+        with pytest.raises(InvalidCoupling, match="encodes no weak value"):
+            reconstruct_profile(psi, 0.0, mode=mode)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            recon = reconstruct_profile(psi, 1e-300, mode=mode)
+        np.testing.assert_allclose(recon, true_ratio(psi), rtol=0, atol=1e-15)
 
     def test_visibility_identity(self):
         # |<s| sx - i sy |s>| equals the qubit visibility of |s><s| for

@@ -7,6 +7,8 @@ variants, scalar-field synthesis of the interferometer output images,
 experiment-style fringe analysis, and the pointer-based weak-value scan.
 """
 
+from types import ModuleType as _ModuleType
+
 from .duality import (
     DualityReport,
     averaged_duality,
@@ -68,51 +70,6 @@ from .weak import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AzimuthalProfile",
-    "ChargeOutOfRange",
-    "DEFAULT_OAM",
-    "DegenerateProfile",
-    "DualityReport",
-    "DualitySimError",
-    "EmptyBin",
-    "GridSpec",
-    "InvalidCoupling",
-    "NoiseModel",
-    "P_MIN",
-    "SliverCoupling",
-    "StateParams",
-    "ZeroIntensity",
-    "ZeroProbabilityPostselection",
-    "apply_sliver",
-    "averaged_duality",
-    "azimuthal_profile",
-    "calibrated_operating_point",
-    "closed_form_averaged",
-    "closed_form_conditional",
-    "conditional_duality",
-    "count_petals",
-    "fringe_visibility",
-    "gaussian_wavefunction",
-    "oam_mode",
-    "partial_trace_env",
-    "postselect_env",
-    "postselect_zero_momentum",
-    "predictability",
-    "predictability_from_arm_powers",
-    "predictability_from_images",
-    "predictability_from_profile",
-    "projector_bloch",
-    "projector_from_ket",
-    "projector_h",
-    "projector_v",
-    "reconstruct_profile",
-    "reconstruct_weak_value",
-    "render_image",
-    "state_vector",
-    "synthesize_ports",
-    "true_ratio",
-    "unconditional_duality",
-    "uniform_wavefunction",
-    "visibility",
-]
+# The imports above are the one list of public names: every global they bind
+# that is neither private nor a submodule is exported.
+__all__ = sorted(n for n, v in globals().items() if n[0] != "_" and not isinstance(v, _ModuleType))

@@ -30,11 +30,23 @@ import numpy as np
 
 from . import optics
 from .errors import P_MIN, DegenerateProfile, EmptyBin, ZeroIntensity
-from .optics import GridSpec, NoiseModel, PortSynthesis, _per_float
+from .optics import GridSpec, NoiseModel, PortSynthesis
 
 INTENSITY_EPS = 1e-300  # floor below which a total intensity is "zero"
 PORT_ANNULUS = (0.5, 2.5)  # radii in beam-waist units enclosing the ring
 PORT_WINDOW = 3.0  # degrees of each angular window of a port profile
+
+
+def _hypot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``math.hypot`` of each pair of elements, evaluated on Python numbers.
+
+    ``math.hypot`` is CPython's own algorithm, which rounds differently from
+    the C library's ``hypot`` that ``np.hypot`` calls.  The other scalar steps
+    have exact array forms that call the same C function: ``np.float_power(x,
+    2.0)`` for ``x**2`` (``pow``; numpy's ``**`` and ``np.square`` multiply)
+    and ``np.hypot(z.real, z.imag)`` for ``abs(z)``.
+    """
+    return np.array(list(map(math.hypot, a.tolist(), b.tolist())))
 
 
 def _bin_angles(n_bins: int) -> np.ndarray:
@@ -103,9 +115,9 @@ def annulus_plan(
     """Plan of the pixels whose center lies in the annulus, cached per geometry.
 
     Raises ``EmptyBin`` when a window holds no pixels, as an empty annulus
-    does.
+    does, and before any binning when the windows outnumber the pixels.
     """
-    n_bins = int(round(360.0 / window_degrees))
+    windows = 360.0 / window_degrees  # inf for a subnormal window
     cx, cy = center
     # One row of x offsets and one column of y offsets; only the
     # comparisons below span the whole frame.
@@ -114,6 +126,10 @@ def annulus_plan(
     radius = np.hypot(dx, dy)
     mask = (radius >= r_min) & (radius < r_max)
     rows, cols = np.nonzero(mask)
+    if not windows <= len(rows):
+        raise EmptyBin(f"{windows:.3g} windows of {window_degrees:g} deg outnumber the "
+                       f"annulus's {len(rows)} pixels; widen the annulus or the window")
+    n_bins = int(round(windows))
     angles = np.degrees(np.arctan2(dy[rows, 0], dx[cols]))
     bins = np.floor(angles / window_degrees + 0.5).astype(int) % n_bins
     counts = np.bincount(bins, minlength=n_bins)
@@ -139,18 +155,21 @@ def azimuthal_profile(
     """Bin pixel intensities of an annulus into angular windows.
 
     ``center`` is (x, y) in pixel coordinates and the radii are in
-    pixels.  ``window_degrees`` must be positive and divide 360 evenly.
-    Each bin holds the mean intensity of the pixels whose center falls
-    inside the annulus and the window; a window without any pixels
-    raises ``EmptyBin``.
+    pixels.  ``image`` must be a real 2-D array, and ``window_degrees`` a
+    positive divisor of 360.  Each bin holds the mean intensity
+    of the pixels whose center falls inside the annulus and the window; a
+    window without any pixels, as when the windows outnumber the annulus
+    pixels, raises ``EmptyBin``.
     """
+    if np.iscomplexobj(image):
+        raise ValueError("expected a real intensity image, got a complex one")
     image = np.asarray(image, dtype=float)
     if image.ndim != 2:
         raise ValueError("expected a 2-D intensity image")
-    if not window_degrees > 0:
-        raise ValueError(f"window of {window_degrees} deg is not positive")
-    n_bins = 360.0 / window_degrees
-    if abs(n_bins - round(n_bins)) > 1e-9:
+    if not 0 < window_degrees <= 360:
+        raise ValueError(f"window of {window_degrees} deg is not positive or exceeds 360 deg")
+    n_bins = 360.0 / window_degrees  # inf for a subnormal window; annulus_plan rejects it
+    if n_bins < math.inf and abs(n_bins - round(n_bins)) > 1e-9:
         raise ValueError(f"window of {window_degrees} deg does not tile 360 deg")
     if not 0 <= r_min < r_max:
         raise ValueError("need 0 <= r_min < r_max")
@@ -246,7 +265,7 @@ def _fringe_rows(values: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray, li
             reasons[i] = str(exc)
         return visibility, uncertainty, reasons
     c0, a, b = coeffs.T
-    amplitude = _per_float(math.hypot, a, b)
+    amplitude = _hypot(a, b)
     scale = np.where(amplitude > 0.0, amplitude, 1.0) * c0
     square = np.float_power(c0, 2.0)
     # The gradient divides by scale and c0**2: a baseline that is not positive, or
@@ -296,9 +315,9 @@ def fringe_visibility(
 
 
 def predictability_from_arm_powers(i_plus: float, i_minus: float) -> float:
-    """|I+ - I-| / (I+ + I-) for two mode-attributable powers."""
-    if i_plus < 0.0 or i_minus < 0.0:
-        raise ValueError("powers must be nonnegative")
+    """|I+ - I-| / (I+ + I-) for two finite, nonnegative mode-attributable powers."""
+    if not (0.0 <= i_plus < math.inf and 0.0 <= i_minus < math.inf):
+        raise ValueError(f"powers must be finite and nonnegative, got {i_plus!r} and {i_minus!r}")
     total = i_plus + i_minus
     if total <= INTENSITY_EPS:
         raise ZeroIntensity("total intensity is zero; ratio undefined")
@@ -495,7 +514,7 @@ def analytic_ports(synthesis: PortSynthesis) -> tuple[np.ndarray, np.ndarray]:
     w_v, w_h = (synthesis.intensity_weights(port) for port in "vh")
     v_power, h_power, v_lit, h_lit = _lit_ports(synthesis)
     visibility, predictability = np.full((2, len(synthesis)), math.nan)
-    visibility[v_lit] = _per_float(math.hypot, w_v[v_lit, 2], w_v[v_lit, 3]) / v_power[v_lit]
+    visibility[v_lit] = _hypot(w_v[v_lit, 2], w_v[v_lit, 3]) / v_power[v_lit]
     predictability[h_lit] = np.abs(w_h[h_lit, 0] - w_h[h_lit, 1]) / h_power[h_lit]
     return visibility, predictability
 

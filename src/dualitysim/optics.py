@@ -54,7 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ChargeOutOfRange
-from .qubit import StateParams
+from .qubit import StateParams, _check_index, _is_integer
 
 DEFAULT_OAM = 3
 EXTENT = 4.0  # half-width of every camera in beam-waist units
@@ -139,14 +139,8 @@ class NoiseModel:
         return {"photon_budget": budget, "readout_sigma": self.readout_sigma, "seed": self.seed}
 
 
-def _check_index(name: str, value: object) -> None:
-    """``ValueError`` naming ``name`` unless ``value`` is a nonnegative integer (no bool)."""
-    if isinstance(value, bool) or not isinstance(value, int | np.integer) or value < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
-
-
 def _check_charge(l: int) -> None:
-    if not isinstance(l, int | np.integer):
+    if not _is_integer(l):
         raise ValueError(f"OAM charge must be an integer, got {l!r}")
     if abs(l) > MAX_OAM:
         raise ChargeOutOfRange(
@@ -208,18 +202,6 @@ def oam_mode(l: int, grid: GridSpec = GridSpec()) -> np.ndarray:
 def _signed(u_abs: np.ndarray, l: int) -> np.ndarray:
     """u(l) on the pixels where ``u_abs`` holds u(|l|), by the rule u(-l) = conj u(|l|)."""
     return u_abs.conj() if l < 0 else u_abs
-
-
-def _per_float(fn: Callable, *arrays: np.ndarray) -> np.ndarray:
-    """Array of ``fn`` of each element, evaluated on Python numbers.
-
-    Its one use is ``math.hypot``, CPython's own algorithm, which rounds
-    differently from the C library's ``hypot`` that ``np.hypot`` calls.  The
-    other scalar steps have exact array forms that call the same C function:
-    ``np.float_power(x, 2.0)`` for ``x**2`` (``pow``; numpy's ``**`` and
-    ``np.square`` multiply) and ``np.hypot(z.real, z.imag)`` for ``abs(z)``.
-    """
-    return np.array(list(map(fn, *(a.tolist() for a in arrays))))
 
 
 def _weight_rows(amplitudes: np.ndarray) -> np.ndarray:
@@ -418,8 +400,8 @@ def calibrated_operating_point() -> tuple[StateParams, float]:
 def write_pfm(path: str | Path, image: np.ndarray) -> None:
     """Grayscale portable float map (PFM, little-endian float32)."""
     image = np.asarray(image)
-    if image.ndim != 2:
-        raise ValueError("PFM export expects a 2-D image")
+    if image.ndim != 2 or np.iscomplexobj(image):
+        raise ValueError("PFM export expects a 2-D image of real values")
     with open(path, "wb") as fh:
         fh.write(b"Pf\n")
         fh.write(f"{image.shape[1]} {image.shape[0]}\n".encode())
@@ -432,13 +414,18 @@ def write_pgm16(path: str | Path, image: np.ndarray) -> float:
 
     The levels are quantised ``RENDER_BLOCK_ROWS`` rows at a time straight
     into the big-endian raster, so no whole-frame float copy is made.
-    Returns the counts-per-level scale used (1 for an all-zero image).
+    Returns the counts-per-level scale used (1 for an all-zero image, and
+    for a peak so small that its scale underflows, which quantises to 0).
+    An image whose maximum is NaN or infinite raises ``ValueError``.
     """
-    image = np.asarray(image, dtype=float)
-    if image.ndim != 2:
-        raise ValueError("PGM export expects a 2-D image")
+    image = np.asarray(image)
+    if image.ndim != 2 or np.iscomplexobj(image):
+        raise ValueError("PGM export expects a 2-D image of real values")
+    image = image.astype(float, copy=False)
     peak = float(image.max()) if image.size else 0.0
-    scale = peak / 65535.0 if peak > 0 else 1.0
+    if not math.isfinite(peak):
+        raise ValueError(f"PGM export needs a finite image maximum, got {peak}")
+    scale = peak / 65535.0 if peak / 65535.0 > 0 else 1.0  # also where the scale underflows
     levels = np.empty(image.shape, dtype=">u2")
     for start in range(0, len(image), RENDER_BLOCK_ROWS):
         rows = slice(start, start + RENDER_BLOCK_ROWS)

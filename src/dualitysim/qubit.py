@@ -42,6 +42,17 @@ NORM_FLOOR = math.ldexp(1.0, -511)
 """Smallest norm whose square, the sum of squares, is a normal float."""
 
 
+def _is_integer(value: object) -> bool:
+    """A Python or numpy integer; a bool, which numpy reads as a mask, is none."""
+    return isinstance(value, int | np.integer) and not isinstance(value, bool)
+
+
+def _check_index(name: str, value: object) -> None:
+    """``ValueError`` naming ``name`` unless ``value`` is a nonnegative integer (no bool)."""
+    if not _is_integer(value) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
 def normalized(psi: np.ndarray, what: str = "wavefunction") -> np.ndarray:
     """Copy of the vector ``psi`` normalized to unit discrete norm.
 

@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import P_MIN, InvalidCoupling, ZeroProbabilityPostselection
-from .qubit import normalized
+from .qubit import _check_index, normalized
 
 WEAKNESS_WARN_THRESHOLD = 0.1
 """Warn when the pointer deflection |(phi/2) psi(x0)/psi0| exceeds this."""
@@ -53,6 +53,7 @@ def grid_positions(n: int) -> np.ndarray:
 def gaussian_wavefunction(n: int, sigma: float) -> np.ndarray:
     """Unit-norm Gaussian exp(-(x / (2 sigma))^2) on ``grid_positions(n)``; an
     exponent that overflows to inf (a tiny sigma) gives the sample 0."""
+    _check_index("n", n)
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError("sigma must be finite and positive")
     with np.errstate(over="ignore"):
@@ -62,12 +63,21 @@ def gaussian_wavefunction(n: int, sigma: float) -> np.ndarray:
 
 def uniform_wavefunction(n: int) -> np.ndarray:
     """Flat unit-norm profile 1/sqrt(N)."""
-    return np.full(n, 1.0 / math.sqrt(n), dtype=complex)
+    _check_index("n", n)
+    return normalized(np.ones(n, dtype=complex))
+
+
+def _profile(psi: np.ndarray) -> np.ndarray:
+    """``psi`` as a complex vector; ``ValueError`` unless it is 1-D, nonempty and finite."""
+    psi = np.asarray(psi, dtype=complex)
+    if psi.ndim != 1 or not len(psi) or not np.isfinite(psi).all():
+        raise ValueError("psi must be a nonempty 1-D profile of finite samples")
+    return psi
 
 
 def zero_frequency_amplitude(psi: np.ndarray) -> complex:
     """Zero-frequency component of the unitary DFT: sum(psi)/sqrt(N)."""
-    psi = np.asarray(psi, dtype=complex)
+    psi = _profile(psi)
     return complex(psi.sum() / math.sqrt(len(psi)))
 
 
@@ -96,6 +106,7 @@ class SliverCoupling:
     mode: str = "linearized"
 
     def __post_init__(self) -> None:
+        _check_index("x0", self.x0)
         if not math.isfinite(self.phi):
             raise ValueError("phi must be finite")
         if self.mode not in ("linearized", "exact"):
@@ -116,8 +127,8 @@ def apply_sliver(psi: np.ndarray, coupling: SliverCoupling) -> JointState:
     The input beam is vertically polarized with transverse profile
     ``psi``.  See ``SliverCoupling`` for the two coupling models.
     """
-    psi = np.asarray(psi, dtype=complex)
-    if not 0 <= coupling.x0 < len(psi):
+    psi = _profile(psi)
+    if not coupling.x0 < len(psi):
         raise ValueError(f"sliver position {coupling.x0} outside the grid")
     h = np.zeros_like(psi)
     v = psi.copy()
@@ -190,7 +201,7 @@ def true_ratio(psi: np.ndarray) -> np.ndarray:
     Raises ``ZeroProbabilityPostselection`` when |psi0| is below ``P_MIN``,
     as for an odd-parity profile.
     """
-    psi = np.asarray(psi, dtype=complex)
+    psi = _profile(psi)
     return psi / _zero_momentum(psi)
 
 
@@ -204,21 +215,22 @@ def reconstruct_profile(psi: np.ndarray, phi: float, mode: str = "linearized") -
     A nonzero phi whose readout scale (|s_H|^2 + |s_V|^2) phi is not a normal
     float at some x0 raises ``InvalidCoupling`` before that warning.
     """
-    psi = np.asarray(psi, dtype=complex)
+    psi = _profile(psi)
     SliverCoupling(x0=0, phi=phi, mode=mode)  # the coupling's own checks
     exact = mode == "exact"
-    s_h = (math.sin(0.5 * phi) if exact else 0.5 * phi) * psi
     v_shift = math.cos(0.5 * phi) - 1.0 if exact else 0.0  # change of psi(x0) in V
-    s_v = (psi.sum() + v_shift * psi) / math.sqrt(len(psi))
-    # The per-point sum differs from s_V by at most N eps sum|psi| / sqrt(N), so
-    # within that margin of P_MIN the per-point path decides if and how x0 fails.
-    margin = P_MIN + math.sqrt(len(psi)) * np.finfo(float).eps * float(np.abs(psi).sum())
+    # A readout that overflows (or is 0 x inf at phi = 0) is rejected below by its scale.
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_h = (math.sin(0.5 * phi) if exact else 0.5 * phi) * psi
+        s_v = (psi.sum() + v_shift * psi) / math.sqrt(len(psi))
+        scale = (np.abs(s_h) ** 2 + np.abs(s_v) ** 2) * phi
+        # The per-point sum differs from s_V by at most N eps sum|psi| / sqrt(N), so
+        # within that margin of P_MIN the per-point path decides if and how x0 fails.
+        margin = P_MIN + math.sqrt(len(psi)) * np.finfo(float).eps * float(np.abs(psi).sum())
     for x0 in np.flatnonzero(np.abs(s_v) < margin):
         postselect_zero_momentum(apply_sliver(psi, SliverCoupling(int(x0), phi, mode)))
     # numpy divides the complex readout by this real scale through 1/scale, which
     # overflows below the smallest normal float; phi = 0 is the readout's own error.
-    with np.errstate(over="ignore"):
-        scale = (np.abs(s_h) ** 2 + np.abs(s_v) ** 2) * phi
     magnitude, limits = np.abs(scale), np.finfo(float)
     if phi != 0.0 and not np.all((magnitude >= limits.tiny) & (magnitude <= limits.max)):
         raise InvalidCoupling(f"phi = {phi!r} puts the readout scale (|s_H|^2 + |s_V|^2) phi "
@@ -232,11 +244,14 @@ def reconstruct_profile(psi: np.ndarray, phi: float, mode: str = "linearized") -
 def convergence_order(phis: np.ndarray, errors: np.ndarray, floor: float = 0.0) -> float | None:
     """Least-squares slope of log(error) against log|phi|; None with fewer than
     two distinct |phi| or an error at or below the round-off ``floor`` (by
-    default an error of exactly 0).  A negative or NaN error raises."""
+    default an error of exactly 0).  A phi that is zero or not finite, and an
+    error that is negative or not finite, raise ``ValueError``."""
     phis = np.abs(np.asarray(phis, dtype=float))
     errors = np.asarray(errors, dtype=float)
-    if not np.all(errors >= 0):
-        raise ValueError("errors must be nonnegative to measure an order")
+    if not np.all((phis > 0) & (phis < math.inf)):
+        raise ValueError("phis must be finite and nonzero to measure an order")
+    if not np.all((errors >= 0) & (errors < math.inf)):
+        raise ValueError("errors must be finite and nonnegative to measure an order")
     if len(set(phis.tolist())) < 2 or np.any(errors <= floor):
         return None
     slope, _ = np.polyfit(np.log(phis), np.log(errors), 1)

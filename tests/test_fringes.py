@@ -103,7 +103,7 @@ class TestAzimuthalProfile:
         with pytest.raises(ValueError):
             azimuthal_profile(image, GRID.beam_center, 32, 160, window_degrees=7.0)
 
-    @pytest.mark.parametrize("window", [0.0, -3.0])
+    @pytest.mark.parametrize("window", [0.0, -3.0, math.nan, math.inf, 720.0, 1e300])
     def test_window_must_be_positive(self, window):
         image = np.ones((64, 64))
         with pytest.raises(ValueError, match="not positive"):
@@ -114,6 +114,17 @@ class TestAzimuthalProfile:
         with pytest.raises(EmptyBin):
             # A 2-pixel-radius circle cannot populate 3-degree windows.
             azimuthal_profile(image, (31.5, 31.5), 1.0, 2.0, window_degrees=3.0)
+
+    # 1e-7 and 1e-12 once asked np.bincount for 3.6e9 and 3.6e14 windows, and
+    # 5e-324 makes 360 / window infinite.
+    @pytest.mark.parametrize("window", [0.01, 1e-7, 1e-12, 1e-300, 5e-324])
+    def test_windows_outnumbering_the_annulus_pixels_raise_before_binning(self, window):
+        with pytest.raises(EmptyBin, match="outnumber the annulus"):
+            azimuthal_profile(np.ones((64, 64)), (31.5, 31.5), 8, 30, window_degrees=window)
+
+    def test_complex_image_raises(self):
+        with pytest.raises(ValueError, match="real intensity image"):
+            azimuthal_profile(np.ones((64, 64), dtype=complex), (31.5, 31.5), 8, 30)
 
     def test_one_dimensional_image_raises(self):
         with pytest.raises(ValueError, match="2-D intensity image"):
@@ -388,18 +399,17 @@ class TestMeasurePorts:
         # Squares and complex magnitudes have exact array forms; only the V and
         # H fits' math.hypot of (A, B) is evaluated one Python float at a time.
         calls = []
-        original = optics._per_float
+        original = fringes._hypot
 
-        def counting_per_float(fn, *arrays):
-            calls.append(fn)
-            return original(fn, *arrays)
+        def counting_hypot(a, b):
+            calls.append(len(a))
+            return original(a, b)
 
-        for module in (optics, fringes):
-            monkeypatch.setattr(module, "_per_float", counting_per_float)
+        monkeypatch.setattr(fringes, "_hypot", counting_hypot)
         rows = [StateParams(theta, 0.7) for theta in np.linspace(0.1, 3.0, 37).tolist()]
         m = measure_rows(synthesize_ports(rows, grid=GridSpec(64)), NoiseModel())
         assert not np.isnan(m.visibility).any() and not np.isnan(m.predictability).any()
-        assert calls == [math.hypot, math.hypot]
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("size", [64, 43])
     def test_moment_tables_read_the_minus_mode_as_built(self, size):
@@ -656,6 +666,11 @@ class TestPredictability:
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
             predictability_from_arm_powers(-1.0, 1.0)
+
+    @pytest.mark.parametrize("powers", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf)])
+    def test_non_finite_power_rejected(self, powers):
+        with pytest.raises(ValueError, match="powers must be finite and nonnegative"):
+            predictability_from_arm_powers(*powers)
 
     def test_from_images(self):
         plus = np.zeros((8, 8))

@@ -65,9 +65,10 @@ class TestOamMode:
             synthesize_ports(StateParams(1.0, 1.0), l=l, grid=grid)
         assert issubclass(ChargeOutOfRange, DualitySimError)
 
-    @pytest.mark.parametrize("l", [2.5, 2.0, -3.5, "3"])
+    @pytest.mark.parametrize("l", [2.5, 2.0, -3.5, "3", True, np.True_])
     def test_non_integer_charge_is_rejected(self, l):
-        # exp(2.5 i phi) is not single-valued, so a charge must be an integer.
+        # exp(2.5 i phi) is not single-valued, so a charge must be an integer, and a
+        # bool is none: True would measure and write as the charge 1.
         grid = GridSpec(64)
         with pytest.raises(ValueError, match="OAM charge must be an integer"):
             oam_mode(l, grid)
@@ -528,6 +529,27 @@ class TestExports:
         with pytest.raises(ValueError, match=f"{name} export expects a 2-D image"):
             writer(tmp_path / "img", np.ones(8))
         assert not (tmp_path / "img").exists()
+
+    @pytest.mark.parametrize("writer,name", [(write_pfm, "PFM"), (write_pgm16, "PGM")])
+    def test_complex_image_is_rejected(self, writer, name, tmp_path):
+        with pytest.raises(ValueError, match=f"{name} export expects a 2-D image of real values"):
+            writer(tmp_path / "img", np.ones((4, 4), dtype=complex))
+        assert not (tmp_path / "img").exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_pgm_of_a_non_finite_maximum_is_rejected(self, bad, tmp_path):
+        image = np.ones((4, 4))
+        image[1, 2] = bad
+        with pytest.raises(ValueError, match="finite image maximum"):
+            write_pgm16(tmp_path / "img.pgm", image)
+        assert not (tmp_path / "img.pgm").exists()
+
+    def test_pgm_peak_whose_scale_underflows_quantises_to_zero(self, tmp_path):
+        # 1e-322 / 65535 rounds to 0, which would divide the frame by zero.
+        image = np.zeros((4, 4))
+        image[0, 0] = 1e-322
+        assert write_pgm16(tmp_path / "img.pgm", image) == 1.0
+        assert (tmp_path / "img.pgm").read_bytes() == b"P5\n4 4\n65535\n" + bytes(32)
 
     def test_metadata_sidecar(self, tmp_path):
         path = tmp_path / "meta.json"

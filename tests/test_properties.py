@@ -7,7 +7,9 @@ sphere.  Examples are derandomized, so every run checks the same cases.
 
 import contextlib
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,14 +22,19 @@ from dualitysim import (
     DualitySimError,
     GridSpec,
     NoiseModel,
+    SliverCoupling,
     StateParams,
     ZeroProbabilityPostselection,
+    apply_sliver,
     averaged_duality,
+    azimuthal_profile,
     closed_form_averaged,
     conditional_duality,
+    oam_mode,
     partial_trace_env,
     postselect_env,
     predictability,
+    predictability_from_arm_powers,
     projector_bloch,
     projector_from_ket,
     projector_h,
@@ -36,7 +43,9 @@ from dualitysim import (
     render_image,
     state_vector,
     synthesize_ports,
+    true_ratio,
     unconditional_duality,
+    uniform_wavefunction,
     visibility,
 )
 from dualitysim.duality import (
@@ -52,8 +61,15 @@ from dualitysim.fringes import (
     moment_profile,
     port_profile,
 )
+from dualitysim.optics import write_pgm16
 from dualitysim.qubit import basis_branches
-from dualitysim.weak import gaussian_wavefunction, grid_positions, normalized
+from dualitysim.weak import (
+    convergence_order,
+    gaussian_wavefunction,
+    grid_positions,
+    normalized,
+    scan,
+)
 
 from oracles import (
     KET_BOT,
@@ -526,3 +542,59 @@ def test_closed_form_scan_raises_as_the_loop_does(psi, phi, mode):
     assert _scan_error(reconstruct_profile, psi, phi, mode) == _scan_error(
         loop_reconstruct_profile, psi, phi, mode
     )
+
+
+# Edge-class arguments: integers that numpy misreads (a bool, a float index), the
+# non-finite and extreme floats, and empty, complex and edge-filled arrays.
+EDGE = st.sampled_from([0, -0.0, 1, -1, 1.5, True, math.nan, math.inf, -math.inf,
+                        1e300, -1e300, 1e-300, 5e-324])
+EDGE_PROFILE = st.one_of(
+    st.sampled_from([np.array([], dtype=complex), np.array([1 + 1j, 0.5, -0.25j, 2.0])]),
+    EDGE.map(lambda x: np.full(4, x, dtype=complex)),
+)
+EDGE_FRAME = st.sampled_from([np.ones((32, 32)), np.empty((0, 0)), np.ones((32, 32), complex),
+                              np.ones(32)])
+# Only the writers see edge-filled frames: a profile does not check its pixel values, which
+# would take one more pass over every rendered frame.
+EDGE_IMAGE = st.one_of(EDGE_FRAME, EDGE.map(lambda x: np.full((4, 4), x)))
+MODE = st.sampled_from(["linearized", "exact"])
+EDGE_GRID = GridSpec(32)
+
+
+def _write_pgm16(image):
+    with tempfile.TemporaryDirectory() as folder:
+        write_pgm16(Path(folder) / "frame.pgm", image)
+
+
+ENTRY_POINTS = {
+    "apply_sliver": lambda d: apply_sliver(d(EDGE_PROFILE), SliverCoupling(d(EDGE), d(EDGE), d(MODE))),
+    "oam_mode": lambda d: oam_mode(d(EDGE), EDGE_GRID),
+    "synthesize_ports": lambda d: synthesize_ports(
+        StateParams(d(EDGE), d(EDGE)), d(EDGE), EDGE_GRID, d(EDGE), d(EDGE)).fields("h"),
+    "azimuthal_profile": lambda d: azimuthal_profile(
+        d(EDGE_FRAME), (d(EDGE), d(EDGE)), d(EDGE), d(EDGE), d(EDGE)),
+    "write_pgm16": lambda d: _write_pgm16(d(EDGE_IMAGE)),
+    "predictability_from_arm_powers": lambda d: predictability_from_arm_powers(d(EDGE), d(EDGE)),
+    "scan": lambda d: scan(d(EDGE_PROFILE), [d(EDGE)], d(MODE)),
+    "true_ratio": lambda d: true_ratio(d(EDGE_PROFILE)),
+    "reconstruct_profile": lambda d: reconstruct_profile(d(EDGE_PROFILE), d(EDGE), d(MODE)),
+    "convergence_order": lambda d: convergence_order(
+        np.array([d(EDGE), d(EDGE)]), np.array([d(EDGE), d(EDGE)])),
+    "uniform_wavefunction": lambda d: uniform_wavefunction(d(EDGE)),
+    "gaussian_wavefunction": lambda d: gaussian_wavefunction(d(EDGE), d(EDGE)),
+}
+
+
+@settings(PROPERTY, max_examples=600)
+@given(st.sampled_from(sorted(ENTRY_POINTS)), st.data())
+def test_edge_arguments_return_or_raise_a_library_error(name, data):
+    # A numpy warning (ComplexWarning and RankWarning are RuntimeWarnings too) is an
+    # error here, and so is any exception but ValueError or a DualitySimError; the
+    # designed weak-coupling warning of a strong phi is not an input error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.filterwarnings("ignore", "pointer deflection")
+        try:
+            ENTRY_POINTS[name](data.draw)
+        except (ValueError, DualitySimError) as exc:
+            assert not isinstance(exc, np.linalg.LinAlgError), (name, exc)

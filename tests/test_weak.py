@@ -66,6 +66,35 @@ class TestWavefunctions:
             with pytest.raises(ValueError):
                 gaussian_wavefunction(64, sigma)
 
+    def test_uniform_of_no_samples_is_the_zero_wavefunction(self):
+        with pytest.raises(ValueError, match="cannot normalize the zero wavefunction"):
+            uniform_wavefunction(0)
+
+    @pytest.mark.parametrize("n", [True, 1.5, 4.0, -1])
+    @pytest.mark.parametrize("build", [uniform_wavefunction, lambda n: gaussian_wavefunction(n, 2.0)])
+    def test_sample_count_must_be_a_nonnegative_integer(self, build, n):
+        with pytest.raises(ValueError, match="n must be a nonnegative integer"):
+            build(n)
+
+    @pytest.mark.parametrize("psi", [np.array([], dtype=complex), np.ones((2, 2)),
+                                     np.array([1.0, np.nan]), np.array([1.0, np.inf])])
+    @pytest.mark.parametrize("entry", [
+        true_ratio,
+        lambda psi: scan(psi, [0.1]),
+        lambda psi: reconstruct_profile(psi, 0.1),
+        lambda psi: apply_sliver(psi, SliverCoupling(0, 0.1)),
+    ])
+    def test_profile_must_be_nonempty_finite_and_one_dimensional(self, entry, psi):
+        with pytest.raises(ValueError, match="psi must be a nonempty 1-D profile"):
+            entry(psi)
+
+    @pytest.mark.parametrize("mode", ["linearized", "exact"])
+    @pytest.mark.parametrize("phi", [0.0, 0.1, 1e300])
+    def test_an_overflowing_readout_is_an_invalid_coupling(self, mode, phi):
+        # |s_V|^2 overflows for samples this large, and |s_H|^2 too at phi = 1e300.
+        with pytest.raises(InvalidCoupling, match="phi"):
+            reconstruct_profile(np.full(4, 1e300, dtype=complex), phi, mode)
+
 
 class TestApplySliver:
     def test_zero_angle_is_identity(self):
@@ -105,6 +134,16 @@ class TestApplySliver:
     def test_out_of_range_position_rejected(self):
         with pytest.raises(ValueError):
             apply_sliver(uniform_wavefunction(8), SliverCoupling(x0=8, phi=0.1))
+
+    @pytest.mark.parametrize("x0", [True, False, 1.0, -1, np.float64(2.0), "1"])
+    def test_position_must_be_a_nonnegative_integer(self, x0):
+        # numpy reads h[True] as the whole array and h[1.0] as an IndexError.
+        with pytest.raises(ValueError, match="x0 must be a nonnegative integer"):
+            SliverCoupling(x0, 0.1)
+
+    def test_numpy_integer_position_couples_one_point(self):
+        joint = apply_sliver(uniform_wavefunction(4), SliverCoupling(np.int64(1), 0.1))
+        np.testing.assert_array_equal(joint.h, [0.0, 0.025, 0.0, 0.0])
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -278,6 +317,16 @@ class TestConvergenceOrder:
     def test_rejects_nan_error(self):
         with pytest.raises(ValueError, match="nonnegative"):
             convergence_order(np.array([0.1, 0.05]), np.array([math.nan, 1.0]))
+
+    def test_rejects_infinite_error(self):
+        with pytest.raises(ValueError, match="errors must be finite"):
+            convergence_order(np.array([0.1, 0.05]), np.array([math.inf, 1.0]))
+
+    @pytest.mark.parametrize("phi", [0.0, -0.0, math.inf, -math.inf, math.nan])
+    def test_rejects_a_zero_or_non_finite_phi(self, phi, capfd):
+        with pytest.raises(ValueError, match="phis must be finite and nonzero"):
+            convergence_order(np.array([phi, 0.05]), np.array([1e-3, 1e-2]))
+        assert capfd.readouterr().err == ""  # no LAPACK diagnostics for a NaN phi
 
     @pytest.mark.parametrize("phis,errors", [
         ([0.1, 0.05], [0.0, 1.0]),  # an error exact to the last bit

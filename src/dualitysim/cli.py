@@ -219,7 +219,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     ):
         optics.write_pfm(out_dir / f"{port}_port.pfm", image)
         optics.write_pgm16(out_dir / f"{port}_port.pgm", image)
-        fringes.profile_to_csv(profile, out_dir / f"{port}_profile.csv")
+        fringes.profile_to_csv(profile, out_dir / f"{port}_profile.csv", noise)
 
     run = {"theta": params.theta, "alpha": params.alpha, "oam_charge": l,
            "flip_impurity": impurity, "path_phase": path_phase}

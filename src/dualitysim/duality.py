@@ -136,8 +136,13 @@ def closed_form_conditional(params: StateParams) -> tuple[float, float]:
     The scalar form of ``conditional_visibility_v``.  P given |H><H| is
     identically 1: the horizontal output contains a single OAM mode
     whenever it contains anything at all.  It stays 1 where p_H is below
-    ``P_MIN`` too, because the paper's maximum V^2 + P^2 = 2 lies exactly
-    where the H port goes dark: that limit is the fair-sampling point.
+    ``P_MIN`` too, so that V^2 + P^2 keeps its maximum 2 at alpha = pi, where
+    the H port is dark.  Only there is the maximum on a dark H port: in
+    general it sits where V = 1, at theta = 2 atan(1 / |sin(alpha/2)|) or its
+    mirror 2 pi - theta, where the V port keeps the fraction
+    p_V* = 2u / (1 + u) of the light, u = sin^2(alpha/2) (0.0335 at
+    alpha = pi/12, with p_H = 0.9665).  That small kept fraction is the
+    fair-sampling point of the apparent violation.
 
     Raises:
         ZeroProbabilityPostselection: when the vertical postselection

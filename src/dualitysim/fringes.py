@@ -58,17 +58,16 @@ def _bin_angles(n_bins: int) -> np.ndarray:
 class AzimuthalProfile:
     """Mean intensity versus azimuthal angle.
 
-    ``values`` are per-bin means of the pixel intensities, ``stderr`` the
-    standard error of each mean and ``counts`` the number of contributing
-    pixels.  The bins tile [0, 360) from 0, so their number fixes
-    ``window_degrees`` and the bin centers ``angles_deg``.  A stack of
-    profiles on one set of bins holds ``values`` and ``stderr`` as rows x
-    bins; ``row(i)`` is its profile i, and ``row(mask)`` the stack of the
-    rows a boolean mask picks.
+    ``values`` are per-bin means of the pixel intensities and ``counts`` the
+    number of contributing pixels; ``profile_to_csv`` forms the error of a
+    mean from the two and the camera's noise model.  The bins tile [0, 360)
+    from 0, so their number fixes ``window_degrees`` and the bin centers
+    ``angles_deg``.  A stack of profiles on one set of bins holds ``values``
+    as rows x bins; ``row(i)`` is its profile i, and ``row(mask)`` the stack
+    of the rows a boolean mask picks.
     """
 
     values: np.ndarray
-    stderr: np.ndarray
     counts: np.ndarray
     window_degrees = property(lambda self: 360.0 / len(self.counts))
     angles_deg = property(lambda self: _bin_angles(len(self.counts)))
@@ -77,7 +76,7 @@ class AzimuthalProfile:
         return len(self.counts)
 
     def row(self, i: int | np.ndarray) -> AzimuthalProfile:
-        return AzimuthalProfile(self.values[i], self.stderr[i], self.counts)
+        return AzimuthalProfile(self.values[i], self.counts)
 
 
 @dataclass(frozen=True)
@@ -97,11 +96,9 @@ class AnnulusPlan:
         """Per-window sums of one value per annulus pixel."""
         return np.bincount(self.bins, weights=values, minlength=len(self.counts))
 
-    def profile(self, sums: np.ndarray, sq_sums: np.ndarray) -> AzimuthalProfile:
-        """Profile from per-window sums of the pixel values and of their squares."""
-        means = sums / self.counts
-        variances = np.clip(sq_sums / self.counts - means**2, 0.0, None)
-        return AzimuthalProfile(means, np.sqrt(variances / self.counts), self.counts)
+    def profile(self, sums: np.ndarray) -> AzimuthalProfile:
+        """Profile from per-window sums of the pixel values."""
+        return AzimuthalProfile(sums / self.counts, self.counts)
 
 
 @lru_cache(maxsize=8)
@@ -175,8 +172,7 @@ def azimuthal_profile(
         raise ValueError("need 0 <= r_min < r_max")
 
     plan = annulus_plan(image.shape, tuple(center), r_min, r_max, float(window_degrees))
-    samples = image.take(plan.pixels)
-    return plan.profile(plan.window_sums(samples), plan.window_sums(samples**2))
+    return plan.profile(plan.window_sums(image.take(plan.pixels)))
 
 
 def _port_annulus(grid: GridSpec) -> tuple:
@@ -251,6 +247,8 @@ def _fringe_rows(values: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray, li
     """``fringe_visibility`` of each row of ``values`` (rows x bins): the
     visibilities, their uncertainties and, per row, why it has none (None
     when it has one); a row without one reads NaN."""
+    if not optics._is_integer(l):
+        raise ValueError(f"OAM charge l must be an integer, got {l!r}")
     if abs(l) < 1:
         raise ValueError("petal analysis needs |l| >= 1")
     n_rows, n_bins = values.shape
@@ -315,8 +313,9 @@ def fringe_visibility(
 
 
 def predictability_from_arm_powers(i_plus: float, i_minus: float) -> float:
-    """|I+ - I-| / (I+ + I-) for two finite, nonnegative mode-attributable powers."""
-    if not (0.0 <= i_plus < math.inf and 0.0 <= i_minus < math.inf):
+    """|I+ - I-| / (I+ + I-) for two finite, nonnegative mode-attributable powers;
+    a bool is no power."""
+    if any(isinstance(p, bool | np.bool_) or not 0.0 <= p < math.inf for p in (i_plus, i_minus)):
         raise ValueError(f"powers must be finite and nonnegative, got {i_plus!r} and {i_minus!r}")
     total = i_plus + i_minus
     if total <= INTENSITY_EPS:
@@ -365,17 +364,10 @@ def count_petals(profile: AzimuthalProfile) -> int:
     return int(np.count_nonzero(above & ~np.roll(above, 1)))
 
 
-# The 10 pairs i <= j of the four mode terms, and the multiplicity of
-# each pair product in the square of a weighted sum of the terms.
-_PAIRS = np.triu_indices(4)
-_PAIR_MULTIPLICITY = np.where(_PAIRS[0] == _PAIRS[1], 1.0, 2.0)
-
-
 @lru_cache(maxsize=8)
-def _mode_moments(l: int, grid: GridSpec) -> tuple[AnnulusPlan, np.ndarray, np.ndarray]:
+def _mode_moments(l: int, grid: GridSpec) -> tuple[AnnulusPlan, np.ndarray]:
     """Plan of ``port_profile``'s annulus and per-window sums over it of the
-    mode terms |u+|^2, |u-|^2, Re(u+ conj(u-)) and Im(u+ conj(u-)) (4 rows)
-    and of their pair products times multiplicity (10 rows, for the stderr)."""
+    mode terms |u+|^2, |u-|^2, Re(u+ conj(u-)) and Im(u+ conj(u-)) (4 rows)."""
     plan = port_plan(grid)
     u_abs = optics._mode_rows(abs(l), grid, plan.pixels)
     # u(-l) = conj u(|l|): both modes have the power |u(|l|)|^2, and u+ conj(u-) is
@@ -383,27 +375,20 @@ def _mode_moments(l: int, grid: GridSpec) -> tuple[AnnulusPlan, np.ndarray, np.n
     power = np.abs(u_abs) ** 2
     cross = optics._signed(u_abs * u_abs, l)
     terms = [power, power, cross.real, cross.imag]
-    sums = np.stack([plan.window_sums(term) for term in terms])
-    pair_sums = np.stack([
-        plan.window_sums(m * terms[i] * terms[j]) for i, j, m in zip(*_PAIRS, _PAIR_MULTIPLICITY)
-    ])
-    return plan, sums, pair_sums
+    return plan, np.stack([plan.window_sums(term) for term in terms])
 
 
 def moment_profile(synthesis: PortSynthesis, port: str) -> AzimuthalProfile:
     """Stacked ``port_profile`` of the noiseless ``port`` ("v" or "h") of every
     row of ``synthesis`` (rows x bins), without a frame.
 
-    Each row equals the profile of its rendered frame up to float round-off.
+    The port intensity is a weighted sum of the four mode terms, so each row's
+    window sums are its weights times the cached per-window sums of those terms,
+    one BLAS vector-matrix product per row as in ``_harmonic_fits``.  Each row
+    equals the profile of its rendered frame up to float round-off.
     """
-    weights = synthesis.intensity_weights(port)
-    plan, sums, pair_sums = _mode_moments(synthesis.l, synthesis.grid)
-    # One BLAS vector-matrix product per row, as in ``_harmonic_fits``; the
-    # rows must be contiguous, since numpy's loop for strided rows rounds
-    # differently.
-    pair_weights = np.ascontiguousarray(weights[:, _PAIRS[0]] * weights[:, _PAIRS[1]])
-    return plan.profile((weights[:, np.newaxis, :] @ sums)[:, 0],
-                        (pair_weights[:, np.newaxis, :] @ pair_sums)[:, 0])
+    plan, sums = _mode_moments(synthesis.l, synthesis.grid)
+    return plan.profile((synthesis.intensity_weights(port)[:, np.newaxis, :] @ sums)[:, 0])
 
 
 @dataclass
@@ -488,11 +473,8 @@ def measure_rows(synthesis: PortSynthesis, noise: NoiseModel, first_row: int = 0
         v_profile, h_profile = (moment_profile(synthesis, port) for port in "vh")
     else:
         binned = [[port_profile(frame(k, port), grid) for port in (0, 1)] for k in range(n_rows)]
-        v_profile, h_profile = (
-            AzimuthalProfile(np.stack([p.values for p in profiles]),
-                             np.stack([p.stderr for p in profiles]), profiles[0].counts)
-            for profiles in zip(*binned)
-        )
+        v_profile, h_profile = (AzimuthalProfile(np.stack([p.values for p in profiles]),
+                                                 profiles[0].counts) for profiles in zip(*binned))
 
     # Each port's rows are fitted in one call of a public fit function, so a
     # profiler that wraps those names sees every fit; a port with no row to
@@ -526,10 +508,18 @@ def write_csv(path: str | Path, columns: list[str], rows: np.ndarray | list[list
     Path(path).write_text(",".join(columns) + "\n" + body)
 
 
-def profile_to_csv(profile: AzimuthalProfile, path: str | Path) -> None:
-    """CSV export with columns angle_deg, mean_intensity, stderr."""
-    write_csv(path, ["angle_deg", "mean_intensity", "stderr"],
-              np.column_stack((profile.angles_deg, profile.values, profile.stderr)))
+def profile_to_csv(profile: AzimuthalProfile, path: str | Path, noise: NoiseModel) -> None:
+    """CSV export with columns angle_deg, mean_intensity, poisson_stderr, of a
+    profile of frames drawn through the camera ``noise``.
+
+    ``poisson_stderr`` is the standard error of each window mean of Poisson
+    counts with readout noise sigma_r, sqrt((mean + sigma_r^2) / count) in
+    counts, and 0 for an ``exact`` frame, which has no statistical error.
+    """
+    error = (np.zeros_like(profile.values) if noise.exact
+             else np.sqrt((profile.values + noise.readout_sigma**2) / profile.counts))
+    write_csv(path, ["angle_deg", "mean_intensity", "poisson_stderr"],
+              np.column_stack((profile.angles_deg, profile.values, error)))
 
 
 def port_report(rows: PortRows, synthesis: PortSynthesis) -> dict:

@@ -192,7 +192,7 @@ def validate_projector(proj, atol=1e-12):
 
 
 def mask_azimuthal_profile(image, center, r_min, r_max, window_degrees):
-    """(values, stderr, counts) by the full-frame mask of the original code.
+    """(values, counts) by the full-frame mask of the original code.
 
     Every call measures the whole frame: radius and mask over all pixels,
     then angles, window ids and sums of the masked pixels.
@@ -209,10 +209,7 @@ def mask_azimuthal_profile(image, center, r_min, r_max, window_degrees):
     samples = image[rows, cols]
     counts = np.bincount(bin_index, minlength=n_bins)
     sums = np.bincount(bin_index, weights=samples, minlength=n_bins)
-    sq_sums = np.bincount(bin_index, weights=samples**2, minlength=n_bins)
-    means = sums / counts
-    variances = np.clip(sq_sums / counts - means**2, 0.0, None)
-    return means, np.sqrt(variances / counts), counts
+    return sums / counts, counts
 
 
 def loop_reconstruct_profile(psi, phi, mode="linearized"):

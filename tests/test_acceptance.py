@@ -288,11 +288,7 @@ def test_criterion_07_calibrated_reproduction(tmp_path):
     h_values = np.array([float(line.split(",")[1]) for line in lines])
     from dualitysim.fringes import AzimuthalProfile
 
-    h_prof = AzimuthalProfile(
-        values=h_values,
-        stderr=np.zeros(120),
-        counts=np.ones(120, dtype=int),
-    )
+    h_prof = AzimuthalProfile(values=h_values, counts=np.ones(120, dtype=int))
     h_vis, _ = fringe_visibility(h_prof, 3)
 
     failures = [

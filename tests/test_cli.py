@@ -331,8 +331,8 @@ class TestRenderCommand:
 
     @pytest.mark.parametrize("sigma", ["1e39", "1e300"])
     def test_readout_sigma_beyond_counts_ceiling_is_usage_error(self, sigma, tmp_path, capsys):
-        # Values this large overflowed the float32 PFM cast (1e39) or the
-        # profile's squared samples (1e300) instead of failing up front.
+        # Values this large would overflow the float32 PFM cast, and 1e300 also
+        # the profile CSV's squared readout sigma, so they fail up front.
         out = tmp_path / "render13"
         assert main(["render", "--theta", "1", "--alpha", "1", "--grid", "64",
                      "--photons", "1e3", "--readout-sigma", sigma, "--out", str(out)]) == 1

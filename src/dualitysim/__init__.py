@@ -49,6 +49,7 @@ from .optics import (
 )
 from .qubit import (
     StateParams,
+    amplitude_rows,
     partial_trace_env,
     postselect_env,
     projector_bloch,

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import duality, fringes, optics, weak
 from .errors import DualitySimError, EmptyBin
-from .qubit import StateParams
+from .qubit import StateParams, amplitude_rows
 
 _ANGLE_RE = re.compile(
     r"^\s*(?P<sign>[+-])?\s*(?P<coef>\d+(?:\.\d*)?)?\s*\*?\s*(?:pi|π)"
@@ -160,8 +160,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     columns = list(duality.SWEEP_COLUMNS)
     if pipeline:
         columns += MEASURED_COLUMNS
-        states = [StateParams(*angles) for angles in zip(thetas.tolist(), alphas.tolist())]
-        syn = optics.synthesize_ports(states, l=args.l, grid=optics.GridSpec(args.grid))
+        syn = optics.synthesize_ports(amplitude_rows(thetas, alphas), l=args.l,
+                                      grid=optics.GridSpec(args.grid))
         m = fringes.measure_rows(syn, noise)
         table = np.column_stack((table, m.visibility, m.predictability, m.sum_of_squares))
 

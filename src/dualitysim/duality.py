@@ -100,14 +100,15 @@ def conditional_duality(
 
 
 def _half_angle_terms(theta, alpha):
-    """(p_H, p_V, |sin(theta) sin(alpha/2)|, cos^2(theta/2) - sin^2(theta/2) sin^2(alpha/2)),
-    the terms of every {H, V} closed form; broadcasts."""
+    """(p_H, p_V, |sin(theta) sin(alpha/2)|, P averaged), the terms of every {H, V}
+    closed form; broadcasts."""
     theta, alpha = np.asarray(theta, dtype=float), np.asarray(alpha, dtype=float)
     sin_sq = np.sin(theta / 2) ** 2
     p_h = sin_sq * np.cos(alpha / 2) ** 2
     sin_half_alpha, cos_sq = np.sin(alpha / 2), np.cos(theta / 2) ** 2
     lower_v = sin_sq * sin_half_alpha**2
-    return p_h, cos_sq + lower_v, np.abs(np.sin(theta) * sin_half_alpha), cos_sq - lower_v
+    v_bar, p_bar = np.abs(np.sin(theta) * sin_half_alpha), p_h + np.abs(cos_sq - lower_v)
+    return p_h, cos_sq + lower_v, v_bar, p_bar
 
 
 def postselection_probabilities(theta, alpha):
@@ -123,11 +124,16 @@ def conditional_visibility_v(theta, alpha):
     NaN rather than raising, so grid sweeps stay total.
     """
     _, p_v, num, _ = _half_angle_terms(theta, alpha)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(p_v >= P_MIN, num / np.where(p_v > 0, p_v, 1.0), np.nan)
+    out = _visibility_given_v(p_v, num)
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def _visibility_given_v(p_v: np.ndarray, num: np.ndarray) -> np.ndarray:
+    """``_half_angle_terms``' |sin(theta) sin(alpha/2)| / p_V; NaN where p_V < ``P_MIN``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(p_v >= P_MIN, num / np.where(p_v > 0, p_v, 1.0), np.nan)
 
 
 def closed_form_conditional(params: StateParams) -> tuple[float, float]:
@@ -159,8 +165,7 @@ def closed_form_conditional(params: StateParams) -> tuple[float, float]:
 
 def closed_form_averaged(theta, alpha):
     """(V averaged, P averaged) over the {H, V} decomposition; broadcasts."""
-    p_h, _, v_bar, v_diff = _half_angle_terms(theta, alpha)
-    p_bar = p_h + np.abs(v_diff)
+    _, _, v_bar, p_bar = _half_angle_terms(theta, alpha)
     if v_bar.ndim == 0:
         return float(v_bar), float(p_bar)
     return v_bar, p_bar
@@ -184,9 +189,9 @@ SWEEP_COLUMNS = ["theta", "alpha", "V_cond_V", "P_cond_H", "sum_cond_squares",
 
 def sweep_columns(thetas: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     """The closed-form sweep table: one row per (theta, alpha) pair of the two
-    1-D arrays, one column per name of ``SWEEP_COLUMNS``."""
-    v_cond, p_cond = conditional_visibility_v(thetas, alphas), np.ones(len(thetas))
-    v_avg, p_avg = closed_form_averaged(thetas, alphas)
-    p_h, p_v = postselection_probabilities(thetas, alphas)
+    1-D arrays, one column per name of ``SWEEP_COLUMNS``: ``conditional_visibility_v``,
+    ``closed_form_averaged`` and ``postselection_probabilities`` from one set of terms."""
+    p_h, p_v, v_avg, p_avg = _half_angle_terms(thetas, alphas)
+    v_cond, p_cond = _visibility_given_v(p_v, v_avg), np.ones(len(thetas))
     return np.column_stack((thetas, alphas, v_cond, p_cond, v_cond**2 + p_cond**2, v_avg, p_avg,
                             v_avg**2 + p_avg**2, p_h, p_v))

@@ -23,7 +23,7 @@ import math
 from collections.abc import Callable
 from contextlib import suppress
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -229,63 +229,79 @@ def fit_operator(n_bins: int, l: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return design, pinv, inv_normal
 
 
-def _harmonic_fits(values: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray]:
+def _harmonic_fits(values: np.ndarray, l: int, covariance: bool = True) -> tuple:
     """Least-squares c0 + A cos(m phi) + B sin(m phi), m = 2|l|, of each row of
     ``values`` (rows x bins): the coefficients (rows x 3) and their
-    covariances (rows x 3 x 3)."""
+    covariances (rows x 3 x 3), or None unless ``covariance``."""
     design, pinv, inv_normal = fit_operator(values.shape[1], abs(l))
     # Stacked matrix-vector products, one BLAS product per row: a row's
     # result does not depend on the other rows.
     coeffs = (pinv @ values[:, :, np.newaxis])[:, :, 0]
+    if not covariance:
+        return coeffs, None
     residuals = values - (design @ coeffs[:, :, np.newaxis])[:, :, 0]
     dof = max(values.shape[1] - 3, 1)
     sigma_sq = (residuals[:, np.newaxis, :] @ residuals[:, :, np.newaxis])[:, 0, 0] / dof
     return coeffs, sigma_sq[:, np.newaxis, np.newaxis] * inv_normal
 
 
-def _fringe_rows(values: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray, list]:
+def _fringe_rows(values: np.ndarray, l: int, uncertainty: bool = True) -> tuple:
     """``fringe_visibility`` of each row of ``values`` (rows x bins): the
-    visibilities, their uncertainties and, per row, why it has none (None
-    when it has one); a row without one reads NaN."""
+    visibilities, their uncertainties (None unless ``uncertainty``) and, per row,
+    why it has none (None when it has one); a row without one reads NaN."""
     if not optics._is_integer(l):
         raise ValueError(f"OAM charge l must be an integer, got {l!r}")
     if abs(l) < 1:
         raise ValueError("petal analysis needs |l| >= 1")
     n_rows, n_bins = values.shape
-    visibility, uncertainty = np.full((2, n_rows), math.nan)
+    visibility, sigma = np.full((2, n_rows), math.nan)
     lit = np.any(values > 0.0, axis=1)
     reasons = [None if row_lit else "profile carries no intensity" for row_lit in lit.tolist()]
     rows = np.flatnonzero(lit)
     try:
-        coeffs, covariance = _harmonic_fits(values[rows], l)
+        coeffs, covariance = _harmonic_fits(values[rows], l, uncertainty)
     except DegenerateProfile as exc:
         for i in rows.tolist():
             reasons[i] = str(exc)
-        return visibility, uncertainty, reasons
+        return visibility, sigma if uncertainty else None, reasons
     c0, a, b = coeffs.T
     amplitude = _hypot(a, b)
     scale = np.where(amplitude > 0.0, amplitude, 1.0) * c0
     square = np.float_power(c0, 2.0)
     # The gradient divides by scale and c0**2: a baseline that is not positive, or
-    # whose products underflow to 0 (1/c0 overflows only where c0**2 does), has none.
+    # whose products underflow to 0 (1/c0 overflows only where c0**2 does), has none,
+    # so its V reads NaN whether or not the uncertainty is formed.
     fitted = (scale > 0.0) & (square > 0.0)
     for i, c in zip(rows[~fitted].tolist(), c0[~fitted].tolist()):
         reasons[i] = (f"fitted baseline {c!r} is not positive" if not c > 0.0
                       else f"fitted baseline {c!r} underflows the uncertainty's gradient")
-    rows, covariance = rows[fitted], covariance[fitted]
+    rows = rows[fitted]
     c0, a, b, amplitude, scale, square = np.stack((c0, a, b, amplitude, scale, square))[:, fitted]
 
     attenuation = _window_attenuation(l, 360.0 / n_bins)
     visibility[rows] = np.minimum(amplitude / (attenuation * c0), 1.0)
+    if not uncertainty:
+        return visibility, None, reasons
     fringe = amplitude > 0.0
     grad = np.where(
         fringe[:, np.newaxis],
         np.column_stack((-amplitude / square, a / scale, b / scale)),
         np.column_stack((np.zeros_like(c0), 1.0 / c0, 1.0 / c0)) / math.sqrt(2.0),
     )
-    spread = (grad[:, np.newaxis, :] @ covariance @ grad[:, :, np.newaxis])[:, 0, 0]
-    uncertainty[rows] = np.sqrt(spread) / attenuation
-    return visibility, uncertainty, reasons
+    spread = (grad[:, np.newaxis, :] @ covariance[fitted] @ grad[:, :, np.newaxis])[:, 0, 0]
+    sigma[rows] = np.sqrt(spread) / attenuation
+    return visibility, sigma, reasons
+
+
+def _fit(profile: AzimuthalProfile, l: int, uncertainty: bool) -> tuple:
+    """``fringe_visibility``, with None for the uncertainty unless ``uncertainty``."""
+    if profile.values.ndim == 2:
+        visibility, sigma, _ = _fringe_rows(profile.values, l, uncertainty)
+        return visibility, sigma
+    (visibility,), sigma, (reason,) = _fringe_rows(profile.values[np.newaxis], l, uncertainty)
+    if reason is not None:
+        raise DegenerateProfile(reason)
+    return float(visibility), None if sigma is None else float(sigma[0])
 
 
 def fringe_visibility(
@@ -303,13 +319,7 @@ def fringe_visibility(
             harmonic cannot be fitted on its windows (see
             ``fit_operator``), or whose fitted baseline is not positive.
     """
-    if profile.values.ndim == 2:
-        visibility, uncertainty, _ = _fringe_rows(profile.values, l)
-        return visibility, uncertainty
-    (visibility,), (uncertainty,), (reason,) = _fringe_rows(profile.values[np.newaxis], l)
-    if reason is not None:
-        raise DegenerateProfile(reason)
-    return float(visibility), float(uncertainty)
+    return _fit(profile, l, uncertainty=True)
 
 
 def predictability_from_arm_powers(i_plus: float, i_minus: float) -> float:
@@ -339,7 +349,7 @@ def predictability_from_profile(profile: AzimuthalProfile, l: int) -> float | np
     ``fringe_visibility``.  A fringeless port gives 1, balanced petals 0.
     A stack of profiles gives an array, NaN where V is.
     """
-    visibility, _ = fringe_visibility(profile, l)
+    visibility, _ = _fit(profile, l, uncertainty=False)
     predictability = _coherent_predictability(np.atleast_1d(visibility))
     return predictability if profile.values.ndim == 2 else float(predictability[0])
 
@@ -393,18 +403,28 @@ def moment_profile(synthesis: PortSynthesis, port: str) -> AzimuthalProfile:
 
 @dataclass
 class PortRows:
-    """Both ports' stacked profiles (rows x bins) and the measures of each row:
-    ``visibility`` and its 1-sigma ``uncertainty`` from the V port and
-    ``predictability`` from the H port, each NaN for a dark port or a
-    degenerate profile.  ``frame(k, port)`` is frame ``port`` (0 V, 1 H) of
-    row k, rendered on first access."""
+    """Both ports' stacked profiles (rows x bins) of charge ``l`` and the measures
+    of each row: ``visibility`` and its 1-sigma ``uncertainty`` from the V port and
+    ``predictability`` from the H port, each NaN for a dark port or a degenerate
+    profile.  ``frame(k, port)`` is frame ``port`` (0 V, 1 H) of row k, rendered
+    on first access."""
 
     v_profile: AzimuthalProfile
     h_profile: AzimuthalProfile
     visibility: np.ndarray
-    uncertainty: np.ndarray
     predictability: np.ndarray
     frame: Callable[[int, int], np.ndarray]
+    l: int
+
+    @cached_property
+    def uncertainty(self) -> np.ndarray:
+        """``fringe_visibility``'s uncertainty of each row whose V is not NaN, and NaN
+        for the others; formed on first read, so a run that writes none fits none."""
+        uncertainty = np.full(len(self.visibility), math.nan)
+        rows = ~np.isnan(self.visibility)
+        if rows.any():
+            uncertainty[rows] = fringe_visibility(self.v_profile.row(rows), self.l)[1]
+        return uncertainty
 
     @property
     def sum_of_squares(self) -> np.ndarray:
@@ -436,14 +456,16 @@ def measure_rows(synthesis: PortSynthesis, noise: NoiseModel, first_row: int = 0
     when read; otherwise each row's V and H frames are rendered and binned in
     turn, and only the last row's stay cached.
 
-    V is fitted on the V-port profiles.  P comes from the H-port profile of a row
-    whose H port has one nonzero component, and otherwise from the H port's +l and
-    -l frames, as a mode-by-mode acquisition records them.  Those two frames are
-    drawn before any V or H frame and kept only as their 1x1 bucket totals, the
-    counts that ``predictability_from_images`` reads.  A port that ``_lit_ports``
-    calls dark on the port powers reads NaN without a fit, and so does a degenerate
-    profile.  ``EmptyBin`` depends on the grid alone and propagates, and a ``first_row``
-    that is not a nonnegative integer raises ``ValueError``.
+    V is fitted on the V-port profiles, and its uncertainty is formed only when
+    ``PortRows.uncertainty`` is first read, so a sweep forms none.  P comes from the
+    H-port profile of a row whose H port has one nonzero component, and otherwise
+    from the H port's +l and -l frames, as a mode-by-mode acquisition records them.
+    Those two frames are drawn before any V or H frame and kept only as their 1x1
+    bucket totals, the counts that ``predictability_from_images`` reads.  A port
+    that ``_lit_ports`` calls dark on the port powers reads NaN without a fit, and
+    so does a degenerate profile.  ``EmptyBin`` depends on the grid alone and
+    propagates, and a ``first_row`` that is not a nonnegative integer raises
+    ``ValueError``.
     """
     optics._check_index("first_row", first_row)
     l, grid, n_rows = synthesis.l, synthesis.grid, len(synthesis)
@@ -460,7 +482,7 @@ def measure_rows(synthesis: PortSynthesis, noise: NoiseModel, first_row: int = 0
 
     *_, v_lit, h_lit = _lit_ports(synthesis)
     coherent = h_lit & (np.count_nonzero(h.any(axis=2), axis=1) <= 1)
-    visibility, uncertainty, predictability = np.full((3, n_rows), math.nan)
+    visibility, predictability = np.full((2, n_rows), math.nan)
     # Frames 2 and 3 render an impure H port's components cut to their +l and -l parts.
     # P reads only their total counts, so each becomes its 1x1 bucket total as it is
     # drawn, and the row's P is read off the two before any V or H frame is drawn.
@@ -476,14 +498,14 @@ def measure_rows(synthesis: PortSynthesis, noise: NoiseModel, first_row: int = 0
         v_profile, h_profile = (AzimuthalProfile(np.stack([p.values for p in profiles]),
                                                  profiles[0].counts) for profiles in zip(*binned))
 
-    # Each port's rows are fitted in one call of a public fit function, so a
-    # profiler that wraps those names sees every fit; a port with no row to
-    # fit makes no call, as a dark port made none when measured alone.
+    # Each port's lit rows are fitted as one stack, and a port with none makes no fit.
+    # V is read off the fit core without its uncertainty, which PortRows forms when read;
+    # P's fit goes through the public function, so a profiler that wraps it sees the call.
     if v_lit.any():
-        visibility[v_lit], uncertainty[v_lit] = fringe_visibility(v_profile.row(v_lit), l)
+        visibility[v_lit] = _fringe_rows(v_profile.values[v_lit], l, uncertainty=False)[0]
     if coherent.any():
         predictability[coherent] = predictability_from_profile(h_profile.row(coherent), l)
-    return PortRows(v_profile, h_profile, visibility, uncertainty, predictability, frame)
+    return PortRows(v_profile, h_profile, visibility, predictability, frame, l)
 
 
 def analytic_ports(synthesis: PortSynthesis) -> tuple[np.ndarray, np.ndarray]:

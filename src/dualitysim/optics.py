@@ -264,20 +264,22 @@ class PortSynthesis:
 
 
 def synthesize_ports(
-    params: StateParams | Sequence[StateParams],
+    params: StateParams | Sequence[StateParams] | np.ndarray,
     l: int = DEFAULT_OAM,
     grid: GridSpec = GridSpec(),
     path_phase: float = 0.0,
     flip_impurity: float = 0.0,
 ) -> PortSynthesis:
     """Ports of the prepared state's amplitude-matrix columns (upper, lower), one
-    row per ``params``; a single ``StateParams`` gives one row.  A port's component
+    row per ``params``; a single ``StateParams`` gives one row, and a rows x 4 float
+    array gives one row per row of amplitudes, as ``qubit.amplitude_rows`` forms
+    them (``StateParams.amplitudes``, unit norm, unchecked).  A port's component
     0 is (upper, lower sqrt(1 - eps^2) e^{i path_phase}) and, only for eps =
     ``flip_impurity`` > 0, its component 1 is (lower eps, 0).
 
-    Raises ``ChargeOutOfRange`` for |l| > ``MAX_OAM`` and ``ValueError``
-    for no ``params``, l = 0 (both arms would carry the one Gaussian, with
-    no petals) or a non-finite ``path_phase``.
+    Raises ``ChargeOutOfRange`` for |l| > ``MAX_OAM`` and ``ValueError`` for no
+    ``params`` or an array of another shape or dtype, l = 0 (both arms would carry
+    the one Gaussian, with no petals) or a non-finite ``path_phase``.
     """
     _check_charge(l)  # up front: the modes are built only when a field is read
     if l == 0:
@@ -286,15 +288,17 @@ def synthesize_ports(
         raise ValueError("flip_impurity must be in [0, 1)")
     if not math.isfinite(path_phase):
         raise ValueError(f"path_phase must be finite, got {path_phase}")
-    rows = [params] if isinstance(params, StateParams) else list(params)
-    if not rows:
-        raise ValueError("synthesize_ports needs at least one StateParams")
+    if not isinstance(params, np.ndarray):
+        rows = [params] if isinstance(params, StateParams) else params
+        params = np.array([row.amplitudes for row in rows], dtype=float)
+    if params.dtype != float or params.ndim != 2 or params.shape[1] != 4 or not len(params):
+        raise ValueError("synthesize_ports needs at least one StateParams or rows x 4 "
+                         f"float amplitudes, got an array of shape {params.shape}")
     phase = np.exp(1j * path_phase)
     flip = math.sqrt(1.0 - flip_impurity**2)
     # Columns (upper, lower) of each row's A[oam, pol], as the ports h (pol 0) and v (pol 1).
-    upper, lower = np.fromiter((x for row in rows for x in row.amplitudes), float,
-                               4 * len(rows)).reshape(-1, 2, 2).transpose(1, 2, 0)
-    ports = np.zeros((2, len(rows), 2 if flip_impurity else 1, 2), dtype=complex)
+    upper, lower = params.reshape(-1, 2, 2).transpose(1, 2, 0)
+    ports = np.zeros((2, len(params), 2 if flip_impurity else 1, 2), dtype=complex)
     ports[:, :, 0, 0] = upper
     # (lower * flip) * phase, with the IEEE steps of Python's complex product.
     flipped = lower * flip

@@ -28,7 +28,9 @@ full 4x4 density matrix term by term and shares no code with this module.
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,13 +82,40 @@ def normalized(psi: np.ndarray, what: str = "wavefunction") -> np.ndarray:
     return psi / norm
 
 
+def _amplitude_row(theta: float, alpha: float) -> tuple[float, float, float, float]:
+    """A[oam, pol] of the state prepared at ``theta`` and ``alpha``, at entry 2 oam + pol:
+    (0, cos(theta/2), sin(theta/2) cos(alpha/2), sin(theta/2) sin(alpha/2)) as Python
+    floats, through ``math``'s functions.  ``ValueError`` names an angle that is not a
+    Python or numpy real scalar (a bool, a complex or an array is none) or not finite."""
+    if not (type(theta) is float and type(alpha) is float):  # floats skip the ABC check
+        for name, value in (("theta", theta), ("alpha", alpha)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not (math.isfinite(theta) and math.isfinite(alpha)):
+        raise ValueError("theta and alpha must be finite")
+    half_t, half_a = 0.5 * theta, 0.5 * alpha
+    sin_t = math.sin(half_t)
+    return 0.0, math.cos(half_t), sin_t * math.cos(half_a), sin_t * math.sin(half_a)
+
+
+def amplitude_rows(thetas: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """Rows x 4 array of ``StateParams(theta, alpha).amplitudes``, bit for bit, for each
+    pair of the equal-length 1-D angle arrays; raises as ``StateParams`` does."""
+    thetas, alphas = np.asarray(thetas).tolist(), np.asarray(alphas).tolist()
+    if not (isinstance(thetas, list) and isinstance(alphas, list) and len(thetas) == len(alphas)):
+        raise ValueError("thetas and alphas must be 1-D arrays of one length")
+    rows = itertools.chain.from_iterable(map(_amplitude_row, thetas, alphas))
+    return np.fromiter(rows, float, 4 * len(thetas)).reshape(-1, 4)
+
+
 @dataclass(frozen=True)
 class StateParams:
     """Preparation angles of the two half-wave plates, in radians.
 
     ``theta`` sets the splitting between the interferometer arms (the
     plate before the interferometer), ``alpha`` the polarization rotation
-    inside the lower arm.  Any finite real values are accepted; all
+    inside the lower arm.  Any finite Python or numpy real scalars are
+    accepted (a bool, a complex or an array raises ``ValueError``); all
     downstream formulas are 2*pi-periodic in both angles.
 
     ``amplitudes`` is ``state_vector(self)`` as four Python floats, A[oam, pol] at
@@ -98,13 +127,7 @@ class StateParams:
     amplitudes: tuple[float, float, float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.theta) and math.isfinite(self.alpha)):
-            raise ValueError("theta and alpha must be finite")
-        half_t, half_a = 0.5 * self.theta, 0.5 * self.alpha
-        object.__setattr__(self, "amplitudes", (
-            0.0, math.cos(half_t),
-            math.sin(half_t) * math.cos(half_a), math.sin(half_t) * math.sin(half_a),
-        ))
+        object.__setattr__(self, "amplitudes", _amplitude_row(self.theta, self.alpha))
 
 
 def state_vector(params: StateParams) -> np.ndarray:

@@ -198,6 +198,19 @@ class TestAnnulusPlan:
                 azimuthal_profile(image, (31.5, 31.5), 1.0, 2.0)
 
 
+def _count_covariance_fits(monkeypatch) -> list[bool]:
+    """Whether each stacked harmonic fit from now on forms its covariance, the
+    step that only a fit uncertainty reads."""
+    fits, original = [], fringes._harmonic_fits
+
+    def counting_fits(values, l, covariance=True):
+        fits.append(covariance)
+        return original(values, l, covariance)
+
+    monkeypatch.setattr(fringes, "_harmonic_fits", counting_fits)
+    return fits
+
+
 class TestMeasurePorts:
     def test_noiseless_measurement_forms_no_frame_until_read(self, monkeypatch):
         syn = synthesize_ports(StateParams(1.0, 0.7), grid=GridSpec(128))
@@ -236,21 +249,53 @@ class TestMeasurePorts:
                                       np.isnan([m.visibility[0], m.predictability[0]]))
 
     def test_noiseless_sweep_fits_once_per_port(self, monkeypatch, tmp_path):
-        # The rows are fitted as one stack per port, not one fit per row,
-        # through the public fit function (P calls it through
-        # predictability_from_profile).
-        stacked_fit = fringes.fringe_visibility
+        # The rows are fitted as one stack per port, not one fit per row, by the
+        # fit core (P reaches it through predictability_from_profile).
+        stacked_fit = fringes._fringe_rows
         stack_sizes = []
 
-        def counting_fit(profile, l):
-            stack_sizes.append(len(profile.values))
-            return stacked_fit(profile, l)
+        def counting_fit(values, l, uncertainty=True):
+            stack_sizes.append(len(values))
+            return stacked_fit(values, l, uncertainty)
 
-        monkeypatch.setattr(fringes, "fringe_visibility", counting_fit)
+        monkeypatch.setattr(fringes, "_fringe_rows", counting_fit)
         assert main(["sweep", "--samples", "37", "--photons", "inf", "--grid", "64",
                      "--out", str(tmp_path / "s")]) == 0
         # p_H is 0 at theta = 0 and round-off at 2 pi: those H ports are dark.
         assert stack_sizes == [37, 35]
+
+    def test_uncertainty_is_formed_on_first_read_as_fringe_visibility_forms_it(self, monkeypatch):
+        # Rows: a lit V port; a dark one (theta = pi, alpha = 0); and one lit above
+        # P_MIN (p_V = 1e-9) whose frame holds no counts at 1e4 photons, so only the
+        # 1e-170 readout noise is left and its fitted baseline's square underflows.
+        theta = 2 * math.acos(math.sqrt(1e-9))
+        syn = synthesize_ports([StateParams(1.0, 0.7), StateParams(np.pi, 0.0),
+                                StateParams(theta, 0.0)], grid=GridSpec(64))
+        covariances = _count_covariance_fits(monkeypatch)
+        m = measure_rows(syn, NoiseModel(1e4, 1e-170, seed=3))
+        assert covariances == [False, False]  # the V and H fits
+        assert not math.isnan(m.visibility[0]) and np.isnan(m.visibility[1:]).all()
+        uncertainty = m.uncertainty
+        assert covariances == [False, False, True] and m.uncertainty is uncertainty
+        lit = np.array([True, False, True])
+        _, _, reasons = fringes._fringe_rows(m.v_profile.values[lit], 3)
+        assert reasons[0] is None and reasons[1].endswith("underflows the uncertainty's gradient")
+        expected = np.full(3, np.nan)
+        expected[lit] = fringe_visibility(m.v_profile.row(lit), 3)[1]
+        assert uncertainty.tobytes() == expected.tobytes() and not math.isnan(uncertainty[0])
+
+    @pytest.mark.parametrize("camera", [["--photons", "inf"], ["--photons", "1e4",
+                                                                 "--readout-sigma", "2"]])
+    def test_sweep_forms_no_uncertainty(self, camera, monkeypatch, tmp_path):
+        covariances = _count_covariance_fits(monkeypatch)
+        assert main(["sweep", "--samples", "9", "--grid", "64", *camera,
+                     "--out", str(tmp_path / "s")]) == 0
+        assert covariances == [False, False]
+
+    def test_render_forms_the_uncertainty_once(self, monkeypatch, tmp_path):
+        covariances = _count_covariance_fits(monkeypatch)
+        assert main(["render", "--calibrated", "--grid", "64", "--out", str(tmp_path)]) == 0
+        assert covariances == [False, True]
 
     def test_petal_count_reads_zero_on_a_dark_v_row(self):
         # theta = pi, alpha = 0 puts no light in the V port, so its V is NaN.
@@ -662,7 +707,7 @@ class TestPredictability:
         assert len(visibility) > 10
         expected = [math.sqrt(1.0 - v**2) for v in visibility.tolist()]
         np.testing.assert_array_equal(fringes._coherent_predictability(visibility), expected)
-        rows = fringes.PortRows(None, None, visibility, visibility, visibility[::-1], None)
+        rows = fringes.PortRows(None, None, visibility, visibility[::-1], None, 3)
         np.testing.assert_array_equal(rows.sum_of_squares, [
             v**2 + p**2 for v, p in zip(visibility.tolist(), visibility[::-1].tolist())
         ])

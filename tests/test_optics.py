@@ -14,6 +14,7 @@ from dualitysim import (
     GridSpec,
     NoiseModel,
     StateParams,
+    amplitude_rows,
     calibrated_operating_point,
     oam_mode,
     render_image,
@@ -273,6 +274,24 @@ class TestInterferometer:
         assert len(synthesize_ports(rows[0], grid=GridSpec(64))) == 1
         with pytest.raises(ValueError, match="at least one StateParams"):
             synthesize_ports([], grid=GridSpec(64))
+
+    @pytest.mark.parametrize("impurity", [0.0, 0.2])
+    def test_amplitude_rows_synthesize_as_their_params(self, impurity):
+        thetas, alphas = np.linspace(0.0, 2 * np.pi, 37), np.full(37, 0.7)
+        params = [StateParams(t, a) for t, a in zip(thetas.tolist(), alphas.tolist())]
+        kwargs = {"l": -5, "grid": GridSpec(64), "path_phase": 0.4, "flip_impurity": impurity}
+        by_rows = synthesize_ports(amplitude_rows(thetas, alphas), **kwargs)
+        by_params = synthesize_ports(params, **kwargs)
+        for port in "hv":
+            assert by_rows.amplitudes[port].tobytes() == by_params.amplitudes[port].tobytes()
+            assert (by_rows.intensity_weights(port).tobytes()
+                    == by_params.intensity_weights(port).tobytes())
+
+    @pytest.mark.parametrize("rows", [np.empty((0, 4)), np.empty(0), np.ones(4), np.ones((2, 3)),
+                                      np.ones((2, 4), dtype=complex), np.ones((2, 4), dtype=int)])
+    def test_amplitude_rows_of_another_shape_or_type_are_rejected(self, rows):
+        with pytest.raises(ValueError, match="at least one StateParams"):
+            synthesize_ports(rows, grid=GridSpec(64))
 
     @pytest.mark.parametrize("l", [3, -3])
     def test_field_rows_are_rows_of_the_whole_fields(self, l):

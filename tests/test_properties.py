@@ -6,7 +6,9 @@ sphere.  Examples are derandomized, so every run checks the same cases.
 """
 
 import contextlib
+import io
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -48,6 +50,7 @@ from dualitysim import (
     uniform_wavefunction,
     visibility,
 )
+from dualitysim.cli import main
 from dualitysim.duality import (
     conditional_visibility_v,
     postselection_probabilities,
@@ -594,3 +597,45 @@ def test_edge_arguments_return_or_raise_a_library_error(name, data):
             ENTRY_POINTS[name](data.draw)
         except (ValueError, DualitySimError) as exc:
             assert not isinstance(exc, np.linalg.LinAlgError), (name, exc)
+
+
+# Edge classes of a command-line number, including pi literals, and per flag of
+# ``sweep`` a few values that run.  Each command line gives up to two flags an edge
+# value; the grid and the sample count are always given, so that every run stays small.
+EDGE_TEXT = ["0", "-0", "1", "-1", "1.5", "nan", "inf", "-inf", "1e300", "-1e300", "1e-300",
+             "-1e-300", "5e-324", "2.2e-308", "pi", "-pi/2", "2pi", "pi/0",
+             "1" + "0" * 308 + "pi"]
+SWEEP_FLAGS = {
+    "--grid": [str(size) for size in range(43, 65)],
+    "--samples": ["2", "3", "5"],
+    "--sweep": ["theta", "alpha"],
+    "--fixed": ["pi/12", "0.3"],
+    "--start": ["0", "-1"],
+    "--end": ["2pi", "7"],
+    "--seed": ["0", "7"],
+    "--photons": ["inf", "1e4", "1e-9"],
+    "--readout-sigma": ["0", "2"],
+    "--l": ["3", "-3", "32"],
+}
+
+
+@settings(PROPERTY, max_examples=100)
+@given(st.sets(st.sampled_from(sorted(SWEEP_FLAGS)), max_size=2), st.data())
+def test_sweep_command_lines_exit_with_a_code_and_a_flag(edges, data):
+    argv = ["sweep"]
+    for flag, values in SWEEP_FLAGS.items():
+        if flag in edges or flag in ("--grid", "--samples") or data.draw(st.booleans()):
+            value = data.draw(st.sampled_from(EDGE_TEXT if flag in edges else values))
+            argv.append(f"{flag}={value}")
+    stderr = io.StringIO()
+    with (tempfile.TemporaryDirectory() as folder, warnings.catch_warnings(record=True) as caught,
+          contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr)):
+        warnings.simplefilter("always")
+        out = Path(folder) / "sweep"
+        code = main([*argv, "--out", str(out)])
+        written = [out.with_suffix(suffix).is_file() for suffix in (".csv", ".json")]
+    assert code in (0, 1, 2), argv
+    assert not [w.message for w in caught if issubclass(w.category, RuntimeWarning)], argv
+    if code == 1:  # argparse's usage line names every flag, so only the error line counts
+        assert re.search(r"error: .*--[a-z]", stderr.getvalue()), (argv, stderr.getvalue())
+    assert written == [code == 0] * 2, argv

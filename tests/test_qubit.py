@@ -11,6 +11,7 @@ import pytest
 from dualitysim import (
     StateParams,
     ZeroProbabilityPostselection,
+    amplitude_rows,
     partial_trace_env,
     postselect_env,
     projector_bloch,
@@ -95,6 +96,29 @@ class TestBuildState:
         with pytest.raises(ValueError):
             StateParams(np.inf, 0.0)
 
+    @pytest.mark.parametrize("angle", [True, False, np.True_])
+    def test_rejects_a_bool_angle(self, angle):
+        for args, name in (((angle, 0.5), "theta"), ((0.5, angle), "alpha")):
+            with pytest.raises(ValueError, match=f"{name} must be a real number"):
+                StateParams(*args)
+
+    @pytest.mark.parametrize("angle", [1j, 1.0 + 0j, np.complex128(1.0), "1.0", None])
+    def test_rejects_an_angle_that_is_not_real(self, angle):
+        for args, name in (((angle, 0.5), "theta"), ((0.5, angle), "alpha")):
+            with pytest.raises(ValueError, match=f"{name} must be a real number"):
+                StateParams(*args)
+
+    @pytest.mark.parametrize("angle", [np.array(1.0), np.array([1.0]), np.ones((1, 1))])
+    def test_rejects_an_array_angle_and_keeps_every_real_scalar(self, angle):
+        for args, name in (((angle, 0.5), "theta"), ((0.5, angle), "alpha")):
+            with pytest.raises(ValueError, match=f"{name} must be a real number"):
+                StateParams(*args)
+        # Python and numpy real scalars build, hash and give the float's amplitudes.
+        for scalar in (1, 1.0, np.float64(1.0), np.float32(1.0), np.int64(1), np.uint8(1)):
+            params = StateParams(scalar, scalar)
+            assert hash(params) == hash(StateParams(1.0, 1.0))
+            assert params.amplitudes == StateParams(1.0, 1.0).amplitudes
+
 
 def _formula_hex(theta, alpha):
     """The prepared amplitudes by their formula, as float.hex strings."""
@@ -128,6 +152,32 @@ class TestStateParamsAmplitudes:
         object.__setattr__(twin, "amplitudes", (0.0, 1.0, 0.0, 0.0))
         assert twin == params and hash(twin) == hash(params) == hash(StateParams(1.0, 2.0))
         assert StateParams(1.0, 2.5) != params
+
+    def test_amplitude_rows_equal_the_params_amplitudes_bit_for_bit(self):
+        # The criterion-5 theta grid at three alphas, and edge angles on both axes.
+        edges = [0.0, -0.0, np.pi, 2 * np.pi, -np.pi, 1e308, -1e308, 5e-324, 1e-310]
+        thetas = [*np.linspace(0.0, 2 * np.pi, 181).tolist() * 3, *edges, *[0.3] * len(edges)]
+        alphas = [*[a for a in (np.pi / 12, np.pi / 2, 2.5) for _ in range(181)],
+                  *[0.7] * len(edges), *edges]
+        rows = amplitude_rows(np.array(thetas), np.array(alphas))
+        assert rows.shape == (len(thetas), 4) and rows.dtype == float
+        expected = [StateParams(t, a).amplitudes for t, a in zip(thetas, alphas)]
+        assert [[x.hex() for x in row] for row in rows.tolist()] == [
+            [x.hex() for x in row] for row in expected]
+
+    def test_amplitude_rows_check_their_angles(self):
+        assert amplitude_rows(np.array([]), np.array([])).shape == (0, 4)
+        for thetas, alphas in (([1.0], [1.0, 2.0]), (1.0, 1.0), (np.ones(2), 1.0)):
+            with pytest.raises(ValueError, match="1-D arrays of one length"):
+                amplitude_rows(thetas, alphas)
+        for thetas, alphas, message in (
+            (np.array([True]), np.array([0.5]), "theta must be a real number"),
+            (np.array([0.5]), np.array([1j]), "alpha must be a real number"),
+            (np.ones((2, 2)), np.ones(2), "theta must be a real number"),
+            (np.array([0.5]), np.array([np.nan]), "must be finite"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                amplitude_rows(thetas, alphas)
 
     def test_stays_frozen_and_takes_no_amplitudes_argument(self):
         params = StateParams(1.0, 2.0)

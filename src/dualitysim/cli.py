@@ -59,7 +59,8 @@ class UsageError(argparse.ArgumentTypeError):
 
 
 def parse_angle(text: str) -> float:
-    """Finite angle in radians from a decimal or a pi literal like ``pi/12``."""
+    """Finite angle in radians from a decimal or a pi literal like ``pi/12``; a -0 keeps
+    its sign, as a valid angle, while a -0 budget, sigma or impurity records as 0."""
     match = _ANGLE_RE.match(text)
     if match:
         value = math.pi
@@ -203,7 +204,7 @@ def cmd_render(args: argparse.Namespace) -> int:
         if args.theta is None or args.alpha is None:
             raise UsageError("render needs --theta and --alpha (or --calibrated)")
         params = StateParams(args.theta, args.alpha)
-        impurity = 0.0 if args.impurity is None else args.impurity
+        impurity = args.impurity or 0.0  # unset and -0 both record as 0
     l, path_phase, out_dir = args.l, args.path_phase, args.out
 
     grid = optics.GridSpec(args.grid)

@@ -229,26 +229,10 @@ def fit_operator(n_bins: int, l: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return design, pinv, inv_normal
 
 
-def _harmonic_fits(values: np.ndarray, l: int, covariance: bool = True) -> tuple:
-    """Least-squares c0 + A cos(m phi) + B sin(m phi), m = 2|l|, of each row of
-    ``values`` (rows x bins): the coefficients (rows x 3) and their
-    covariances (rows x 3 x 3), or None unless ``covariance``."""
-    design, pinv, inv_normal = fit_operator(values.shape[1], abs(l))
-    # Stacked matrix-vector products, one BLAS product per row: a row's
-    # result does not depend on the other rows.
-    coeffs = (pinv @ values[:, :, np.newaxis])[:, :, 0]
-    if not covariance:
-        return coeffs, None
-    residuals = values - (design @ coeffs[:, :, np.newaxis])[:, :, 0]
-    dof = max(values.shape[1] - 3, 1)
-    sigma_sq = (residuals[:, np.newaxis, :] @ residuals[:, :, np.newaxis])[:, 0, 0] / dof
-    return coeffs, sigma_sq[:, np.newaxis, np.newaxis] * inv_normal
-
-
 def _fringe_rows(values: np.ndarray, l: int, uncertainty: bool = True) -> tuple:
     """``fringe_visibility`` of each row of ``values`` (rows x bins): the
-    visibilities, their uncertainties (None unless ``uncertainty``) and, per row,
-    why it has none (None when it has one); a row without one reads NaN."""
+    visibilities, their uncertainties (all NaN unless ``uncertainty``) and, per
+    row, why it has none (None when it has one); a row without one reads NaN."""
     if not optics._is_integer(l):
         raise ValueError(f"OAM charge l must be an integer, got {l!r}")
     if abs(l) < 1:
@@ -259,11 +243,15 @@ def _fringe_rows(values: np.ndarray, l: int, uncertainty: bool = True) -> tuple:
     reasons = [None if row_lit else "profile carries no intensity" for row_lit in lit.tolist()]
     rows = np.flatnonzero(lit)
     try:
-        coeffs, covariance = _harmonic_fits(values[rows], l, uncertainty)
+        design, pinv, inv_normal = fit_operator(n_bins, abs(l))
     except DegenerateProfile as exc:
         for i in rows.tolist():
             reasons[i] = str(exc)
-        return visibility, sigma if uncertainty else None, reasons
+        return visibility, sigma, reasons
+    # Least-squares c0 + A cos(m phi) + B sin(m phi), m = 2|l|, of each lit row: stacked
+    # matrix-vector products, one BLAS product per row, so no row depends on another.
+    values = values[rows]
+    coeffs = (pinv @ values[:, :, np.newaxis])[:, :, 0]
     c0, a, b = coeffs.T
     amplitude = _hypot(a, b)
     scale = np.where(amplitude > 0.0, amplitude, 1.0) * c0
@@ -281,27 +269,34 @@ def _fringe_rows(values: np.ndarray, l: int, uncertainty: bool = True) -> tuple:
     attenuation = _window_attenuation(l, 360.0 / n_bins)
     visibility[rows] = np.minimum(amplitude / (attenuation * c0), 1.0)
     if not uncertainty:
-        return visibility, None, reasons
+        return visibility, sigma, reasons
+    # Residuals of every lit row: copying out the fitted rows costs more than the rare rest.
+    residuals = values - (design @ coeffs[:, :, np.newaxis])[:, :, 0]
+    dof = max(n_bins - 3, 1)
+    sigma_sq = (residuals[:, np.newaxis, :] @ residuals[:, :, np.newaxis])[fitted, 0, 0] / dof
+    covariance = sigma_sq[:, np.newaxis, np.newaxis] * inv_normal
     fringe = amplitude > 0.0
     grad = np.where(
         fringe[:, np.newaxis],
         np.column_stack((-amplitude / square, a / scale, b / scale)),
         np.column_stack((np.zeros_like(c0), 1.0 / c0, 1.0 / c0)) / math.sqrt(2.0),
     )
-    spread = (grad[:, np.newaxis, :] @ covariance[fitted] @ grad[:, :, np.newaxis])[:, 0, 0]
+    spread = (grad[:, np.newaxis, :] @ covariance @ grad[:, :, np.newaxis])[:, 0, 0]
     sigma[rows] = np.sqrt(spread) / attenuation
     return visibility, sigma, reasons
 
 
 def _fit(profile: AzimuthalProfile, l: int, uncertainty: bool) -> tuple:
-    """``fringe_visibility``, with None for the uncertainty unless ``uncertainty``."""
+    """``fringe_visibility``'s V and uncertainty (NaN unless ``uncertainty``) and the
+    coherent predictability sqrt(1 - V^2): arrays for a stack of profiles, Python
+    floats for one profile, which raises ``DegenerateProfile`` where it has no V."""
+    visibility, sigma, reasons = _fringe_rows(np.atleast_2d(profile.values), l, uncertainty)
+    measures = visibility, sigma, _coherent_predictability(visibility)
     if profile.values.ndim == 2:
-        visibility, sigma, _ = _fringe_rows(profile.values, l, uncertainty)
-        return visibility, sigma
-    (visibility,), sigma, (reason,) = _fringe_rows(profile.values[np.newaxis], l, uncertainty)
-    if reason is not None:
-        raise DegenerateProfile(reason)
-    return float(visibility), None if sigma is None else float(sigma[0])
+        return measures
+    if reasons[0] is not None:
+        raise DegenerateProfile(reasons[0])
+    return tuple(float(measure[0]) for measure in measures)
 
 
 def fringe_visibility(
@@ -319,7 +314,7 @@ def fringe_visibility(
             harmonic cannot be fitted on its windows (see
             ``fit_operator``), or whose fitted baseline is not positive.
     """
-    return _fit(profile, l, uncertainty=True)
+    return _fit(profile, l, uncertainty=True)[:2]
 
 
 def predictability_from_arm_powers(i_plus: float, i_minus: float) -> float:
@@ -349,9 +344,7 @@ def predictability_from_profile(profile: AzimuthalProfile, l: int) -> float | np
     ``fringe_visibility``.  A fringeless port gives 1, balanced petals 0.
     A stack of profiles gives an array, NaN where V is.
     """
-    visibility, _ = _fit(profile, l, uncertainty=False)
-    predictability = _coherent_predictability(np.atleast_1d(visibility))
-    return predictability if profile.values.ndim == 2 else float(predictability[0])
+    return _fit(profile, l, uncertainty=False)[2]
 
 
 def _coherent_predictability(visibility: np.ndarray) -> np.ndarray:
@@ -394,7 +387,7 @@ def moment_profile(synthesis: PortSynthesis, port: str) -> AzimuthalProfile:
 
     The port intensity is a weighted sum of the four mode terms, so each row's
     window sums are its weights times the cached per-window sums of those terms,
-    one BLAS vector-matrix product per row as in ``_harmonic_fits``.  Each row
+    one BLAS vector-matrix product per row as in ``_fringe_rows``.  Each row
     equals the profile of its rendered frame up to float round-off.
     """
     plan, sums = _mode_moments(synthesis.l, synthesis.grid)

@@ -109,7 +109,8 @@ class NoiseModel:
     one needs a finite budget; negative pixel values are clamped to zero.
     ``seed`` is a nonnegative integer; ``render_image`` draws each frame from it
     and a frame key, so equal seeds, keys and inputs give bit-identical images.
-    ``record`` is the model as JSON writes it: an exact model's budget is null.
+    ``record`` is the model as JSON writes it: an exact model's budget is null,
+    and a -0 budget or sigma is stored and recorded as 0.
     """
 
     photon_budget: float = math.inf
@@ -119,8 +120,10 @@ class NoiseModel:
     def __post_init__(self) -> None:
         _check_index("seed", self.seed)
         for name in ("photon_budget", "readout_sigma"):
-            if isinstance(getattr(self, name), bool | np.bool_):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool | np.bool_):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            object.__setattr__(self, name, value + 0)  # + 0 turns -0 into 0 and keeps an int
         if not self.photon_budget >= 0:
             raise ValueError("photon_budget must be >= 0")
         if not 0.0 <= self.readout_sigma < POISSON_LAM_MAX:

@@ -215,16 +215,6 @@ def partial_trace_env(state: np.ndarray) -> np.ndarray:
     return _hermitian(*_reduced(*amplitude_entries(state)))
 
 
-def basis_branches(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized OAM branches left by |H><H| and |V><V|.
-
-    The branch of outcome k is u u^dagger for the column u = A[:, k], so
-    its trace is the outcome's probability and a dark branch is zero.
-    """
-    h, v = _branches(*amplitude_entries(state))
-    return _hermitian(*h), _hermitian(*v)
-
-
 def projector_h() -> np.ndarray:
     """|H><H| on the polarization qubit."""
     return np.array([[1, 0], [0, 0]], dtype=complex)

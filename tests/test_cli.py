@@ -929,6 +929,24 @@ def test_noiseless_budget_is_written_as_null(tmp_path):
     assert config["photon_budget"] is None and config["pipeline"]
 
 
+def test_negative_zero_records_as_zero_except_for_an_angle(tmp_path, capsys):
+    # A -0 budget, readout sigma or impurity records as 0; a -0 angle is an angle
+    # and keeps its sign.
+    assert main(["sweep", "--photons=-0", "--grid", "64", "--samples", "3", "--json",
+                 "--out", str(tmp_path / "s")]) == 0
+    config = json.loads(capsys.readouterr().out)
+    assert math.copysign(1.0, config["photon_budget"]) == 1.0
+    out = tmp_path / "r"
+    assert main(["render", "--theta=-0", "--alpha", "0.7", "--photons", "1e4",
+                 "--readout-sigma=-0", "--impurity=-0", "--grid", "64", "--out", str(out)]) == 0
+    params = json.loads((out / "report.json").read_text())["params"]
+    meta = json.loads((out / "metadata.json").read_text())
+    for value in (params["readout_sigma"], params["flip_impurity"],
+                  meta["noise"]["readout_sigma"], meta["flip_impurity"]):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+    assert math.copysign(1.0, params["theta"]) == math.copysign(1.0, meta["theta"]) == -1.0
+
+
 class TestTopLevel:
     def test_no_command_is_usage_error(self):
         assert main([]) == 1

@@ -32,7 +32,6 @@ from dualitysim.duality import (
     postselection_probabilities,
     sweep_columns,
 )
-from dualitysim.qubit import basis_branches
 
 from oracles import SIGMA_X, SIGMA_Y, SIGMA_Z, brute_predictability, brute_visibility
 
@@ -308,10 +307,6 @@ class TestScalarCoreParity:
                 rho = partial_trace_env(psi)
                 assert _hex(rep.visibility, rep.predictability, rep.probability) == _hex(
                     visibility(rho), predictability(rho), 1.0)
-                rep = averaged_duality(params)
-                h, v = basis_branches(psi)
-                assert _hex(rep.visibility, rep.predictability, rep.probability) == _hex(
-                    visibility(h) + visibility(v), predictability(h) + predictability(v), 1.0)
                 for proj in self.PROJECTORS:
                     try:
                         rho, p = postselect_env(psi, proj)

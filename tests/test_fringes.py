@@ -199,15 +199,15 @@ class TestAnnulusPlan:
 
 
 def _count_covariance_fits(monkeypatch) -> list[bool]:
-    """Whether each stacked harmonic fit from now on forms its covariance, the
-    step that only a fit uncertainty reads."""
-    fits, original = [], fringes._harmonic_fits
+    """Whether each stacked fit from now on forms its uncertainty, the only step
+    that reads the residuals and the covariance."""
+    fits, original = [], fringes._fringe_rows
 
-    def counting_fits(values, l, covariance=True):
-        fits.append(covariance)
-        return original(values, l, covariance)
+    def counting_fits(values, l, uncertainty=True):
+        fits.append(uncertainty)
+        return original(values, l, uncertainty)
 
-    monkeypatch.setattr(fringes, "_harmonic_fits", counting_fits)
+    monkeypatch.setattr(fringes, "_fringe_rows", counting_fits)
     return fits
 
 

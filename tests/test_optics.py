@@ -436,6 +436,15 @@ class TestRenderImage:
         with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
             NoiseModel(1e5, 0.0, seed)
 
+    @pytest.mark.parametrize("budget,sigma", [(-0.0, 0.0), (1.0, -0.0), (-0, 0.0),
+                                              (np.float64(-0.0), -0.0)])
+    def test_negative_zero_is_stored_and_recorded_as_zero(self, budget, sigma):
+        noise = NoiseModel(budget, sigma)
+        for value in (noise.photon_budget, noise.readout_sigma, *noise.record.values()):
+            assert math.copysign(1.0, value) == 1.0
+        # An int budget stays an int, so JSON still writes it without a point.
+        assert type(noise.record["photon_budget"]) is type(budget)
+
     @pytest.mark.parametrize("case,name", [
         (lambda syn, noise: measure_rows(syn, noise, first_row=-1), "first_row"),
         (lambda syn, noise: measure_rows(syn, NoiseModel(), first_row=-1), "first_row"),

@@ -30,3 +30,27 @@ def test_star_import_binds_exactly_the_exports_and_no_module():
     del namespace["__builtins__"]
     assert sorted(namespace) == dualitysim.__all__
     assert not [name for name, value in namespace.items() if isinstance(value, ModuleType)]
+
+
+def test_every_public_definition_is_exported_or_called():
+    # A top-level public function or class that no __all__ entry exports and no
+    # package code names outside its own definition has no caller.
+    trees = {path.name: ast.parse(path.read_text())
+             for path in Path(dualitysim.__file__).parent.glob("*.py")}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    uncalled = [
+        f"{module}:{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef | ast.ClassDef) and not node.name.startswith("_")
+        and node.name not in dualitysim.__all__ and node.name not in named
+    ]
+    assert not uncalled

@@ -7,6 +7,7 @@ sphere.  Examples are derandomized, so every run checks the same cases.
 
 import contextlib
 import io
+import json
 import math
 import re
 import tempfile
@@ -50,7 +51,7 @@ from dualitysim import (
     uniform_wavefunction,
     visibility,
 )
-from dualitysim.cli import main
+from dualitysim.cli import UsageError, main, parse_angles
 from dualitysim.duality import (
     conditional_visibility_v,
     postselection_probabilities,
@@ -58,14 +59,13 @@ from dualitysim.duality import (
 from dualitysim.fringes import (
     AzimuthalProfile,
     _fringe_rows,
-    _harmonic_fits,
     analytic_ports,
+    fit_operator,
     measure_rows,
     moment_profile,
     port_profile,
 )
 from dualitysim.optics import write_pgm16
-from dualitysim.qubit import basis_branches
 from dualitysim.weak import (
     convergence_order,
     gaussian_wavefunction,
@@ -190,11 +190,8 @@ def test_scalar_state_algebra_matches_the_oracle(theta, alpha, polar, azimuth):
             assert p_ref < P_MIN + 1e-15
             continue
         agrees(conditional_duality(params, proj), rho, rho_ref, p_ref)
-    branches = basis_branches(psi)
     refs = [brute_postselect(rho4, proj) for proj in (projector_h(), projector_v())]
     report = averaged_duality(params)
-    assert report.visibility == sum(map(visibility, branches))
-    assert report.predictability == sum(map(predictability, branches))
     v_ref = sum(p * brute_visibility(rho) for rho, p in refs if rho is not None)
     p_ref = sum(p * brute_predictability(rho) for rho, p in refs if rho is not None)
     assert abs(report.visibility - v_ref) <= 1e-14
@@ -424,9 +421,12 @@ def test_cached_fit_matches_the_lstsq_oracle(n_bins, charge, sign, seed, scale):
         # |l| * window a multiple of 90 deg aliases the harmonic (180 deg) or
         # puts it at the bins' Nyquist rate (90 deg), where B is not identified.
         with pytest.raises(DegenerateProfile):
-            _harmonic_fits(values[np.newaxis], l)
+            fit_operator(n_bins, charge)
         return
-    (coeffs,), (covariance,) = _harmonic_fits(values[np.newaxis], l)
+    design, pinv, inv_normal = fit_operator(n_bins, charge)
+    coeffs = pinv @ values
+    residuals = values - design @ coeffs
+    covariance = float(residuals @ residuals) / (n_bins - 3) * inv_normal
     ref_coeffs, ref_covariance = lstsq_harmonic_fit(profile, l)
     np.testing.assert_allclose(coeffs, ref_coeffs, rtol=0, atol=1e-12 * abs(ref_coeffs[0]))
     np.testing.assert_allclose(covariance, ref_covariance, rtol=1e-12, atol=0)
@@ -600,42 +600,109 @@ def test_edge_arguments_return_or_raise_a_library_error(name, data):
 
 
 # Edge classes of a command-line number, including pi literals, and per flag of
-# ``sweep`` a few values that run.  Each command line gives up to two flags an edge
-# value; the grid and the sample count are always given, so that every run stays small.
+# each subcommand a few values that run.  Each command line gives up to two flags an
+# edge value; the grid, the sample count and the weak grid size are always given, so
+# that every run stays small.
 EDGE_TEXT = ["0", "-0", "1", "-1", "1.5", "nan", "inf", "-inf", "1e300", "-1e300", "1e-300",
              "-1e-300", "5e-324", "2.2e-308", "pi", "-pi/2", "2pi", "pi/0",
              "1" + "0" * 308 + "pi"]
-SWEEP_FLAGS = {
-    "--grid": [str(size) for size in range(43, 65)],
-    "--samples": ["2", "3", "5"],
-    "--sweep": ["theta", "alpha"],
-    "--fixed": ["pi/12", "0.3"],
-    "--start": ["0", "-1"],
-    "--end": ["2pi", "7"],
+EDGE_VALUES = {"--psi": [f"gaussian:{text}" for text in EDGE_TEXT]}
+GRID_SIZES = [str(size) for size in range(43, 65)]
+CAMERA_FLAGS = {
     "--seed": ["0", "7"],
     "--photons": ["inf", "1e4", "1e-9"],
     "--readout-sigma": ["0", "2"],
     "--l": ["3", "-3", "32"],
 }
+SWEEP_FLAGS = {
+    "--grid": GRID_SIZES,
+    "--samples": ["2", "3", "5"],
+    "--sweep": ["theta", "alpha"],
+    "--fixed": ["pi/12", "0.3"],
+    "--start": ["0", "-1"],
+    "--end": ["2pi", "7"],
+    **CAMERA_FLAGS,
+}
+RENDER_FLAGS = {
+    "--grid": GRID_SIZES,
+    "--theta": ["1", "pi/3", "0"],
+    "--alpha": ["0.7", "pi/2"],
+    "--impurity": ["0", "0.2"],
+    "--path-phase": ["0", "0.3"],
+    **CAMERA_FLAGS,
+}
+RENDER_FILES = ["render/metadata.json", "render/report.json"] + [
+    f"render/{port}_{name}" for port in "hv" for name in ("port.pfm", "port.pgm", "profile.csv")]
+WEAK_FLAGS = {
+    "--psi": ["gaussian:32", "gaussian:4", "uniform"],
+    "--n": ["2", "16", "64"],
+    "--phi": ["0.1", "0.2,0.1", "-0.05", "1e-3"],
+    "--mode": ["linearized", "exact"],
+}
+
+
+def _command_line(command, flags, edges, always, data):
+    """``command`` with an edge value for each flag in ``edges``, a running value for
+    each other flag in ``always``, and either or nothing for the others."""
+    argv = [command]
+    for flag, values in flags.items():
+        if flag in edges or flag in always or data.draw(st.booleans()):
+            edge = EDGE_VALUES.get(flag, EDGE_TEXT)
+            argv.append(f"{flag}={data.draw(st.sampled_from(edge if flag in edges else values))}")
+    return argv
+
+
+def _check_signs(record):
+    # A zero budget, readout sigma or impurity records as 0, never as -0.
+    for key in ("photon_budget", "readout_sigma", "flip_impurity"):
+        assert record.get(key) is None or math.copysign(1.0, record[key]) == 1.0, record
+    return record
+
+
+def _check_command(argv, out, expected):
+    """Run ``main(argv)`` writing to ``out`` in a new folder and check its exit: a code
+    of 0, 1 or 2, no warning but ``weak``'s deflection warning, a flag named by a
+    usage error, and after 0 exactly the ``expected`` files, with no -0 recorded."""
+    stderr = io.StringIO()
+    with (tempfile.TemporaryDirectory() as folder, warnings.catch_warnings(record=True) as caught,
+          contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr)):
+        warnings.simplefilter("always")
+        code = main([*argv, "--out", str(Path(folder) / out)])
+        written = {path.relative_to(folder).as_posix(): path.read_bytes()
+                   for path in Path(folder).rglob("*") if path.is_file()}
+    assert code in (0, 1, 2), argv
+    assert not [w.message for w in caught if "pointer deflection" not in str(w.message)], argv
+    if code == 1:  # argparse's usage line names every flag, so only the error line counts
+        assert re.search(r"error: .*--[a-z]", stderr.getvalue()), (argv, stderr.getvalue())
+    assert sorted(written) == (sorted(expected) if code == 0 else []), argv
+    for name, data in written.items():
+        if name.endswith(".json"):
+            json.loads(data, object_hook=_check_signs)
 
 
 @settings(PROPERTY, max_examples=100)
 @given(st.sets(st.sampled_from(sorted(SWEEP_FLAGS)), max_size=2), st.data())
 def test_sweep_command_lines_exit_with_a_code_and_a_flag(edges, data):
-    argv = ["sweep"]
-    for flag, values in SWEEP_FLAGS.items():
-        if flag in edges or flag in ("--grid", "--samples") or data.draw(st.booleans()):
-            value = data.draw(st.sampled_from(EDGE_TEXT if flag in edges else values))
-            argv.append(f"{flag}={value}")
-    stderr = io.StringIO()
-    with (tempfile.TemporaryDirectory() as folder, warnings.catch_warnings(record=True) as caught,
-          contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr)):
-        warnings.simplefilter("always")
-        out = Path(folder) / "sweep"
-        code = main([*argv, "--out", str(out)])
-        written = [out.with_suffix(suffix).is_file() for suffix in (".csv", ".json")]
-    assert code in (0, 1, 2), argv
-    assert not [w.message for w in caught if issubclass(w.category, RuntimeWarning)], argv
-    if code == 1:  # argparse's usage line names every flag, so only the error line counts
-        assert re.search(r"error: .*--[a-z]", stderr.getvalue()), (argv, stderr.getvalue())
-    assert written == [code == 0] * 2, argv
+    argv = _command_line("sweep", SWEEP_FLAGS, edges, {"--grid", "--samples"}, data)
+    _check_command(argv, "sweep", ["sweep.csv", "sweep.json"])
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.sets(st.sampled_from(sorted(RENDER_FLAGS)), max_size=2), st.booleans(), st.data())
+def test_render_command_lines_exit_with_a_code_and_a_flag(edges, calibrated, data):
+    # --calibrated sets theta, alpha and impurity, so it conflicts with any of them.
+    always = {"--grid"} if calibrated else {"--grid", "--theta", "--alpha"}
+    argv = _command_line("render", RENDER_FLAGS, edges, always, data)
+    _check_command(argv + ["--calibrated"] * calibrated, "render", RENDER_FILES)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(st.sets(st.sampled_from(sorted(WEAK_FLAGS)), max_size=2), st.data())
+def test_weak_command_lines_exit_with_a_code_and_a_flag(edges, data):
+    argv = _command_line("weak", WEAK_FLAGS, edges, {"--n"}, data)
+    phis = next((arg[6:] for arg in argv if arg.startswith("--phi=")), "0.1")
+    try:
+        names = {f"{phi:.6g}" for phi in parse_angles(phis)}
+    except UsageError:
+        names = set()  # an unparsable --phi exits 1 and writes nothing
+    _check_command(argv, "weak", [f"weak_phi{name}.csv" for name in names] + ["weak_summary.json"])

@@ -20,7 +20,6 @@ from dualitysim import (
     projector_v,
     state_vector,
 )
-from dualitysim.qubit import basis_branches
 
 from oracles import (
     IDENTITY,
@@ -238,8 +237,6 @@ class TestPartialTrace:
         for psi in (np.array([2, 0, 0, 0]), np.array([0, 1, 0, 1]), np.zeros(4)):
             with pytest.raises(ValueError, match="squared norm"):
                 partial_trace_env(psi)
-            with pytest.raises(ValueError, match="squared norm"):
-                basis_branches(psi)
             for proj in (projector_h(), projector_v()):
                 with pytest.raises(ValueError, match="squared norm"):
                     postselect_env(psi, proj)

@@ -251,8 +251,12 @@ def _load_psi(spec: str, n: int) -> np.ndarray:
         path = Path(spec[5:])
         if not path.is_file():
             raise UsageError(f"--psi: wavefunction file {path} does not exist or is not a file")
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"--psi: cannot read wavefunction file {path}: {exc}") from None
         values = []
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        for lineno, line in enumerate(text.splitlines(), start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
@@ -399,7 +403,7 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
     """
     try:
         config = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot load config {args.config}: {exc}") from None
     if not isinstance(config, dict):
         raise UsageError("config file must hold a JSON object")

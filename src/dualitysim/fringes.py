@@ -520,7 +520,7 @@ def write_csv(path: str | Path, columns: list[str], rows: np.ndarray | list[list
     """CSV of a header row and ``rows``, every value formatted as ``%.17g``."""
     row = ",".join(["%.17g"] * len(columns)) + "\n"
     body = (row * len(rows)) % tuple(np.ravel(rows).tolist())
-    Path(path).write_text(",".join(columns) + "\n" + body)
+    optics._write_file(path, (",".join(columns) + "\n").encode(), body.encode())
 
 
 def profile_to_csv(profile: AzimuthalProfile, path: str | Path, noise: NoiseModel) -> None:

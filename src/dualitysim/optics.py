@@ -46,6 +46,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -404,16 +406,27 @@ def calibrated_operating_point() -> tuple[StateParams, float]:
     return StateParams(theta=theta, alpha=alpha), eps
 
 
+def _write_file(path: str | Path, *chunks: bytes | np.ndarray) -> None:
+    """Write ``chunks`` to ``path`` in order and cut the file to their length: the one
+    place an output file is opened.  An existing file is rewritten in place, since a
+    truncating open costs more than the write, and a new one is created as by
+    ``open(path, "w")``.  No write is atomic or synced, so a crash may leave new bytes
+    followed by the old file's tail."""
+    with open(path, "wb",  # with the flags and mode of open(path, "wb"), but no O_TRUNC
+              opener=lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666)) as fh:
+        fh.writelines(chunks)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):  # a device or pipe has no length
+            fh.truncate()
+
+
 def write_pfm(path: str | Path, image: np.ndarray) -> None:
     """Grayscale portable float map (PFM, little-endian float32)."""
     image = np.asarray(image)
     if image.ndim != 2 or np.iscomplexobj(image):
         raise ValueError("PFM export expects a 2-D image of real values")
-    with open(path, "wb") as fh:
-        fh.write(b"Pf\n")
-        fh.write(f"{image.shape[1]} {image.shape[0]}\n".encode())
-        fh.write(b"-1.0\n")  # negative scale marks little-endian data
-        fh.write(np.ascontiguousarray(np.flipud(image), dtype="<f4"))  # rows bottom-up
+    # A negative scale marks little-endian data, and the rows run bottom-up.
+    _write_file(path, f"Pf\n{image.shape[1]} {image.shape[0]}\n-1.0\n".encode(),
+                np.ascontiguousarray(np.flipud(image), dtype="<f4"))
 
 
 def write_pgm16(path: str | Path, image: np.ndarray) -> float:
@@ -439,11 +452,7 @@ def write_pgm16(path: str | Path, image: np.ndarray) -> float:
         block = image[rows] / scale
         np.round(block, out=block)
         levels[rows] = np.clip(block, 0, 65535, out=block)
-    with open(path, "wb") as fh:
-        fh.write(b"P5\n")
-        fh.write(f"{image.shape[1]} {image.shape[0]}\n".encode())
-        fh.write(b"65535\n")
-        fh.write(levels)
+    _write_file(path, f"P5\n{image.shape[1]} {image.shape[0]}\n65535\n".encode(), levels)
     return scale
 
 
@@ -451,7 +460,7 @@ def write_json(path: str | Path, payload: dict, indent: int | None = None) -> st
     """Write ``payload`` to ``path`` as ``json.dumps(payload, indent=indent, sort_keys=True)``
     and a newline, and return that text: the one writer of the toolkit's JSON files."""
     text = json.dumps(payload, indent=indent, sort_keys=True) + "\n"
-    Path(path).write_text(text)
+    _write_file(path, text.encode())
     return text
 
 

@@ -157,6 +157,13 @@ class TestSweepCommand:
         assert "must hold a JSON object" in capsys.readouterr().err
         assert not list(tmp_path.glob("x*"))
 
+    def test_config_that_is_not_utf8_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_bytes(b'\xff\xfe{"samples": 7}')
+        assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "x")]) == 1
+        assert f"cannot load config {config}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("x*"))
+
     def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"photon": 1e3, "samples": 7}))
@@ -584,6 +591,16 @@ class TestWeakCommand:
         monkeypatch.chdir(tmp_path)
         assert main(["weak", "--psi", f"file:{name}", "--out", "w"]) == 1
         assert "--psi: wavefunction file" in capsys.readouterr().err
+        assert not list(tmp_path.glob("w*"))
+
+    @pytest.mark.parametrize("raw", [b"\xff\xfe1 0\n-1 0\n", b"1 0\n0.5\xe9 0\n"])
+    def test_file_that_is_not_utf8_is_a_usage_error(self, raw, tmp_path, capsys):
+        samples = tmp_path / "bad.txt"
+        samples.write_bytes(raw)
+        code = main(["weak", "--psi", f"file:{samples}", "--n", "4", "--out", str(tmp_path / "w")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--psi" in err and str(samples) in err
         assert not list(tmp_path.glob("w*"))
 
     def test_odd_parity_file_is_a_runtime_error(self, tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from dualitysim import (
     synthesize_ports,
 )
 from dualitysim import optics
-from dualitysim.fringes import measure_rows
+from dualitysim.fringes import measure_rows, write_csv
 from dualitysim.optics import (
     MAX_OAM,
     POISSON_LAM_MAX,
@@ -592,6 +594,69 @@ class TestExports:
         assert meta["oam_charge"] == 3
         assert meta["noise"]["seed"] == 5
         assert meta["note"] == "test"
+
+
+# Each public file writer, with an output of a few hundred bytes.
+FILE_WRITERS = {
+    "pfm": lambda path: write_pfm(path, np.arange(30.0).reshape(5, 6) / 7.0),
+    "pgm": lambda path: write_pgm16(path, np.arange(30.0).reshape(5, 6)),
+    "json": lambda path: write_json(path, {"rows": [[0.1, math.nan, -0.0]], "n": 3}, indent=2),
+    "csv": lambda path: write_csv(path, ["a", "b"], [[0.1, 2.0], [3.0, -0.0], [1e300, 5e-324]]),
+}
+
+
+@pytest.fixture
+def umask():
+    """``os.umask``, for the test to set; the process umask is restored after it."""
+    saved = os.umask(0o022)
+    yield os.umask
+    os.umask(saved)
+
+
+class TestOutputFiles:
+    """Every writer goes through ``optics._write_file``, which rewrites a file in place
+    and cuts it to the new length instead of truncating it when it opens it."""
+
+    @pytest.mark.parametrize("writer", sorted(FILE_WRITERS))
+    @pytest.mark.parametrize("old_size", [0, 7, "same", "longer"])
+    def test_rewrite_leaves_the_bytes_of_a_fresh_write(self, writer, old_size, tmp_path):
+        FILE_WRITERS[writer](tmp_path / "fresh")
+        fresh = (tmp_path / "fresh").read_bytes()
+        size = {"same": len(fresh), "longer": 3 * len(fresh) + 5000}.get(old_size, old_size)
+        path = tmp_path / "out"
+        path.write_bytes(b"\xff" * size)
+        path.chmod(0o640)
+        before = path.stat()
+        FILE_WRITERS[writer](path)
+        after = path.stat()
+        assert path.read_bytes() == fresh
+        assert (after.st_ino, after.st_dev) == (before.st_ino, before.st_dev)
+        assert stat.S_IMODE(after.st_mode) == 0o640
+
+    @pytest.mark.parametrize("writer", sorted(FILE_WRITERS))
+    @pytest.mark.parametrize("mask", [0o022, 0o027, 0o077])
+    def test_new_file_gets_the_mode_of_a_plain_open(self, writer, mask, umask, tmp_path):
+        umask(mask)
+        FILE_WRITERS[writer](tmp_path / "out")
+        with open(tmp_path / "plain", "w"):
+            pass
+        modes = [stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("out", "plain")]
+        assert modes == [0o666 & ~mask] * 2
+
+    @pytest.mark.parametrize("writer", sorted(FILE_WRITERS))
+    def test_symlink_writes_through_to_its_target(self, writer, tmp_path):
+        FILE_WRITERS[writer](tmp_path / "fresh")
+        target, link = tmp_path / "target", tmp_path / "link"
+        target.write_bytes(b"\xff" * 10_000)
+        link.symlink_to(target)
+        FILE_WRITERS[writer](link)
+        assert link.is_symlink()
+        assert target.read_bytes() == (tmp_path / "fresh").read_bytes()
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+    @pytest.mark.parametrize("writer", sorted(FILE_WRITERS))
+    def test_a_device_is_written_and_not_cut(self, writer):
+        FILE_WRITERS[writer](os.devnull)  # a device has no length to cut to
 
 
 # Cells as a sweep writes them: any float, with the edge values pinned.

@@ -54,3 +54,37 @@ def test_every_public_definition_is_exported_or_called():
         and node.name not in dualitysim.__all__ and node.name not in named
     ]
     assert not uncalled
+
+
+# Calls that write a file whatever their arguments, and calls named ``open`` that read
+# only when they name a mode of r, b and t alone or take no mode: ``open(path)`` and
+# ``path.open()``.
+WRITING_CALLS = {"write_text", "write_bytes", "fdopen", "tofile", "save", "savez", "savetxt"}
+
+
+def _opens_for_writing(call):
+    name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+    if name in WRITING_CALLS:
+        return True
+    if name != "open":
+        return False
+    modes = [arg.value for arg in (*call.args, *(k.value for k in call.keywords))
+             if isinstance(arg, ast.Constant) and isinstance(arg.value, str)]
+    if modes:
+        return not set(modes[-1]) <= set("rbt")
+    return len(call.args) + len(call.keywords) > isinstance(call.func, ast.Name)
+
+
+def test_only_the_private_writer_opens_a_file_for_writing():
+    # optics._write_file owns how an output file is opened; reading a file is free.
+    writes, owners = [], []
+    for path in sorted(Path(dualitysim.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = [top for top in tree.body if isinstance(top, ast.FunctionDef)
+                 and (path.name, top.name) == ("optics.py", "_write_file")]
+        inside = {id(node) for top in owner for node in ast.walk(top)}
+        owners += owner
+        writes += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and id(node) not in inside
+                   and _opens_for_writing(node)]
+    assert len(owners) == 1 and not writes, writes
